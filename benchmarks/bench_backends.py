@@ -1,14 +1,10 @@
 #!/usr/bin/env python3
-"""Benchmark the numba kernels against the pure-numpy fallbacks.
+"""Time the hot numpy kernels on training-shaped inputs.
 
-Times the hot paths on training-shaped inputs under both dispatch targets
-and prints a comparison table. Run from the repo root:
+Prints the best-of-N wall time per kernel. Run from the repo root:
 
     python benchmarks/bench_backends.py           # full sizes
     python benchmarks/bench_backends.py --quick   # smaller, faster
-
-The first numba timing includes no JIT cost: kernels are warmed (and
-disk-cached) before measurement.
 """
 
 import argparse
@@ -16,12 +12,9 @@ import time
 
 import numpy as np
 
-import stimkit
-from stimkit.backend import HAVE_NUMBA
-
 
 def timeit(fn, reps):
-    fn()  # warm-up (JIT compile on the numba path)
+    fn()  # warm-up
     best = float("inf")
     for _ in range(reps):
         t0 = time.perf_counter()
@@ -102,26 +95,10 @@ def main():
     args = parser.parse_args()
     reps = args.reps or (3 if args.quick else 5)
 
-    if not HAVE_NUMBA:
-        print("numba not importable: only the numpy path can be timed")
-    cases = build_cases(args.quick)
-
-    results = {}
-    backends = ["numpy"] + (["numba"] if HAVE_NUMBA else [])
-    for backend in backends:
-        stimkit.set_backend(backend)
-        for name, fn in cases:
-            results[(backend, name)] = timeit(fn, reps)
-
-    print(f"\n{'kernel':<22} {'numpy':>10} {'numba':>10} {'speedup':>9}")
-    print("-" * 55)
-    for name, _ in cases:
-        t_np = results[("numpy", name)]
-        if HAVE_NUMBA:
-            t_nb = results[("numba", name)]
-            print(f"{name:<22} {t_np * 1e3:>8.2f}ms {t_nb * 1e3:>8.2f}ms {t_np / t_nb:>8.2f}x")
-        else:
-            print(f"{name:<22} {t_np * 1e3:>8.2f}ms {'-':>10} {'-':>9}")
+    print(f"{'kernel':<22} {'best':>10}")
+    print("-" * 33)
+    for name, fn in build_cases(args.quick):
+        print(f"{name:<22} {timeit(fn, reps) * 1e3:>8.2f}ms")
 
 
 if __name__ == "__main__":

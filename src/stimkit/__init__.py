@@ -9,6 +9,6 @@ dense polynomial-expansion flow) are included for comparison rendering.
 
 __version__ = "0.1.0"
 
-from .backend import active_backend, set_backend, using_numba
+from .backend import active_backend
 
-__all__ = ["active_backend", "set_backend", "using_numba", "__version__"]
+__all__ = ["active_backend", "__version__"]

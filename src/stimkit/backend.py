@@ -1,79 +1,11 @@
-"""Kernel backend selection.
+"""Name of the kernel implementation, for environment records.
 
-Hot numeric kernels exist twice: a numba ``@njit`` version and a pure-numpy
-vectorized version. Decoration happens whenever numba is importable (numba
-compiles lazily, so unused kernels cost nothing); the ``STIMKIT_BACKEND``
-environment variable only steers dispatch:
-
-* ``auto`` (default) - numba when importable, numpy otherwise
-* ``numba``          - require numba, fail loudly if missing
-* ``numpy``          - force the vectorized fallback
-
-``STIMKIT_THREADS`` caps numba's thread pool. Kernels never reduce across
-threads, so results are bit-identical for any thread count.
+Every kernel is vectorized numpy; there is no other backend to select.
+The function stays because benchmark harnesses record it next to the
+Python and numpy versions (``perfbench/run.py`` calls it).
 """
-
-import os
-
-from .errors import ConfigError
-
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:
-    numba = None
-    HAVE_NUMBA = False
-
-_VALID = ("auto", "numba", "numpy")
-
-
-def _resolve(name):
-    if name not in _VALID:
-        raise ConfigError("STIMKIT_BACKEND", f"must be one of {_VALID}, got {name!r}")
-    if name == "numba" and not HAVE_NUMBA:
-        raise ConfigError("STIMKIT_BACKEND", "numba requested but not importable")
-    if name == "auto":
-        return "numba" if HAVE_NUMBA else "numpy"
-    return name
-
-
-if HAVE_NUMBA:
-    _threads = os.environ.get("STIMKIT_THREADS", "").strip()
-    if _threads:
-        numba.set_num_threads(max(1, min(int(_threads), numba.config.NUMBA_NUM_THREADS)))
-
-    def njit_kernel(func):
-        return numba.njit(cache=True)(func)
-
-    def njit_parallel(func):
-        return numba.njit(cache=True, parallel=True)(func)
-
-    prange = numba.prange
-else:
-
-    def njit_kernel(func):
-        return func
-
-    def njit_parallel(func):
-        return func
-
-    prange = range
-
-
-_backend = _resolve(os.environ.get("STIMKIT_BACKEND", "auto").strip().lower() or "auto")
 
 
 def active_backend():
-    """Name of the backend dispatch target: 'numba' or 'numpy'."""
-    return _backend
-
-
-def using_numba():
-    return _backend == "numba"
-
-
-def set_backend(name):
-    """Override kernel dispatch (tests and benchmarks only)."""
-    global _backend
-    _backend = _resolve(name)
+    """Name of the kernel implementation: always 'numpy'."""
+    return "numpy"

@@ -25,7 +25,6 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .backend import njit_kernel, njit_parallel, prange, using_numba
 from .errors import SizeError
 
 DET_EPS = 1e-9
@@ -98,48 +97,6 @@ def _check_pair(prev, nxt):
     return prev, nxt
 
 
-@njit_parallel
-def _lk_kernel(ix, iy, it, xs, ys, half, min_eigen, vectors, valid):  # pragma: no cover - jitted
-    h, w = ix.shape
-    npts = xs.shape[0]
-    for p in prange(npts):
-        x = xs[p]
-        y = ys[p]
-        y0 = max(y - half, 0)
-        y1 = min(y + half, h - 1)
-        x0 = max(x - half, 0)
-        x1 = min(x + half, w - 1)
-        sxx = 0.0
-        sxy = 0.0
-        syy = 0.0
-        sxt = 0.0
-        syt = 0.0
-        for yy in range(y0, y1 + 1):
-            for xx in range(x0, x1 + 1):
-                gx = ix[yy, xx]
-                gy = iy[yy, xx]
-                gt = it[yy, xx]
-                sxx += gx * gx
-                sxy += gx * gy
-                syy += gy * gy
-                sxt += gx * gt
-                syt += gy * gt
-        tr = 0.5 * (sxx + syy)
-        disc2 = tr * tr - (sxx * syy - sxy * sxy)
-        if disc2 < 0.0:  # rounding can push the symmetric discriminant negative
-            disc2 = 0.0
-        lam_min = tr - np.sqrt(disc2)
-        if lam_min < min_eigen:
-            valid[p] = False
-            vectors[p, 0] = 0.0
-            vectors[p, 1] = 0.0
-        else:
-            det = sxx * syy - sxy * sxy
-            vectors[p, 0] = -(syy * sxt - sxy * syt) / det
-            vectors[p, 1] = -(sxx * syt - sxy * sxt) / det
-            valid[p] = True
-
-
 def _window_sums(field, ys, xs, half, h, w):
     sat = np.zeros((h + 1, w + 1))
     np.cumsum(np.cumsum(field, axis=0), axis=1, out=sat[1:, 1:])
@@ -165,27 +122,20 @@ def lucas_kanade_grid(prev, nxt, spacing: int = 10, window: int = 15, min_eigen:
     it = nxt - prev
     half = window // 2
 
-    points = np.stack([xs, ys], axis=1).astype(np.float64)
-    vectors = np.zeros((len(xs), 2))
-    valid = np.zeros(len(xs), dtype=bool)
-
-    if using_numba():
-        _lk_kernel(ix, iy, it, xs.astype(np.int64), ys.astype(np.int64), half, min_eigen, vectors, valid)
-    else:
-        sxx = _window_sums(ix * ix, ys, xs, half, h, w)
-        sxy = _window_sums(ix * iy, ys, xs, half, h, w)
-        syy = _window_sums(iy * iy, ys, xs, half, h, w)
-        sxt = _window_sums(ix * it, ys, xs, half, h, w)
-        syt = _window_sums(iy * it, ys, xs, half, h, w)
-        tr = 0.5 * (sxx + syy)
-        det = sxx * syy - sxy * sxy
-        lam_min = tr - np.sqrt(np.maximum(tr * tr - det, 0.0))
-        valid = lam_min >= min_eigen
-        safe_det = np.where(valid, det, 1.0)
-        vectors[:, 0] = np.where(valid, -(syy * sxt - sxy * syt) / safe_det, 0.0)
-        vectors[:, 1] = np.where(valid, -(sxx * syt - sxy * sxt) / safe_det, 0.0)
-
-    return FlowField("sparse_grid", points, vectors, valid)
+    sxx = _window_sums(ix * ix, ys, xs, half, h, w)
+    sxy = _window_sums(ix * iy, ys, xs, half, h, w)
+    syy = _window_sums(iy * iy, ys, xs, half, h, w)
+    sxt = _window_sums(ix * it, ys, xs, half, h, w)
+    syt = _window_sums(iy * it, ys, xs, half, h, w)
+    tr = 0.5 * (sxx + syy)
+    det = sxx * syy - sxy * sxy
+    # rounding can push the symmetric discriminant negative
+    lam_min = tr - np.sqrt(np.maximum(tr * tr - det, 0.0))
+    valid = lam_min >= min_eigen
+    safe_det = np.where(valid, det, 1.0)
+    u = np.where(valid, -(syy * sxt - sxy * syt) / safe_det, 0.0)
+    v = np.where(valid, -(sxx * syt - sxy * sxt) / safe_det, 0.0)
+    return FlowField("sparse_grid", np.stack([xs, ys], axis=1), np.stack([u, v], axis=1), valid)
 
 
 def _correlate1d(img, kernel, axis):
@@ -232,50 +182,6 @@ def polynomial_expansion(img, sigma: float = 1.5):
     axx = minv[1, 0] * m00 + minv[1, 1] * mxx + minv[1, 2] * myy
     ayy = minv[2, 0] * m00 + minv[2, 1] * mxx + minv[2, 2] * myy
     return axx, ayy, axy, bx, by
-
-
-@njit_kernel
-def _bilinear(field, x, y):  # pragma: no cover - jitted
-    h, w = field.shape
-    if x < 0.0:
-        x = 0.0
-    elif x > w - 1.0:
-        x = w - 1.0
-    if y < 0.0:
-        y = 0.0
-    elif y > h - 1.0:
-        y = h - 1.0
-    x0 = int(np.floor(x))
-    y0 = int(np.floor(y))
-    x1 = min(x0 + 1, w - 1)
-    y1 = min(y0 + 1, h - 1)
-    fx = x - x0
-    fy = y - y0
-    return (
-        field[y0, x0] * (1 - fx) * (1 - fy)
-        + field[y0, x1] * fx * (1 - fy)
-        + field[y1, x0] * (1 - fx) * fy
-        + field[y1, x1] * fx * fy
-    )
-
-
-@njit_parallel
-def _warp_systems_kernel(a11_1, a12_1, a22_1, bx1, by1, a11_2, a12_2, a22_2, bx2, by2, du, dv, n11, n12, n22, h1, h2):  # pragma: no cover - jitted
-    h, w = a11_1.shape
-    for yy in prange(h):
-        for xx in range(w):
-            sx = xx + du[yy, xx]
-            sy = yy + dv[yy, xx]
-            wa11 = 0.5 * (a11_1[yy, xx] + _bilinear(a11_2, sx, sy))
-            wa12 = 0.5 * (a12_1[yy, xx] + _bilinear(a12_2, sx, sy))
-            wa22 = 0.5 * (a22_1[yy, xx] + _bilinear(a22_2, sx, sy))
-            dbx = -0.5 * (_bilinear(bx2, sx, sy) - bx1[yy, xx]) + wa11 * du[yy, xx] + wa12 * dv[yy, xx]
-            dby = -0.5 * (_bilinear(by2, sx, sy) - by1[yy, xx]) + wa12 * du[yy, xx] + wa22 * dv[yy, xx]
-            n11[yy, xx] = wa11
-            n12[yy, xx] = wa12
-            n22[yy, xx] = wa22
-            h1[yy, xx] = dbx
-            h2[yy, xx] = dby
 
 
 def _bilinear_grid(field, sx, sy):
@@ -337,24 +243,14 @@ def farneback_dense(
     valid = np.zeros((h, w), dtype=bool)
 
     for _ in range(max(1, iterations)):
-        if using_numba():
-            n11 = np.empty((h, w))
-            n12 = np.empty((h, w))
-            n22 = np.empty((h, w))
-            g1 = np.empty((h, w))
-            g2 = np.empty((h, w))
-            _warp_systems_kernel(
-                a11_1, a12_1, a22_1, bx1, by1, a11_2, a12_2, a22_2, bx2, by2, du, dv, n11, n12, n22, g1, g2
-            )
-        else:
-            ys, xs = np.mgrid[0:h, 0:w]
-            sx = xs + du
-            sy = ys + dv
-            n11 = 0.5 * (a11_1 + _bilinear_grid(a11_2, sx, sy))
-            n12 = 0.5 * (a12_1 + _bilinear_grid(a12_2, sx, sy))
-            n22 = 0.5 * (a22_1 + _bilinear_grid(a22_2, sx, sy))
-            g1 = -0.5 * (_bilinear_grid(bx2, sx, sy) - bx1) + n11 * du + n12 * dv
-            g2 = -0.5 * (_bilinear_grid(by2, sx, sy) - by1) + n12 * du + n22 * dv
+        ys, xs = np.mgrid[0:h, 0:w]
+        sx = xs + du
+        sy = ys + dv
+        n11 = 0.5 * (a11_1 + _bilinear_grid(a11_2, sx, sy))
+        n12 = 0.5 * (a12_1 + _bilinear_grid(a12_2, sx, sy))
+        n22 = 0.5 * (a22_1 + _bilinear_grid(a22_2, sx, sy))
+        g1 = -0.5 * (_bilinear_grid(bx2, sx, sy) - bx1) + n11 * du + n12 * dv
+        g2 = -0.5 * (_bilinear_grid(by2, sx, sy) - by1) + n12 * du + n22 * dv
 
         # Least squares over the neighborhood: box-average the normal
         # products A'A and A'db rather than the raw systems, so weak or

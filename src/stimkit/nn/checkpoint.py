@@ -75,18 +75,32 @@ def load_checkpoint(path) -> ModelCheckpoint:
         blob = f.read()
     if blob[:8] != MAGIC:
         raise SchemaError(f"{path}: not a checkpoint file (bad magic)")
+    if len(blob) < 12:
+        raise SchemaError(f"{path}: truncated checkpoint ({len(blob)} bytes, no header length)")
     (hlen,) = struct.unpack("<I", blob[8:12])
+    if 12 + hlen > len(blob):
+        raise SchemaError(f"{path}: truncated checkpoint (header of {hlen} bytes runs past end of file)")
     try:
         header = json.loads(blob[12 : 12 + hlen])
     except json.JSONDecodeError as e:
         raise SchemaError(f"{path}: corrupt checkpoint header: {e.msg}") from e
+    if not isinstance(header, dict):
+        raise SchemaError(f"{path}: corrupt checkpoint header: not a JSON object")
     if header.get("format_version") != FORMAT_VERSION:
         raise SchemaError(f"{path}: unsupported format version {header.get('format_version')!r}")
+    missing = [key for key in ("parameters", "config", "training_metadata") if key not in header]
+    if missing:
+        raise SchemaError(f"{path}: checkpoint header lacks {', '.join(missing)}")
     payload = blob[12 + hlen :]
     params = {}
     for entry in header["parameters"]:
-        start = entry["offset"]
-        arr = np.frombuffer(payload, dtype="<f4", count=entry["nbytes"] // 4, offset=start)
+        start, nbytes = entry["offset"], entry["nbytes"]
+        if start + nbytes > len(payload):
+            raise SchemaError(
+                f"{path}: truncated checkpoint (parameter {entry['name']!r} needs payload bytes "
+                f"{start}..{start + nbytes}, file has {len(payload)})"
+            )
+        arr = np.frombuffer(payload, dtype="<f4", count=nbytes // 4, offset=start)
         params[entry["name"]] = arr.reshape(entry["shape"]).copy()
     return ModelCheckpoint(
         config=ModelConfig.from_dict(header["config"]),

@@ -4,11 +4,8 @@ Tensors are plain numpy arrays, row-major, float32 for training and
 float64 for gradient verification. Layout is channels-last: images are
 (N, H, W, C), conv kernels (k, k, Cin, Cout).
 
-Convolution is same-padded cross-correlation with odd kernels. The numpy
-path lowers to im2col + matmul; the numba path runs direct loops with
-the batch (or output channel, for weight gradients) parallelized. No
-kernel reduces across threads, so each backend is individually
-deterministic.
+Convolution is same-padded cross-correlation with odd kernels, lowered
+to im2col + matmul (forward, input gradient and weight gradient alike).
 """
 
 from __future__ import annotations
@@ -16,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ..backend import njit_parallel, prange, using_numba
 from ..errors import SizeError
 
 
@@ -30,71 +26,6 @@ def _check_conv_shapes(x, w, b):
         raise SizeError(f"channel mismatch: input has {x.shape[3]}, kernel expects {w.shape[2]}")
     if b.shape[0] != w.shape[3]:
         raise SizeError(f"bias length {b.shape[0]} != output channels {w.shape[3]}")
-
-
-@njit_parallel
-def _conv2d_fw_kernel(xp, w, b, out):  # pragma: no cover - jitted
-    n, ho, wo, co = out.shape
-    k = w.shape[0]
-    ci = w.shape[2]
-    for img in prange(n):
-        acc = np.empty(co, dtype=out.dtype)
-        for i in range(ho):
-            for j in range(wo):
-                for c in range(co):
-                    acc[c] = b[c]
-                for a in range(k):
-                    for bb in range(k):
-                        for cc in range(ci):
-                            xv = xp[img, i + a, j + bb, cc]
-                            wrow = w[a, bb, cc]
-                            for c in range(co):
-                                acc[c] += xv * wrow[c]
-                for c in range(co):
-                    out[img, i, j, c] = acc[c]
-
-
-@njit_parallel
-def _conv2d_dx_kernel(dyp, wrot, out):  # pragma: no cover - jitted
-    n, ho, wo, ci = out.shape
-    k = wrot.shape[0]
-    co = wrot.shape[2]
-    for img in prange(n):
-        acc = np.empty(ci, dtype=out.dtype)
-        for i in range(ho):
-            for j in range(wo):
-                for c in range(ci):
-                    acc[c] = 0.0
-                for a in range(k):
-                    for bb in range(k):
-                        for cc in range(co):
-                            dv = dyp[img, i + a, j + bb, cc]
-                            wrow = wrot[a, bb, cc]
-                            for c in range(ci):
-                                acc[c] += dv * wrow[c]
-                for c in range(ci):
-                    out[img, i, j, c] = acc[c]
-
-
-@njit_parallel
-def _conv2d_dw_kernel(xp, dy, dw_part):  # pragma: no cover - jitted
-    # dw_part is (N, k, k, Cin, Cout): per-image partials summed by the
-    # caller in fixed order, so the result is thread-count independent.
-    n, ho, wo, co = dy.shape
-    k = dw_part.shape[1]
-    ci = dw_part.shape[3]
-    for img in prange(n):
-        part = dw_part[img]
-        for i in range(ho):
-            for j in range(wo):
-                grow = dy[img, i, j]
-                for a in range(k):
-                    for bb in range(k):
-                        for cc in range(ci):
-                            xv = xp[img, i + a, j + bb, cc]
-                            prow = part[a, bb, cc]
-                            for c in range(co):
-                                prow[c] += xv * grow[c]
 
 
 def _pad_same(x, half):
@@ -115,10 +46,6 @@ def conv2d_forward(x, w, b):
     k = w.shape[0]
     half = k // 2
     xp = _pad_same(x, half)
-    if using_numba():
-        out = np.empty(x.shape[:3] + (w.shape[3],), dtype=x.dtype)
-        _conv2d_fw_kernel(xp, w, b, out)
-        return out
     cols = _im2col(xp, k)
     y = cols @ w.reshape(-1, w.shape[3]) + b
     return y.reshape(x.shape[:3] + (w.shape[3],)).astype(x.dtype, copy=False)
@@ -134,18 +61,8 @@ def conv2d_backward(x, w, dy, need_dx: bool = True):
     half = k // 2
     xp = _pad_same(x, half)
     dx = None
-    if using_numba():
-        if need_dx:
-            # input gradient: same-padded conv of dy with the rotated kernel
-            wrot = np.ascontiguousarray(w[::-1, ::-1].transpose(0, 1, 3, 2))
-            dx = np.empty_like(x)
-            _conv2d_dx_kernel(_pad_same(dy, half), wrot, dx)
-        dw_part = np.zeros((x.shape[0],) + w.shape, dtype=w.dtype)
-        _conv2d_dw_kernel(xp, dy, dw_part)
-        dw = dw_part.sum(axis=0)
-        db = dy.sum(axis=(0, 1, 2))
-        return dx, dw, db
     if need_dx:
+        # input gradient: same-padded conv of dy with the rotated kernel
         wrot = np.ascontiguousarray(w[::-1, ::-1].transpose(0, 1, 3, 2))
         cols_dy = _im2col(_pad_same(dy, half), k)
         dx = (cols_dy @ wrot.reshape(-1, w.shape[2])).reshape(x.shape).astype(x.dtype, copy=False)
@@ -156,66 +73,20 @@ def conv2d_backward(x, w, dy, need_dx: bool = True):
     return dx, dw, db
 
 
-@njit_parallel
-def _maxpool2_fw_kernel(x, out, idx):  # pragma: no cover - jitted
-    n, ho, wo, c = out.shape
-    for img in prange(n):
-        for i in range(ho):
-            for j in range(wo):
-                for ch in range(c):
-                    best = x[img, 2 * i, 2 * j, ch]
-                    arg = 0
-                    # scan order (0,0),(0,1),(1,0),(1,1): first max wins
-                    v = x[img, 2 * i, 2 * j + 1, ch]
-                    if v > best:
-                        best = v
-                        arg = 1
-                    v = x[img, 2 * i + 1, 2 * j, ch]
-                    if v > best:
-                        best = v
-                        arg = 2
-                    v = x[img, 2 * i + 1, 2 * j + 1, ch]
-                    if v > best:
-                        best = v
-                        arg = 3
-                    out[img, i, j, ch] = best
-                    idx[img, i, j, ch] = arg
-
-
 def maxpool2_forward(x):
     """Non-overlapping 2x2 max pool; returns (y, argmax) with ties to the first."""
     if x.ndim != 4 or x.shape[1] % 2 or x.shape[2] % 2:
         raise SizeError(f"maxpool2 needs (N, even H, even W, C), got {x.shape}")
     n, h, w, c = x.shape
-    if using_numba():
-        out = np.empty((n, h // 2, w // 2, c), dtype=x.dtype)
-        idx = np.empty((n, h // 2, w // 2, c), dtype=np.int8)
-        _maxpool2_fw_kernel(x, out, idx)
-        return out, idx
     blocks = x.reshape(n, h // 2, 2, w // 2, 2, c).transpose(0, 1, 3, 2, 4, 5).reshape(n, h // 2, w // 2, 4, c)
     idx = blocks.argmax(axis=3).astype(np.int8)
     out = np.take_along_axis(blocks, idx[:, :, :, None, :], axis=3)[:, :, :, 0, :]
     return out, idx
 
 
-@njit_parallel
-def _maxpool2_bw_kernel(idx, dy, dx):  # pragma: no cover - jitted
-    n, ho, wo, c = dy.shape
-    for img in prange(n):
-        for i in range(ho):
-            for j in range(wo):
-                for ch in range(c):
-                    a = idx[img, i, j, ch]
-                    dx[img, 2 * i + a // 2, 2 * j + a % 2, ch] = dy[img, i, j, ch]
-
-
 def maxpool2_backward(x_shape, idx, dy):
     """Route pooled gradients back to the argmax positions."""
     n, h, w, c = x_shape
-    if using_numba():
-        dx = np.zeros((n, h, w, c), dtype=dy.dtype)
-        _maxpool2_bw_kernel(idx, dy, dx)
-        return dx
     dx4 = np.zeros((n, h // 2, w // 2, 4, c), dtype=dy.dtype)
     np.put_along_axis(dx4, idx[:, :, :, None, :].astype(np.intp), dy[:, :, :, None, :], axis=3)
     return dx4.reshape(n, h // 2, w // 2, 2, 2, c).transpose(0, 1, 3, 2, 4, 5).reshape(n, h, w, c)

@@ -5,10 +5,9 @@ disks, skeleton edges as straight lines. One uniform scale per sequence
 maps source-frame coordinates into the raster, preserving aspect ratio
 and centering the letterboxed frame.
 
-Both a numba kernel and a vectorized numpy path exist; they use the same
-pixel-inclusion arithmetic, so outputs are bit-identical. The whole
-window renders in a single kernel call (frames are independent, so the
-kernel parallelizes over them).
+Each primitive is stamped with numpy over its bounding box: a pixel is
+set when its integer coordinates lie within the disk radius of a
+keypoint, or within half the line thickness of an edge segment.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from typing import Optional
 
 import numpy as np
 
-from .backend import njit_parallel, prange, using_numba
 from .errors import InvalidSequenceError, ValidationError
 from .pose import HEAD_EDGES, HEAD_LABELS, KeypointSequence, effective_frame_size
 
@@ -113,79 +111,12 @@ def _stamp_segment(img, ax, ay, bx, by, half_thick):
     img[y0 : y1 + 1, x0 : x1 + 1][dx * dx + dy * dy <= t2] = 1.0
 
 
-@njit_parallel
-def _draw_clip_kernel(imgs, centers, c_offsets, segments, s_offsets, radius, half_thick):  # pragma: no cover - jitted
-    nt, h, w = imgs.shape
-    r2 = radius * radius
-    t2 = half_thick * half_thick
-    for t in prange(nt):
-        img = imgs[t]
-        for i in range(c_offsets[t], c_offsets[t + 1]):
-            cx = centers[i, 0]
-            cy = centers[i, 1]
-            x0 = max(int(np.floor(cx - radius)), 0)
-            x1 = min(int(np.ceil(cx + radius)), w - 1)
-            y0 = max(int(np.floor(cy - radius)), 0)
-            y1 = min(int(np.ceil(cy + radius)), h - 1)
-            for py in range(y0, y1 + 1):
-                for px in range(x0, x1 + 1):
-                    dx = px - cx
-                    dy = py - cy
-                    if dx * dx + dy * dy <= r2:
-                        img[py, px] = 1.0
-        for i in range(s_offsets[t], s_offsets[t + 1]):
-            ax = segments[i, 0]
-            ay = segments[i, 1]
-            bx = segments[i, 2]
-            by = segments[i, 3]
-            x0 = max(int(np.floor(min(ax, bx) - half_thick)), 0)
-            x1 = min(int(np.ceil(max(ax, bx) + half_thick)), w - 1)
-            y0 = max(int(np.floor(min(ay, by) - half_thick)), 0)
-            y1 = min(int(np.ceil(max(ay, by) + half_thick)), h - 1)
-            ux = bx - ax
-            uy = by - ay
-            seg2 = ux * ux + uy * uy
-            for py in range(y0, y1 + 1):
-                for px in range(x0, x1 + 1):
-                    if seg2 == 0.0:
-                        dx = px - ax
-                        dy = py - ay
-                    else:
-                        tt = ((px - ax) * ux + (py - ay) * uy) / seg2
-                        if tt < 0.0:
-                            tt = 0.0
-                        elif tt > 1.0:
-                            tt = 1.0
-                        dx = px - (ax + tt * ux)
-                        dy = py - (ay + tt * uy)
-                    if dx * dx + dy * dy <= t2:
-                        img[py, px] = 1.0
-
-
-def draw_clip(imgs, centers, c_offsets, segments, s_offsets, radius, half_thick):
-    """Stamp per-frame disks and segments into a (T, H, W) image stack.
-
-    ``centers`` / ``segments`` are concatenated over frames with CSR-style
-    offset arrays of length T+1.
-    """
-    if using_numba():
-        _draw_clip_kernel(imgs, centers, c_offsets, segments, s_offsets, float(radius), float(half_thick))
-        return
-    for t in range(imgs.shape[0]):
-        img = imgs[t]
-        for i in range(c_offsets[t], c_offsets[t + 1]):
-            _stamp_disk(img, centers[i, 0], centers[i, 1], radius)
-        for i in range(s_offsets[t], s_offsets[t + 1]):
-            _stamp_segment(img, segments[i, 0], segments[i, 1], segments[i, 2], segments[i, 3], half_thick)
-
-
 def draw_primitives(img, centers, radius, segments, half_thick):
     """Stamp disks and thick segments into one float32 image in place."""
-    centers = np.asarray(centers, dtype=np.float64).reshape(-1, 2)
-    segments = np.asarray(segments, dtype=np.float64).reshape(-1, 4)
-    offsets_c = np.array([0, len(centers)], dtype=np.int64)
-    offsets_s = np.array([0, len(segments)], dtype=np.int64)
-    draw_clip(img[None], centers, offsets_c, segments, offsets_s, radius, half_thick)
+    for cx, cy in np.asarray(centers, dtype=np.float64).reshape(-1, 2):
+        _stamp_disk(img, cx, cy, radius)
+    for ax, ay, bx, by in np.asarray(segments, dtype=np.float64).reshape(-1, 4):
+        _stamp_segment(img, ax, ay, bx, by, half_thick)
 
 
 def render_frames(coords, present, frame_size, spec: RasterSpec) -> np.ndarray:
@@ -212,27 +143,15 @@ def render_frames(coords, present, frame_size, spec: RasterSpec) -> np.ndarray:
     offset = np.array([(spec.width - scale * src_w) / 2.0, (spec.height - scale * src_h) / 2.0])
     mapped = coords * scale + offset
 
-    centers_list = []
-    seg_list = []
-    c_offsets = np.zeros(n_frames + 1, dtype=np.int64)
-    s_offsets = np.zeros(n_frames + 1, dtype=np.int64)
-    for t in range(n_frames):
-        pts = mapped[t][present[t]]
-        centers_list.append(pts)
-        both = present[t, EDGE_INDEX[:, 0]] & present[t, EDGE_INDEX[:, 1]]
-        segs = np.concatenate(
-            [mapped[t, EDGE_INDEX[both, 0]], mapped[t, EDGE_INDEX[both, 1]]], axis=1
-        )
-        seg_list.append(segs)
-        c_offsets[t + 1] = c_offsets[t] + len(pts)
-        s_offsets[t + 1] = s_offsets[t] + len(segs)
-
-    centers = np.concatenate(centers_list, axis=0) if centers_list else np.zeros((0, 2))
-    segments = np.concatenate(seg_list, axis=0) if seg_list else np.zeros((0, 4))
     frames = np.zeros((n_frames, spec.height, spec.width), dtype=np.float32)
     half_thick = max(spec.line_thickness / 2.0, 0.5)
-    if len(centers) or len(segments):
-        draw_clip(frames, centers, c_offsets, segments, s_offsets, spec.point_radius, half_thick)
+    for t in range(n_frames):
+        img, pts = frames[t], mapped[t]
+        for cx, cy in pts[present[t]]:
+            _stamp_disk(img, cx, cy, spec.point_radius)
+        both = present[t, EDGE_INDEX[:, 0]] & present[t, EDGE_INDEX[:, 1]]
+        for a, b in EDGE_INDEX[both]:
+            _stamp_segment(img, pts[a, 0], pts[a, 1], pts[b, 0], pts[b, 1], half_thick)
     return frames
 
 

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,15 @@ def _checkpoint(seed=0):
         parameters=init_params(cfg),
         training_metadata={"epochs_run": 3, "final_loss": 0.25, "seed": seed},
     )
+
+
+def _saved_checkpoint(tmp_path):
+    """A saved checkpoint's path, bytes and JSON header length."""
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(_checkpoint(), path)
+    blob = path.read_bytes()
+    (hlen,) = struct.unpack("<I", blob[8:12])
+    return path, blob, hlen
 
 
 class TestRoundTrip:
@@ -56,3 +68,23 @@ class TestRoundTrip:
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 32)
         with pytest.raises(SchemaError, match="magic"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("cut", ["10_bytes", "mid_header", "mid_payload"])
+    def test_truncated_file_rejected(self, tmp_path, cut):
+        path, blob, hlen = _saved_checkpoint(tmp_path)
+        keep = {"10_bytes": 10, "mid_header": 12 + hlen // 2, "mid_payload": (12 + hlen + len(blob)) // 2}[cut]
+        path.write_bytes(blob[:keep])
+        with pytest.raises(SchemaError, match=": truncated checkpoint") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("key", ["parameters", "config", "training_metadata"])
+    def test_header_missing_key_rejected(self, tmp_path, key):
+        path, blob, hlen = _saved_checkpoint(tmp_path)
+        header = json.loads(blob[12 : 12 + hlen])
+        del header[key]
+        header_bytes = json.dumps(header).encode()
+        path.write_bytes(blob[:8] + struct.pack("<I", len(header_bytes)) + header_bytes + blob[12 + hlen :])
+        with pytest.raises(SchemaError, match=f"lacks {key}") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)

@@ -180,6 +180,14 @@ class TestPredictCommand:
         assert captured.out == ""
         assert "no windows" in captured.err
 
+    def test_truncated_checkpoint_exits_2(self, trained, tmp_path, mini_dataset, capsys):
+        cut = tmp_path / "cut.ckpt"
+        blob = trained.read_bytes()
+        cut.write_bytes(blob[: len(blob) - 100])
+        kp = Path(mini_dataset).parent / "keypoints" / "synth_000_c00.json"
+        assert run_cli("predict", "-m", cut, "-k", kp) == 2
+        assert ": truncated checkpoint" in capsys.readouterr().err
+
     def test_zero_weight_checkpoint_gives_half(self, trained, tmp_path, mini_dataset, capsys):
         from stimkit.nn.checkpoint import load_checkpoint, save_checkpoint
 

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import stimkit
 from stimkit.errors import SizeError
 from stimkit.nn import ops
 
@@ -136,29 +135,3 @@ class TestDense:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(SizeError):
             ops.dense_forward(np.zeros((2, 3)), np.zeros((4, 2)), np.zeros(2))
-
-
-@pytest.mark.skipif(not stimkit.using_numba(), reason="numba backend unavailable")
-class TestBackendParity:
-    def test_conv_and_pool_match_across_backends(self):
-        rng = np.random.default_rng(7)
-        x = rng.standard_normal((3, 8, 8, 4))
-        w = rng.standard_normal((3, 3, 4, 6))
-        b = rng.standard_normal(6)
-        dy = rng.standard_normal((3, 8, 8, 6))
-        try:
-            y1 = ops.conv2d_forward(x, w, b)
-            g1 = ops.conv2d_backward(x, w, dy)
-            p1, i1 = ops.maxpool2_forward(x)
-            d1 = ops.maxpool2_backward(x.shape, i1, p1)
-            stimkit.set_backend("numpy")
-            y2 = ops.conv2d_forward(x, w, b)
-            g2 = ops.conv2d_backward(x, w, dy)
-            p2, i2 = ops.maxpool2_forward(x)
-            d2 = ops.maxpool2_backward(x.shape, i2, p2)
-        finally:
-            stimkit.set_backend("numba")
-        assert np.allclose(y1, y2, atol=1e-12)
-        for a, b_ in zip(g1, g2):
-            assert np.allclose(a, b_, atol=1e-11)
-        assert np.array_equal(p1, p2) and np.array_equal(i1, i2) and np.array_equal(d1, d2)
