@@ -24,18 +24,16 @@ def timeit(fn, reps):
 
 
 def _oscillating_window():
-    from stimkit.pose import HeadPose, KeypointSequence
+    from stimkit.pose import KeypointSequence
 
     base = np.array(
         [[300.0, 200.0], [300.0, 250.0], [290.0, 190.0], [310.0, 190.0], [280.0, 195.0], [320.0, 195.0]]
     )
-    frames = []
-    for t in range(7):
-        coords = base + np.array([0.0, 20.0 * np.sin(np.pi * t / 3.0)])
-        frames.append(HeadPose(5 * t, coords, np.ones(6, bool), np.full(6, 0.9)))
+    coords = np.stack([base + np.array([0.0, 20.0 * np.sin(np.pi * t / 3.0)]) for t in range(7)])
     return KeypointSequence(
         clip_id="bench", subject_id="b", label="positive",
-        frames=frames, stride=5, origin_frame=0, frame_size=(640, 480),
+        coords=coords, present=np.ones((7, 6), bool), confidence=np.full((7, 6), 0.9),
+        stride=5, origin_frame=0, frame_size=(640, 480),
     )
 
 

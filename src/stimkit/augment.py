@@ -2,6 +2,8 @@
 
 Rotation and zoom are applied to the keypoints themselves, before
 rasterization, so the transforms are exact (no pixel interpolation).
+:func:`rotate_zoom` is the one implementation: it maps a window's stacked
+``(T, 6, 2)`` coords (or one frame's ``(6, 2)``) about the frame center.
 Rotation follows the standard counterclockwise convention in a y-up
 frame; with image coordinates (y down) the drawn result turns clockwise.
 
@@ -20,7 +22,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .pose import KeypointSequence, effective_frame_size
-from .raster import RasterClip, RasterSpec, render_frames, sequence_arrays
+from .raster import RasterClip, RasterSpec, render_frames
 
 
 @dataclass(frozen=True)
@@ -56,27 +58,18 @@ def rotation_matrix(theta_degrees: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def _transform_about_center(seq: KeypointSequence, matrix: np.ndarray) -> KeypointSequence:
-    cx, cy = (c / 2.0 for c in effective_frame_size(seq))
-    center = np.array([cx, cy])
-    out = seq.copy()
-    for f in out.frames:
-        if f.present.any():
-            rel = f.coords[f.present] - center
-            f.coords[f.present] = rel @ matrix.T + center
-    return out
+def rotate_zoom(coords: np.ndarray, frame_size, theta_degrees: float, factor: float) -> np.ndarray:
+    """Rotate by theta, then zoom by factor >= 1, about the frame center.
 
-
-def rotate_sequence(seq: KeypointSequence, theta_degrees: float) -> KeypointSequence:
-    """Rotate every present keypoint by theta about the frame center."""
-    return _transform_about_center(seq, rotation_matrix(theta_degrees))
-
-
-def zoom_sequence(seq: KeypointSequence, factor: float) -> KeypointSequence:
-    """Scale every present keypoint about the frame center by factor >= 1."""
+    ``coords`` is any (..., 2) array of source-frame pixels; a new array is
+    returned. Zoom commutes with rotation (isotropic), so one combined
+    matrix applies both in a single pass.
+    """
     if factor < 1.0:
         raise ValidationError(f"zoom factor must be >= 1.0, got {factor}")
-    return _transform_about_center(seq, np.array([[factor, 0.0], [0.0, factor]]))
+    center = np.array([frame_size[0] / 2.0, frame_size[1] / 2.0])
+    matrix = factor * rotation_matrix(theta_degrees)
+    return (coords - center) @ matrix.T + center
 
 
 def draw_augmentation(spec: AugmentSpec, rng: np.random.Generator) -> tuple[float, float]:
@@ -86,35 +79,26 @@ def draw_augmentation(spec: AugmentSpec, rng: np.random.Generator) -> tuple[floa
     return theta, factor
 
 
-def augment_sequence(seq: KeypointSequence, spec: AugmentSpec, rng: np.random.Generator) -> KeypointSequence:
-    """Apply one epoch's random rotation + zoom to a window."""
+def augment_coords(seq: KeypointSequence, spec: AugmentSpec, rng: np.random.Generator) -> np.ndarray:
+    """One epoch's randomly rotated and zoomed copy of a window's coords.
+
+    Draws one (theta, factor) pair per window, or one per frame in
+    ``per_frame`` mode, rotation first. The center is that of the window's
+    frame size (or of its whole keypoint extent when the size is unknown).
+    """
+    frame_size = effective_frame_size(seq)
     if spec.mode == "per_clip":
-        theta, factor = draw_augmentation(spec, rng)
-        return zoom_sequence(rotate_sequence(seq, theta), factor)
-    out = seq.copy()
-    for t in range(len(out.frames)):
-        theta, factor = draw_augmentation(spec, rng)
-        single = KeypointSequence(
-            clip_id=seq.clip_id,
-            subject_id=seq.subject_id,
-            label=seq.label,
-            frames=[out.frames[t]],
-            stride=seq.stride,
-            origin_frame=out.frames[t].frame_index,
-            frame_size=seq.frame_size,
-        )
-        out.frames[t] = zoom_sequence(rotate_sequence(single, theta), factor).frames[0]
-    return out
+        return rotate_zoom(seq.coords, frame_size, *draw_augmentation(spec, rng))
+    return np.stack([rotate_zoom(frame, frame_size, *draw_augmentation(spec, rng)) for frame in seq.coords])
 
 
 def make_training_augmenter(spec: AugmentSpec):
     """Augmenter for the trainer: RasterClip -> freshly augmented RasterClip.
 
     Requires clips rasterized from keypoint windows (``clip.source`` set);
-    the window is transformed and re-rendered with the clip's own raster
-    geometry, so augmentation happens in exact coordinate space. Zoom
-    commutes with rotation (isotropic), so one combined matrix applies
-    rotate-then-zoom in a single pass over the stacked coordinates.
+    the window's coords go through :func:`augment_coords` and are
+    re-rendered with the clip's own raster geometry, so augmentation
+    happens in exact coordinate space.
     """
 
     def augment(clip: RasterClip, rng: np.random.Generator) -> RasterClip:
@@ -124,19 +108,8 @@ def make_training_augmenter(spec: AugmentSpec):
                 f"clip {clip.clip_id!r}: cannot augment a raster clip without its keypoint source"
             )
         raster_spec = clip.spec if clip.spec is not None else RasterSpec()
-        coords, present = sequence_arrays(seq)
-        frame_size = effective_frame_size(seq)
-        center = np.array([frame_size[0] / 2.0, frame_size[1] / 2.0])
-        if spec.mode == "per_clip":
-            theta, factor = draw_augmentation(spec, rng)
-            matrix = factor * rotation_matrix(theta)
-            coords = (coords - center) @ matrix.T + center
-        else:
-            for t in range(coords.shape[0]):
-                theta, factor = draw_augmentation(spec, rng)
-                matrix = factor * rotation_matrix(theta)
-                coords[t] = (coords[t] - center) @ matrix.T + center
-        frames = render_frames(coords, present, frame_size, raster_spec)
+        coords = augment_coords(seq, spec, rng)
+        frames = render_frames(coords, seq.present, effective_frame_size(seq), raster_spec)
         return RasterClip(
             frames=frames,
             label=clip.label,

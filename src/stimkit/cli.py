@@ -36,7 +36,7 @@ from .flowviz import flow_to_hsv, render_arrows
 from .nn.checkpoint import load_checkpoint, save_checkpoint
 from .nn.train import classify, predict, train
 from .pose import filter_head, load_clip_frames, load_manifest, sample_windows
-from .raster import rasterize
+from .raster import RasterSpec, rasterize
 from .synth import gen_dataset
 
 EXIT_OK = 0
@@ -273,12 +273,13 @@ def cmd_predict(args) -> int:
         print("no windows: clip shorter than one window span", file=sys.stderr)
         return EXIT_OK
 
-    from .raster import RasterSpec
-
     meta_raster = dict(checkpoint.training_metadata.get("raster", {}))
     meta_raster.setdefault("width", checkpoint.config.width)
     meta_raster.setdefault("height", checkpoint.config.height)
-    spec = RasterSpec(**meta_raster)
+    try:
+        spec = RasterSpec(**meta_raster)
+    except TypeError as e:
+        raise SchemaError(f"{args.model}: corrupt checkpoint raster metadata: {e}") from e
     out = open(args.out, "w") if args.out else sys.stdout
     try:
         for w in windows:

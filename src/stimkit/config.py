@@ -66,12 +66,15 @@ def _pair(d: dict, key: str, path: str, default):
 
 def _build_window(d: dict) -> WindowParams:
     _check_keys(d, {"T", "stride", "hop", "confidence_threshold"}, "window")
-    return WindowParams(
-        T=_number(d, "T", "window", 7, minimum=2, integer=True),
-        stride=_number(d, "stride", "window", 5, minimum=1, integer=True),
-        hop=_number(d, "hop", "window", 15, minimum=1, integer=True),
-        confidence_threshold=_number(d, "confidence_threshold", "window", 0.1, minimum=0.0),
-    )
+    try:
+        return WindowParams(
+            T=_number(d, "T", "window", 7, integer=True),
+            stride=_number(d, "stride", "window", 5, integer=True),
+            hop=_number(d, "hop", "window", 15, integer=True),
+            confidence_threshold=_number(d, "confidence_threshold", "window", 0.1),
+        )
+    except ValidationError as e:
+        raise ConfigError(f"window.{e.field}", str(e)) from e
 
 
 def _build_raster(d: dict) -> RasterSpec:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .errors import ValidationError
 from .pose import (
     DEFAULT_CONFIDENCE_THRESHOLD,
     KeypointSequence,
@@ -20,6 +21,12 @@ class WindowParams:
     stride: int = 5
     hop: int = 15
     confidence_threshold: float = DEFAULT_CONFIDENCE_THRESHOLD
+
+    def __post_init__(self):
+        for name, minimum in (("T", 2), ("stride", 1), ("hop", 1), ("confidence_threshold", 0.0)):
+            value = getattr(self, name)
+            if value < minimum:
+                raise ValidationError(f"window {name} must be >= {minimum}, got {value}", field=name)
 
     @property
     def span(self) -> int:
@@ -47,12 +54,6 @@ class WindowDataset:
         for w in self.windows:
             counts[w.subject_id] = counts.get(w.subject_id, 0) + 1
         return counts
-
-    def labels_by_subject(self) -> dict[str, set]:
-        out: dict[str, set] = {}
-        for w in self.windows:
-            out.setdefault(w.subject_id, set()).add(w.label)
-        return out
 
 
 def clip_windows(manifest: Manifest, record, params: WindowParams) -> list[KeypointSequence]:

@@ -32,7 +32,11 @@ class ConflictError(StimkitError):
 
 
 class ValidationError(StimkitError):
-    """Record or parameter value outside its documented range."""
+    """Record or parameter value outside its documented range; ``field`` names it if known."""
+
+    def __init__(self, message, field=None):
+        self.field = field
+        super().__init__(message)
 
 
 class ConfigError(StimkitError):

@@ -16,6 +16,7 @@ order). Saving a loaded checkpoint reproduces the original file exactly.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -100,10 +101,19 @@ def load_checkpoint(path) -> ModelCheckpoint:
                 f"{path}: truncated checkpoint (parameter {entry['name']!r} needs payload bytes "
                 f"{start}..{start + nbytes}, file has {len(payload)})"
             )
+        if math.prod(entry["shape"]) != nbytes // 4:
+            raise SchemaError(
+                f"{path}: corrupt checkpoint (parameter {entry['name']!r} has shape {entry['shape']} "
+                f"but {nbytes // 4} values)"
+            )
         arr = np.frombuffer(payload, dtype="<f4", count=nbytes // 4, offset=start)
         params[entry["name"]] = arr.reshape(entry["shape"]).copy()
+    try:
+        config = ModelConfig.from_dict(header["config"])
+    except TypeError as e:
+        raise SchemaError(f"{path}: corrupt checkpoint config: {e}") from e
     return ModelCheckpoint(
-        config=ModelConfig.from_dict(header["config"]),
+        config=config,
         parameters=params,
         format_version=header["format_version"],
         training_metadata=header["training_metadata"],

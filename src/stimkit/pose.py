@@ -1,10 +1,12 @@
 """Keypoint ingestion and head-region feature extraction.
 
 The pipeline consumes 25-landmark body keypoints (the common "BODY_25"
-layout emitted by pose estimators), keeps only the six head-region parts,
-slices clips into fixed-length temporal windows sampled every few frames,
-and optionally re-centers each window on its mean head position so that
-frame-global camera translation does not move the head around the raster.
+layout emitted by pose estimators), keeps only the six head-region parts
+(a :class:`HeadPose` per frame), slices clips into fixed-length temporal
+windows sampled every few frames (a :class:`KeypointSequence` of stacked
+``(T, 6, 2)``/``(T, 6)`` arrays), and optionally re-centers each window on
+its mean head position (:func:`center_coords`) so that frame-global camera
+translation does not move the head around the raster.
 
 Coordinate convention throughout: x right, y down, pixels of the source
 video frame.
@@ -134,9 +136,6 @@ class HeadPose:
             if self.present[idx[a]] and self.present[idx[b]]
         ]
 
-    def copy(self) -> "HeadPose":
-        return HeadPose(self.frame_index, self.coords.copy(), self.present.copy(), self.confidence.copy())
-
 
 @dataclass(frozen=True)
 class ClipRecord:
@@ -183,52 +182,56 @@ class Manifest:
 
 @dataclass
 class KeypointSequence:
-    """T sampled head poses of one clip: the unit of classification."""
+    """T sampled head poses of one clip, stacked: the unit of classification.
+
+    Rows follow :data:`HEAD_LABELS` order; absent points are zeros with
+    ``present`` False. Frame t was sampled at ``origin_frame + t*stride``.
+    """
 
     clip_id: str
     subject_id: str
     label: str
-    frames: list[HeadPose]
+    coords: np.ndarray  # (T, 6, 2) float64
+    present: np.ndarray  # (T, 6) bool
+    confidence: np.ndarray  # (T, 6) float64
     stride: int
     origin_frame: int
     frame_size: Optional[tuple[int, int]] = None
 
     def __post_init__(self):
-        for prev, cur in zip(self.frames, self.frames[1:]):
-            if cur.frame_index - prev.frame_index != self.stride:
-                raise ValidationError(
-                    f"clip {self.clip_id!r}: window frames must be {self.stride} apart, "
-                    f"got {prev.frame_index} -> {cur.frame_index}"
-                )
+        self.coords = np.asarray(self.coords, dtype=np.float64)
+        self.present = np.asarray(self.present, dtype=bool)
+        self.confidence = np.asarray(self.confidence, dtype=np.float64)
+        T = self.coords.shape[:1]
+        if (self.coords.shape, self.present.shape, self.confidence.shape) != (T + (6, 2), T + (6,), T + (6,)):
+            raise ValidationError(
+                f"clip {self.clip_id!r}: window arrays must be (T, 6, 2), (T, 6), (T, 6); got "
+                f"{self.coords.shape}, {self.present.shape}, {self.confidence.shape}"
+            )
 
     @property
     def T(self) -> int:
-        return len(self.frames)
+        return self.coords.shape[0]
+
+    @property
+    def frame_indices(self) -> np.ndarray:
+        """Source frame index of each window frame."""
+        return self.origin_frame + self.stride * np.arange(self.T)
 
     def copy(self) -> "KeypointSequence":
-        return replace(self, frames=[f.copy() for f in self.frames])
+        return replace(
+            self, coords=self.coords.copy(), present=self.present.copy(), confidence=self.confidence.copy()
+        )
 
     def present_coords(self) -> np.ndarray:
         """Stack of (x, y) over all present points in all frames."""
-        rows = [f.coords[f.present] for f in self.frames]
-        rows = [r for r in rows if len(r)]
-        if not rows:
-            return np.zeros((0, 2))
-        return np.concatenate(rows, axis=0)
-
-    def centroid(self) -> np.ndarray:
-        pts = self.present_coords()
-        if len(pts) == 0:
-            raise InvalidSequenceError(f"clip {self.clip_id!r}: no present keypoints in sequence")
-        return pts.mean(axis=0)
+        return self.coords[self.present]
 
     def frame_centroids(self) -> np.ndarray:
         """(T, 2) per-frame centroid over present points; NaN rows if empty."""
-        out = np.full((len(self.frames), 2), np.nan)
-        for i, f in enumerate(self.frames):
-            if f.present.any():
-                out[i] = f.coords[f.present].mean(axis=0)
-        return out
+        sums = np.where(self.present[:, :, None], self.coords, 0.0).sum(axis=1)
+        with np.errstate(invalid="ignore"):  # 0/0 gives the NaN rows
+            return sums / self.present.sum(axis=1)[:, None]
 
 
 def _head_confidence_sum(flat: np.ndarray) -> float:
@@ -392,29 +395,32 @@ def sample_windows(
     if n < span:
         log.warning("clip %s: %d frames < window span %d; no windows", clip_id or "?", n, span)
         return []
+    coords = np.stack([f.coords for f in frames])
+    present = np.stack([f.present for f in frames])
+    confidence = np.stack([f.confidence for f in frames])
+    valid = present.sum(axis=1) >= MIN_POINTS_PER_FRAME
     min_valid = math.ceil(MIN_VALID_FRACTION * T)
+    offsets = stride * np.arange(T)
     out = []
     dropped = 0
-    k = 0
-    while k * hop + span <= n:
-        start = k * hop
-        picks = [frames[start + j * stride] for j in range(T)]
-        n_valid = sum(1 for f in picks if f.valid)
-        if n_valid >= min_valid:
+    for start in range(0, n - span + 1, hop):
+        picks = start + offsets
+        if valid[picks].sum() >= min_valid:
             out.append(
                 KeypointSequence(
                     clip_id=clip_id,
                     subject_id=subject_id,
                     label=label,
-                    frames=[f.copy() for f in picks],
+                    coords=coords[picks],
+                    present=present[picks],
+                    confidence=confidence[picks],
                     stride=stride,
-                    origin_frame=picks[0].frame_index,
+                    origin_frame=frames[start].frame_index,
                     frame_size=frame_size,
                 )
             )
         else:
             dropped += 1
-        k += 1
     if dropped:
         log.info("clip %s: dropped %d window(s) below %d valid frames", clip_id or "?", dropped, min_valid)
     return out
@@ -432,20 +438,24 @@ def effective_frame_size(seq: KeypointSequence) -> tuple[float, float]:
     return (w, h)
 
 
-def center_sequence(seq: KeypointSequence) -> KeypointSequence:
-    """Shift a window so its mean head centroid sits at the frame center.
+def center_coords(coords: np.ndarray, present: np.ndarray, frame_size) -> np.ndarray:
+    """Shift a window's present points so their mean sits at the frame center.
 
-    One constant translation for the whole window: frame-to-frame motion is
-    preserved exactly, but the accumulated camera offset at this point of
-    the clip is removed, so the head lands mid-raster regardless of drift.
+    One constant translation for the whole (T, 6, 2) window: frame-to-frame
+    motion is preserved exactly, but the accumulated camera offset is
+    removed, so the head lands mid-raster regardless of drift. Returns
+    ``coords`` itself when the shift is below 1e-9 px (an exact no-op).
     """
-    centroid = seq.centroid()
-    w, h = effective_frame_size(seq)
-    shift = np.array([w / 2.0, h / 2.0]) - centroid
-    out = seq.copy()
-    # snap sub-nanopixel shifts to zero so re-centering is an exact no-op
+    if not present.any():
+        raise InvalidSequenceError("no present keypoints in sequence")
+    shift = np.array([frame_size[0] / 2.0, frame_size[1] / 2.0]) - coords[present].mean(axis=0)
     if np.abs(shift).max() < 1e-9:
-        return out
-    for f in out.frames:
-        f.coords[f.present] += shift
+        return coords
+    return np.where(present[:, :, None], coords + shift, coords)
+
+
+def center_sequence(seq: KeypointSequence) -> KeypointSequence:
+    """A copy of the window re-centered by :func:`center_coords`."""
+    out = seq.copy()
+    out.coords = center_coords(out.coords, out.present, effective_frame_size(seq))
     return out

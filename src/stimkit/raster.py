@@ -1,6 +1,7 @@
 """Rasterize head-keypoint windows into the network's input images.
 
-Each window frame becomes a binary image: present keypoints as filled
+Each window frame becomes a binary image, drawn straight from the
+window's stacked ``coords``/``present`` arrays: present keypoints as filled
 disks, skeleton edges as straight lines. One uniform scale per sequence
 maps source-frame coordinates into the raster, preserving aspect ratio
 and centering the letterboxed frame.
@@ -17,8 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidSequenceError, ValidationError
-from .pose import HEAD_EDGES, HEAD_LABELS, KeypointSequence, effective_frame_size
+from .errors import ValidationError
+from .pose import HEAD_EDGES, HEAD_LABELS, KeypointSequence, center_coords, effective_frame_size
 
 EDGE_INDEX = np.array(
     [(HEAD_LABELS.index(a), HEAD_LABELS.index(b)) for a, b in HEAD_EDGES], dtype=np.int64
@@ -59,7 +60,8 @@ class RasterSpec:
 class RasterClip:
     """T rasterized frames plus the labels the trainer needs.
 
-    ``source`` keeps the keypoint window this clip was drawn from so that
+    ``source`` keeps the keypoint window this clip was drawn from (its
+    ``coords``/``present`` arrays, read without restacking) so that
     augmentation can re-rasterize with fresh geometry each epoch.
     """
 
@@ -131,12 +133,7 @@ def render_frames(coords, present, frame_size, spec: RasterSpec) -> np.ndarray:
     n_frames = coords.shape[0]
 
     if spec.center_mode == "sequence_mean":
-        if not present.any():
-            raise InvalidSequenceError("no present keypoints in sequence")
-        centroid = coords[present].mean(axis=0)
-        shift = np.array([frame_size[0] / 2.0, frame_size[1] / 2.0]) - centroid
-        if np.abs(shift).max() >= 1e-9:
-            coords = np.where(present[:, :, None], coords + shift, coords)
+        coords = center_coords(coords, present, frame_size)
 
     src_w, src_h = float(frame_size[0]), float(frame_size[1])
     scale = min(spec.width / src_w, spec.height / src_h)
@@ -155,17 +152,9 @@ def render_frames(coords, present, frame_size, spec: RasterSpec) -> np.ndarray:
     return frames
 
 
-def sequence_arrays(seq: KeypointSequence) -> tuple[np.ndarray, np.ndarray]:
-    """Stack a window's coordinates and presence flags: (T,6,2), (T,6)."""
-    coords = np.stack([f.coords for f in seq.frames])
-    present = np.stack([f.present for f in seq.frames])
-    return coords, present
-
-
 def rasterize(seq: KeypointSequence, spec: RasterSpec = RasterSpec()) -> RasterClip:
     """Render a keypoint window into T binary images."""
-    coords, present = sequence_arrays(seq)
-    frames = render_frames(coords, present, effective_frame_size(seq), spec)
+    frames = render_frames(seq.coords, seq.present, effective_frame_size(seq), spec)
     return RasterClip(
         frames=frames,
         label=1 if seq.label == "positive" else 0,

@@ -61,25 +61,23 @@ def window_fixture(coords_per_frame, frame_size=(640, 480), label="positive", st
     Each entry is a list of up to 6 (x, y) pairs; missing entries are
     absent points.
     """
-    from stimkit.pose import HeadPose, KeypointSequence
+    from stimkit.pose import KeypointSequence
 
-    frames = []
+    T = len(coords_per_frame)
+    coords = np.zeros((T, 6, 2))
+    present = np.zeros((T, 6), dtype=bool)
     for t, pts in enumerate(coords_per_frame):
-        coords = np.zeros((6, 2))
-        present = np.zeros(6, dtype=bool)
-        conf = np.zeros(6)
         for slot, xy in enumerate(pts):
-            if xy is None:
-                continue
-            coords[slot] = xy
-            present[slot] = True
-            conf[slot] = 0.9
-        frames.append(HeadPose(t * stride, coords, present, conf))
+            if xy is not None:
+                coords[t, slot] = xy
+                present[t, slot] = True
     return KeypointSequence(
         clip_id="fixture",
         subject_id="subj",
         label=label,
-        frames=frames,
+        coords=coords,
+        present=present,
+        confidence=np.where(present, 0.9, 0.0),
         stride=stride,
         origin_frame=0,
         frame_size=frame_size,

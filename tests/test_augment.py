@@ -5,90 +5,79 @@ from hypothesis import strategies as st
 
 from stimkit.augment import (
     AugmentSpec,
-    augment_sequence,
+    augment_coords,
     draw_augmentation,
     make_training_augmenter,
-    rotate_sequence,
-    zoom_sequence,
+    rotate_zoom,
 )
 from stimkit.errors import ValidationError
 from stimkit.raster import RasterSpec, rasterize
 
 from conftest import window_fixture
 
+FRAME = (640, 480)
 
-def _window(drift=(0.0, 0.0), osc=12.0):
+
+def _window(osc=12.0):
     base = [(300.0, 200.0), (300.0, 250.0), (290.0, 190.0), (310.0, 190.0), (280.0, 195.0), (320.0, 195.0)]
     frames = []
     for t in range(7):
         dy = osc * np.sin(np.pi * t / 3.0)
-        frames.append([(x + t * drift[0], y + dy + t * drift[1]) for x, y in base])
+        frames.append([(x, y + dy) for x, y in base])
     return window_fixture(frames)
 
 
-def _present_coords(seq):
-    return np.concatenate([f.coords[f.present] for f in seq.frames])
+def _pairwise(pts):
+    flat = pts.reshape(-1, 2)
+    return np.linalg.norm(flat[:, None] - flat[None, :], axis=-1)
 
 
 class TestRotate:
     def test_zero_rotation_is_identity(self):
-        seq = _window()
-        out = rotate_sequence(seq, 0.0)
-        assert np.allclose(_present_coords(out), _present_coords(seq), atol=1e-12)
+        coords = _window().coords
+        assert np.allclose(rotate_zoom(coords, FRAME, 0.0, 1.0), coords, atol=1e-12)
 
     def test_quarter_turn_moves_right_of_center_to_below(self):
         # y-down image coords: the CCW y-up convention appears clockwise,
         # so one unit right of center lands one unit below center.
-        seq = window_fixture([[(321.0, 240.0), (321.0, 240.0)]] * 7, frame_size=(640, 480))
-        out = rotate_sequence(seq, 90.0)
-        assert np.allclose(out.frames[0].coords[0], [320.0, 241.0], atol=1e-9)
+        out = rotate_zoom(np.array([[321.0, 240.0]]), FRAME, 90.0, 1.0)
+        assert np.allclose(out[0], [320.0, 241.0], atol=1e-9)
 
     def test_rotation_inverse_composes_to_identity(self):
-        seq = _window()
-        back = rotate_sequence(rotate_sequence(seq, 33.0), -33.0)
-        assert np.allclose(_present_coords(back), _present_coords(seq), atol=1e-9)
+        coords = _window().coords
+        back = rotate_zoom(rotate_zoom(coords, FRAME, 33.0, 1.0), FRAME, -33.0, 1.0)
+        assert np.allclose(back, coords, atol=1e-9)
 
     @given(st.floats(-180.0, 180.0, allow_nan=False))
     def test_rotation_is_isometry(self, theta):
-        seq = _window()
-        out = rotate_sequence(seq, theta)
-        a = _present_coords(seq)
-        b = _present_coords(out)
-        da = np.linalg.norm(a[:, None] - a[None, :], axis=-1)
-        db = np.linalg.norm(b[:, None] - b[None, :], axis=-1)
-        assert np.allclose(da, db, atol=1e-9)
+        coords = _window().coords
+        out = rotate_zoom(coords, FRAME, theta, 1.0)
+        assert np.allclose(_pairwise(out), _pairwise(coords), atol=1e-9)
 
 
 class TestZoom:
     def test_factor_one_is_identity(self):
-        seq = _window()
-        out = zoom_sequence(seq, 1.0)
-        assert np.allclose(_present_coords(out), _present_coords(seq), atol=1e-12)
+        coords = _window().coords
+        assert np.allclose(rotate_zoom(coords, FRAME, 0.0, 1.0), coords, atol=1e-12)
 
     def test_frame_center_is_fixed_point(self):
-        seq = window_fixture([[(320.0, 240.0), (320.0, 240.0)]] * 7, frame_size=(640, 480))
-        out = zoom_sequence(seq, 1.7)
-        assert np.allclose(out.frames[0].coords[0], [320.0, 240.0], atol=1e-12)
+        out = rotate_zoom(np.array([[320.0, 240.0]]), FRAME, 0.0, 1.7)
+        assert np.allclose(out[0], [320.0, 240.0], atol=1e-12)
 
     def test_affine_example(self):
         # factor 2 about (W/2, H/2) sends (3W/4, H/2) to (W, H/2)
-        seq = window_fixture([[(480.0, 240.0), (480.0, 240.0)]] * 7, frame_size=(640, 480))
-        out = zoom_sequence(seq, 2.0)
-        assert np.allclose(out.frames[0].coords[0], [640.0, 240.0], atol=1e-12)
+        out = rotate_zoom(np.array([[480.0, 240.0]]), FRAME, 0.0, 2.0)
+        assert np.allclose(out[0], [640.0, 240.0], atol=1e-12)
 
     def test_zoom_scales_pairwise_distances_exactly(self):
-        seq = _window()
+        coords = _window().coords
         factor = 1.73
-        out = zoom_sequence(seq, factor)
-        a = _present_coords(seq)
-        b = _present_coords(out)
-        da = np.linalg.norm(a[:, None] - a[None, :], axis=-1)
-        db = np.linalg.norm(b[:, None] - b[None, :], axis=-1)
-        assert np.allclose(db, factor * da, rtol=1e-12, atol=1e-9)
+        out = rotate_zoom(coords, FRAME, 0.0, factor)
+        assert np.allclose(_pairwise(out), factor * _pairwise(coords), rtol=1e-12, atol=1e-9)
 
     def test_factor_below_one_rejected(self):
         with pytest.raises(ValidationError, match="zoom factor"):
-            zoom_sequence(_window(), 0.9)
+            rotate_zoom(_window().coords, FRAME, 0.0, 0.9)
 
 
 class TestDraw:
@@ -133,34 +122,21 @@ class TestSequenceAugmentation:
     def test_per_clip_scales_displacements_by_factor(self):
         seq = _window(osc=15.0)
         spec = AugmentSpec(rotation_range=(0.0, 0.0), zoom_range=(1.5, 1.5))
-        out = augment_sequence(seq, spec, np.random.default_rng(0))
-        raw = np.stack([f.coords for f in seq.frames])
-        aug = np.stack([f.coords for f in out.frames])
-        d_raw = np.diff(raw, axis=0)
+        aug = augment_coords(seq, spec, np.random.default_rng(0))
+        d_raw = np.diff(seq.coords, axis=0)
         d_aug = np.diff(aug, axis=0)
         assert np.allclose(np.linalg.norm(d_aug, axis=-1), 1.5 * np.linalg.norm(d_raw, axis=-1), atol=1e-9)
 
     def test_labels_ids_and_presence_untouched(self):
         seq = _window()
-        seq.frames[3].present[4] = False
-        spec = AugmentSpec()
-        out = augment_sequence(seq, spec, np.random.default_rng(1))
-        assert out.label == seq.label
-        assert out.subject_id == seq.subject_id
-        assert out.clip_id == seq.clip_id
-        for fa, fb in zip(seq.frames, out.frames):
-            assert np.array_equal(fa.present, fb.present)
-            assert np.array_equal(fa.confidence, fb.confidence)
-
-    def test_training_augmenter_matches_public_ops(self):
-        seq = _window(drift=(2.0, 1.0))
-        spec = AugmentSpec()
-        raster_spec = RasterSpec()
-        clip = rasterize(seq, raster_spec)
-        theta, factor = draw_augmentation(spec, np.random.default_rng(77))
-        expected = rasterize(zoom_sequence(rotate_sequence(seq, theta), factor), raster_spec)
-        got = make_training_augmenter(spec)(clip, np.random.default_rng(77))
-        assert np.array_equal(got.frames, expected.frames)
+        seq.present[3, 4] = False
+        before = seq.copy()
+        clip = rasterize(seq, RasterSpec())
+        out = make_training_augmenter(AugmentSpec())(clip, np.random.default_rng(1))
+        assert (out.label, out.subject_id, out.clip_id) == (clip.label, clip.subject_id, clip.clip_id)
+        assert out.source is seq
+        for name in ("coords", "present", "confidence"):
+            assert np.array_equal(getattr(seq, name), getattr(before, name))
 
     def test_augmenter_requires_source(self):
         from stimkit.raster import RasterClip
@@ -172,7 +148,17 @@ class TestSequenceAugmentation:
     def test_per_frame_mode_draws_independently(self):
         seq = _window(osc=0.0)
         spec = AugmentSpec(mode="per_frame")
-        out = augment_sequence(seq, spec, np.random.default_rng(5))
-        coords = np.stack([f.coords for f in out.frames])
+        coords = augment_coords(seq, spec, np.random.default_rng(5))
         # identical input frames should now differ between timesteps
         assert not np.allclose(coords[0], coords[1])
+
+    def test_per_frame_without_frame_size_zooms_about_window_extent_center(self):
+        # no frame size: every frame turns about half the whole window's
+        # keypoint extent (160 x 60 here), not about its own frame's extent
+        frames = [[(100.0 + 10 * t, 50.0), (100.0 + 10 * t, 60.0)] for t in range(7)]
+        seq = window_fixture(frames, frame_size=None)
+        spec = AugmentSpec(rotation_range=(0.0, 0.0), zoom_range=(2.0, 2.0), mode="per_frame")
+        coords = augment_coords(seq, spec, np.random.default_rng(0))
+        center = np.array([80.0, 30.0])
+        assert np.allclose(coords[seq.present], 2.0 * (seq.coords[seq.present] - center) + center, atol=1e-12)
+

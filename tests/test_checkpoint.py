@@ -32,6 +32,19 @@ def _saved_checkpoint(tmp_path):
     return path, blob, hlen
 
 
+# header fault -> (edit of the decoded header, expected message)
+_HEADER_FAULTS = {
+    "parameters": (lambda h: h.pop("parameters"), "lacks parameters"),
+    "config": (lambda h: h.pop("config"), "lacks config"),
+    "training_metadata": (lambda h: h.pop("training_metadata"), "lacks training_metadata"),
+    "config_unknown_key": (lambda h: h["config"].update(bogus=1), "corrupt checkpoint config"),
+    "conv_block_unknown_key": (
+        lambda h: h["config"]["conv_blocks"][0].update(bogus=1), "corrupt checkpoint config"
+    ),
+    "shape_mismatch": (lambda h: h["parameters"][0].update(shape=[999]), "has shape \\[999\\]"),
+}
+
+
 class TestRoundTrip:
     def test_file_starts_with_magic(self, tmp_path):
         path = tmp_path / "m.ckpt"
@@ -78,13 +91,15 @@ class TestRoundTrip:
             load_checkpoint(path)
         assert str(path) in str(err.value)
 
-    @pytest.mark.parametrize("key", ["parameters", "config", "training_metadata"])
+    @pytest.mark.parametrize("key", list(_HEADER_FAULTS))
     def test_header_missing_key_rejected(self, tmp_path, key):
+        # a header lacking a key, or holding one the loader cannot take
+        edit, match = _HEADER_FAULTS[key]
         path, blob, hlen = _saved_checkpoint(tmp_path)
         header = json.loads(blob[12 : 12 + hlen])
-        del header[key]
+        edit(header)
         header_bytes = json.dumps(header).encode()
         path.write_bytes(blob[:8] + struct.pack("<I", len(header_bytes)) + header_bytes + blob[12 + hlen :])
-        with pytest.raises(SchemaError, match=f"lacks {key}") as err:
+        with pytest.raises(SchemaError, match=match) as err:
             load_checkpoint(path)
         assert str(path) in str(err.value)

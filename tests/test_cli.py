@@ -6,6 +6,9 @@ import pytest
 
 from stimkit import imageio
 from stimkit.cli import main
+from stimkit.nn.checkpoint import ModelCheckpoint, save_checkpoint
+from stimkit.nn.gradcheck import micro_config
+from stimkit.nn.model import init_params
 
 
 def run_cli(*argv):
@@ -187,6 +190,24 @@ class TestPredictCommand:
         kp = Path(mini_dataset).parent / "keypoints" / "synth_000_c00.json"
         assert run_cli("predict", "-m", cut, "-k", kp) == 2
         assert ": truncated checkpoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--T", 1), ("--stride", 0), ("--hop", 0)])
+    def test_window_flag_below_range_exits_2(self, tmp_path, mini_dataset, capsys, flag, value):
+        # --hop 0 once sampled windows forever; --stride 0 repeated one frame
+        ckpt = tmp_path / "micro.ckpt"
+        save_checkpoint(ModelCheckpoint(micro_config(), init_params(micro_config())), ckpt)
+        kp = Path(mini_dataset).parent / "keypoints" / "synth_000_c00.json"
+        assert run_cli("predict", "-m", ckpt, "-k", kp, flag, value) == 2
+        assert f"window {flag[2:]} must be >=" in capsys.readouterr().err
+
+    def test_unknown_raster_metadata_key_exits_2(self, tmp_path, mini_dataset, capsys):
+        ckpt = tmp_path / "micro.ckpt"
+        meta = {"raster": {"width": 16, "height": 16, "bogus": 1}}
+        save_checkpoint(ModelCheckpoint(micro_config(), init_params(micro_config()), training_metadata=meta), ckpt)
+        kp = Path(mini_dataset).parent / "keypoints" / "synth_000_c00.json"
+        assert run_cli("predict", "-m", ckpt, "-k", kp) == 2
+        err = capsys.readouterr().err
+        assert "corrupt checkpoint raster metadata" in err and str(ckpt) in err
 
     def test_zero_weight_checkpoint_gives_half(self, trained, tmp_path, mini_dataset, capsys):
         from stimkit.nn.checkpoint import load_checkpoint, save_checkpoint

@@ -52,6 +52,16 @@ class TestRunConfig:
         cfg = load_run_config(_write(tmp_path, _minimal(augment=None)))
         assert cfg.augment is None
 
+    @pytest.mark.parametrize(
+        "field, value, reason",
+        [("T", 1, ">= 2"), ("stride", 0, ">= 1"), ("hop", 0, ">= 1"), ("confidence_threshold", -0.1, ">= 0"),
+         ("T", 2.5, "integer required")],
+    )
+    def test_window_range_names_field_path(self, tmp_path, field, value, reason):
+        with pytest.raises(ConfigError, match=reason) as err:
+            load_run_config(_write(tmp_path, _minimal(window={field: value})))
+        assert err.value.field_path == f"window.{field}"
+
     def test_unknown_key_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown field"):
             load_run_config(_write(tmp_path, _minimal(learning_rate=0.1)))

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -190,7 +191,7 @@ class TestSampleWindows:
     def test_31_frame_clip_yields_single_window(self):
         wins = sample_windows(_heads(31), clip_id="c")
         assert len(wins) == 1
-        assert [f.frame_index for f in wins[0].frames] == [0, 5, 10, 15, 20, 25, 30]
+        assert wins[0].frame_indices.tolist() == [0, 5, 10, 15, 20, 25, 30]
 
     def test_70_frame_clip_hop_15_starts(self):
         wins = sample_windows(_heads(70), clip_id="c")
@@ -214,9 +215,22 @@ class TestSampleWindows:
 
     def test_origin_spacing_is_exactly_stride(self):
         for w in sample_windows(_heads(90), clip_id="c"):
-            diffs = np.diff([f.frame_index for f in w.frames])
+            diffs = np.diff(w.frame_indices)
             assert np.all(diffs == w.stride)
-            assert w.frames[-1].frame_index <= 89
+            assert w.frame_indices[-1] <= 89
+
+
+class TestKeypointSequence:
+    def test_frame_centroids_average_present_points_nan_when_empty(self):
+        seq = window_fixture([[(0.0, 0.0), (2.0, 4.0), None, (4.0, 2.0)], [None] * 6, [(5.0, 7.0)]])
+        fc = seq.frame_centroids()
+        assert np.array_equal(fc[[0, 2]], [[2.0, 2.0], [5.0, 7.0]])
+        assert np.isnan(fc[1]).all()
+
+    def test_mismatched_array_shapes_rejected(self):
+        seq = window_fixture([[(1.0, 2.0), (3.0, 4.0)]] * 7)
+        with pytest.raises(ValidationError, match="window arrays"):
+            replace(seq, present=seq.present[:6])
 
 
 class TestCenterSequence:
@@ -231,29 +245,24 @@ class TestCenterSequence:
     def test_already_centered_is_fixed_point(self):
         seq = center_sequence(self._osc())
         again = center_sequence(seq)
-        for a, b in zip(seq.frames, again.frames):
-            assert np.array_equal(a.coords, b.coords)
+        assert np.array_equal(seq.coords, again.coords)
 
     def test_global_translation_cancels_exactly(self):
         seq = self._osc()
         translated = seq.copy()
-        for f in translated.frames:
-            f.coords[f.present] += np.array([40.0, -12.0])
+        translated.coords[translated.present] += np.array([40.0, -12.0])
         a = center_sequence(seq)
         b = center_sequence(translated)
-        for fa, fb in zip(a.frames, b.frames):
-            assert np.array_equal(fa.coords, fb.coords)
+        assert np.array_equal(a.coords, b.coords)
 
     def test_interframe_displacements_preserved_under_drift(self):
         seq = self._osc(drift=(3.0, -2.0))
         centered = center_sequence(seq)
-        raw = np.stack([f.coords for f in seq.frames])
-        cen = np.stack([f.coords for f in centered.frames])
-        assert np.allclose(np.diff(raw, axis=0), np.diff(cen, axis=0), atol=1e-9)
+        assert np.allclose(np.diff(seq.coords, axis=0), np.diff(centered.coords, axis=0), atol=1e-9)
 
     def test_centroid_lands_on_frame_center(self):
         centered = center_sequence(self._osc(drift=(5.0, 1.0)))
-        assert np.allclose(centered.centroid(), [320.0, 240.0], atol=1e-9)
+        assert np.allclose(centered.present_coords().mean(axis=0), [320.0, 240.0], atol=1e-9)
 
     def test_no_present_points_raises(self):
         seq = window_fixture([[None] * 6 for _ in range(7)])

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from stimkit.augment import AugmentSpec, make_training_augmenter
 from stimkit.errors import ValidationError
 from stimkit.raster import RasterSpec, rasterize
 
@@ -114,3 +115,31 @@ class TestPinnedPixels:
             digest.update(rasterize(window, RasterSpec()).frames.tobytes())
         assert len(ds.windows) == 51
         assert digest.hexdigest() == "b5141d3bfd78436f912bc542dba75c2d2206cbfec7222ef05c93dfea38803475"
+
+
+class TestPinnedAugment:
+    @pytest.mark.parametrize(
+        "mode, expected",
+        [
+            ("per_clip", "e49ecd6b415befa3598751b9261097fd63ef771aa7b362e959d1664b4d13e77e"),
+            ("per_frame", "4319e872e0ea770aee8a02510101adfedb8ced4b2b9dc5fdf9c70fcf5df62d72"),
+        ],
+    )
+    def test_augmented_rasters_are_pinned(self, tmp_path, mode, expected):
+        # Bytes of make_training_augmenter's frames over the 51 default-spec
+        # windows of TestPinnedPixels' dataset, drawing from one
+        # generator in window order, as produced with numpy 2.4.6. Any
+        # change to the draw order, the rotate/zoom arithmetic or the
+        # re-rendering moves this digest.
+        from stimkit.data import build_dataset
+        from stimkit.pose import load_manifest
+        from stimkit.synth import gen_dataset
+
+        ds = build_dataset(load_manifest(gen_dataset(tmp_path, n_subjects=4, seed=1)))
+        augment = make_training_augmenter(AugmentSpec(mode=mode))
+        rng = np.random.default_rng(2024)
+        digest = hashlib.sha256()
+        for window in ds.windows:
+            digest.update(augment(rasterize(window, RasterSpec()), rng).frames.tobytes())
+        assert len(ds.windows) == 51
+        assert digest.hexdigest() == expected
