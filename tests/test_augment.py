@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -18,12 +20,13 @@ from conftest import window_fixture
 FRAME = (640, 480)
 
 
-def _window(osc=12.0):
+def _window(osc=12.0, drift=(0.0, 0.0)):
     base = [(300.0, 200.0), (300.0, 250.0), (290.0, 190.0), (310.0, 190.0), (280.0, 195.0), (320.0, 195.0)]
     frames = []
     for t in range(7):
-        dy = osc * np.sin(np.pi * t / 3.0)
-        frames.append([(x, y + dy) for x, y in base])
+        dx = drift[0] * t
+        dy = osc * np.sin(np.pi * t / 3.0) + drift[1] * t
+        frames.append([(x + dx, y + dy) for x, y in base])
     return window_fixture(frames)
 
 
@@ -137,6 +140,17 @@ class TestSequenceAugmentation:
         assert out.source is seq
         for name in ("coords", "present", "confidence"):
             assert np.array_equal(getattr(seq, name), getattr(before, name))
+
+    def test_training_augmenter_matches_public_ops(self):
+        seq = _window(drift=(2.0, 1.0))
+        spec = AugmentSpec()
+        raster_spec = RasterSpec()
+        clip = rasterize(seq, raster_spec)
+        theta, factor = draw_augmentation(spec, np.random.default_rng(77))
+        moved = replace(seq, coords=rotate_zoom(seq.coords, FRAME, theta, factor))
+        expected = rasterize(moved, raster_spec)
+        got = make_training_augmenter(spec)(clip, np.random.default_rng(77))
+        assert np.array_equal(got.frames, expected.frames)
 
     def test_augmenter_requires_source(self):
         from stimkit.raster import RasterClip
