@@ -16,11 +16,11 @@ fidelity experiments only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ConfigError, ValidationError
 from .pose import KeypointSequence, effective_frame_size
 from .raster import RasterClip, RasterSpec, render_frames
 
@@ -34,21 +34,17 @@ class AugmentSpec:
     def __post_init__(self):
         lo, hi = self.rotation_range
         if not (-180.0 <= lo <= hi <= 180.0):
-            raise ValidationError(f"rotation_range must be ordered within [-180, 180], got {self.rotation_range}")
+            raise ConfigError("rotation_range", f"must be ordered within [-180, 180], got {self.rotation_range}")
         if abs(lo + hi) > 1e-9:
-            raise ValidationError(f"rotation_range must be symmetric about 0, got {self.rotation_range}")
+            raise ConfigError("rotation_range", f"must be symmetric about 0, got {self.rotation_range}")
         zlo, zhi = self.zoom_range
         if zlo < 1.0 or zhi < zlo:
-            raise ValidationError(f"zoom_range must satisfy 1.0 <= lo <= hi, got {self.zoom_range}")
+            raise ConfigError("zoom_range", f"must satisfy 1.0 <= lo <= hi, got {self.zoom_range}")
         if self.mode not in ("per_clip", "per_frame"):
-            raise ValidationError(f"mode must be per_clip|per_frame, got {self.mode!r}")
+            raise ConfigError("mode", f"must be per_clip|per_frame, got {self.mode!r}")
 
     def to_dict(self):
-        return {
-            "rotation_range": list(self.rotation_range),
-            "zoom_range": list(self.zoom_range),
-            "mode": self.mode,
-        }
+        return asdict(self)
 
 
 def rotation_matrix(theta_degrees: float) -> np.ndarray:

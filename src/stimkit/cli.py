@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,7 @@ from .nn.checkpoint import load_checkpoint, save_checkpoint
 from .nn.train import classify, predict, train
 from .pose import filter_head, load_clip_frames, load_manifest, sample_windows
 from .raster import RasterSpec, rasterize
+from .spec import build_spec
 from .synth import gen_dataset
 
 EXIT_OK = 0
@@ -245,17 +247,26 @@ def cmd_cv(args) -> int:
     return EXIT_OK
 
 
+def _metadata_spec(path, checkpoint, cls, key, **defaults):
+    """``training_metadata[key]`` of the checkpoint as a ``cls``, keys absent there taken from ``defaults``."""
+    doc = checkpoint.training_metadata.get(key, {})
+    if isinstance(doc, dict):
+        doc = {**defaults, **doc}
+    try:
+        return build_spec(cls, doc, f"training_metadata.{key}")
+    except ConfigError as e:
+        raise SchemaError(f"{path}: corrupt checkpoint {key} metadata: {e}") from e
+
+
 def cmd_predict(args) -> int:
     checkpoint = load_checkpoint(args.model)
+    config = checkpoint.config
     # the checkpoint's training metadata carries the window and raster
     # geometry it was trained with; explicit flags win over it
-    meta_window = checkpoint.training_metadata.get("window", {})
-    params = WindowParams(
-        T=args.T if args.T is not None else int(meta_window.get("T", checkpoint.config.T)),
-        stride=args.stride if args.stride is not None else int(meta_window.get("stride", 5)),
-        hop=args.hop if args.hop is not None else int(meta_window.get("hop", 15)),
-        confidence_threshold=float(meta_window.get("confidence_threshold", 0.1)),
-    )
+    params = _metadata_spec(args.model, checkpoint, WindowParams, "window", T=config.T)
+    flags = {name: getattr(args, name) for name in ("T", "stride", "hop") if getattr(args, name) is not None}
+    params = replace(params, **flags)
+    spec = _metadata_spec(args.model, checkpoint, RasterSpec, "raster", width=config.width, height=config.height)
     frames = load_clip_frames(args.keypoints)
     heads = [filter_head(f, params.confidence_threshold) for f in frames]
     frame_size = None
@@ -273,13 +284,6 @@ def cmd_predict(args) -> int:
         print("no windows: clip shorter than one window span", file=sys.stderr)
         return EXIT_OK
 
-    meta_raster = dict(checkpoint.training_metadata.get("raster", {}))
-    meta_raster.setdefault("width", checkpoint.config.width)
-    meta_raster.setdefault("height", checkpoint.config.height)
-    try:
-        spec = RasterSpec(**meta_raster)
-    except TypeError as e:
-        raise SchemaError(f"{args.model}: corrupt checkpoint raster metadata: {e}") from e
     out = open(args.out, "w") if args.out else sys.stdout
     try:
         for w in windows:
@@ -361,7 +365,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if e.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ConfigError, SchemaError, ValidationError, ConflictError, KeypointFormatError,
+    except (SchemaError, ValidationError, ConflictError, KeypointFormatError,
             InvalidSequenceError, SizeError, _UsageError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG

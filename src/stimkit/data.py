@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
-from .errors import ValidationError
+from .errors import ConfigError
 from .pose import (
     DEFAULT_CONFIDENCE_THRESHOLD,
     KeypointSequence,
@@ -26,19 +26,14 @@ class WindowParams:
         for name, minimum in (("T", 2), ("stride", 1), ("hop", 1), ("confidence_threshold", 0.0)):
             value = getattr(self, name)
             if value < minimum:
-                raise ValidationError(f"window {name} must be >= {minimum}, got {value}", field=name)
+                raise ConfigError(name, f"window {name} must be >= {minimum}, got {value}")
 
     @property
     def span(self) -> int:
         return (self.T - 1) * self.stride + 1
 
     def to_dict(self):
-        return {
-            "T": self.T,
-            "stride": self.stride,
-            "hop": self.hop,
-            "confidence_threshold": self.confidence_threshold,
-        }
+        return asdict(self)
 
 
 @dataclass

@@ -32,15 +32,15 @@ class ConflictError(StimkitError):
 
 
 class ValidationError(StimkitError):
-    """Record or parameter value outside its documented range; ``field`` names it if known."""
-
-    def __init__(self, message, field=None):
-        self.field = field
-        super().__init__(message)
+    """Record or parameter value outside its documented range."""
 
 
-class ConfigError(StimkitError):
-    """Run configuration violates a contract; carries the field path."""
+class ConfigError(ValidationError):
+    """A spec or run-configuration field violates a contract; carries the field path.
+
+    Spec dataclasses name the bare field (``width``); the JSON builder in
+    :mod:`stimkit.spec` prefixes the section (``raster.width``).
+    """
 
     def __init__(self, field_path, reason):
         self.field_path = field_path

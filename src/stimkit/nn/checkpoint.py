@@ -23,8 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import SchemaError
-from .model import ModelConfig
+from ..errors import ConfigError, SchemaError
+from ..spec import build_spec
+from .model import ModelConfig, param_shapes
 
 MAGIC = b"STIMKIT1"
 FORMAT_VERSION = 1
@@ -71,6 +72,17 @@ def save_checkpoint(checkpoint: ModelCheckpoint, path) -> None:
     tmp.replace(path)
 
 
+def _parameter_table(path, entries) -> dict:
+    """The header's parameter table as name -> (shape, offset, nbytes)."""
+    try:
+        table = {e["name"]: (list(e["shape"]), int(e["offset"]), int(e["nbytes"])) for e in entries}
+    except (KeyError, TypeError, ValueError) as e:
+        raise SchemaError(f"{path}: corrupt checkpoint parameter table: {e!r}") from e
+    if len(table) != len(entries) or any(offset < 0 for _, offset, _ in table.values()):
+        raise SchemaError(f"{path}: corrupt checkpoint parameter table (repeated name or negative offset)")
+    return table
+
+
 def load_checkpoint(path) -> ModelCheckpoint:
     with open(path, "rb") as f:
         blob = f.read()
@@ -92,26 +104,39 @@ def load_checkpoint(path) -> ModelCheckpoint:
     missing = [key for key in ("parameters", "config", "training_metadata") if key not in header]
     if missing:
         raise SchemaError(f"{path}: checkpoint header lacks {', '.join(missing)}")
+    try:
+        config = build_spec(ModelConfig, header["config"], "config")
+    except ConfigError as e:
+        raise SchemaError(f"{path}: corrupt checkpoint config: {e}") from e
+    if not isinstance(header["training_metadata"], dict):
+        raise SchemaError(f"{path}: corrupt checkpoint (training_metadata is not an object)")
+    expected = param_shapes(config)
+    table = _parameter_table(path, header["parameters"])
+    if set(table) != set(expected):
+        raise SchemaError(
+            f"{path}: corrupt checkpoint (parameters {sorted(map(str, table))} do not match "
+            f"the config's {sorted(expected)})"
+        )
     payload = blob[12 + hlen :]
     params = {}
-    for entry in header["parameters"]:
-        start, nbytes = entry["offset"], entry["nbytes"]
+    for name, (shape, start, nbytes) in table.items():
+        want = expected[name]
+        if shape != list(want):
+            raise SchemaError(
+                f"{path}: corrupt checkpoint (parameter {name!r} has shape {shape}, "
+                f"the config needs {list(want)})"
+            )
         if start + nbytes > len(payload):
             raise SchemaError(
-                f"{path}: truncated checkpoint (parameter {entry['name']!r} needs payload bytes "
+                f"{path}: truncated checkpoint (parameter {name!r} needs payload bytes "
                 f"{start}..{start + nbytes}, file has {len(payload)})"
             )
-        if math.prod(entry["shape"]) != nbytes // 4:
+        if nbytes != 4 * math.prod(want):
             raise SchemaError(
-                f"{path}: corrupt checkpoint (parameter {entry['name']!r} has shape {entry['shape']} "
-                f"but {nbytes // 4} values)"
+                f"{path}: corrupt checkpoint (parameter {name!r} has shape {shape} but {nbytes} bytes)"
             )
         arr = np.frombuffer(payload, dtype="<f4", count=nbytes // 4, offset=start)
-        params[entry["name"]] = arr.reshape(entry["shape"]).copy()
-    try:
-        config = ModelConfig.from_dict(header["config"])
-    except TypeError as e:
-        raise SchemaError(f"{path}: corrupt checkpoint config: {e}") from e
+        params[name] = arr.reshape(want).copy()
     return ModelCheckpoint(
         config=config,
         parameters=params,

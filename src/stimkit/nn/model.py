@@ -9,11 +9,13 @@ drives a single sigmoid unit. Probabilities are clipped to
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from ..errors import ConfigError, SizeError
+from ..spec import build_spec
 from . import ops
 from .lstm import lstm_backward, lstm_forward
 
@@ -22,17 +24,17 @@ PROB_EPS = 1e-7
 
 @dataclass(frozen=True)
 class ConvBlock:
-    filters: int
+    filters: int = 16
     kernel: int = 3
     pool: int = 2
 
     def __post_init__(self):
         if self.filters < 1:
-            raise ConfigError("model.conv_blocks.filters", f"must be >= 1, got {self.filters}")
+            raise ConfigError("filters", f"must be >= 1, got {self.filters}")
         if self.kernel % 2 == 0 or self.kernel < 1:
-            raise ConfigError("model.conv_blocks.kernel", f"must be odd and >= 1, got {self.kernel}")
+            raise ConfigError("kernel", f"must be odd and >= 1, got {self.kernel}")
         if self.pool != 2:
-            raise ConfigError("model.conv_blocks.pool", f"only pool=2 supported, got {self.pool}")
+            raise ConfigError("pool", f"only pool=2 supported, got {self.pool}")
 
 
 @dataclass(frozen=True)
@@ -48,47 +50,30 @@ class ModelConfig:
 
     def __post_init__(self):
         if self.T < 2:
-            raise ConfigError("model.T", f"sequence length must be >= 2, got {self.T}")
+            raise ConfigError("T", f"sequence length must be >= 2, got {self.T}")
         for name in ("height", "width", "channels", "frame_embedding", "lstm_hidden"):
             if getattr(self, name) < 1:
-                raise ConfigError(f"model.{name}", f"must be >= 1, got {getattr(self, name)}")
-        blocks = tuple(
-            b if isinstance(b, ConvBlock) else ConvBlock(**b) for b in self.conv_blocks
-        )
-        object.__setattr__(self, "conv_blocks", blocks)
-        shrink = 2 ** len(blocks)
+                raise ConfigError(name, f"must be >= 1, got {getattr(self, name)}")
+        if not self.conv_blocks:
+            raise ConfigError("conv_blocks", "at least one block required")
+        shrink = 2 ** len(self.conv_blocks)
         if self.height % shrink or self.width % shrink:
             raise ConfigError(
-                "model.conv_blocks",
+                "conv_blocks",
                 f"spatial dims {self.height}x{self.width} not divisible by pooling factor {shrink}",
             )
 
     @property
     def flat_features(self) -> int:
         shrink = 2 ** len(self.conv_blocks)
-        ch = self.conv_blocks[-1].filters if self.conv_blocks else self.channels
-        return (self.height // shrink) * (self.width // shrink) * ch
+        return (self.height // shrink) * (self.width // shrink) * self.conv_blocks[-1].filters
 
     def to_dict(self):
-        return {
-            "T": self.T,
-            "height": self.height,
-            "width": self.width,
-            "channels": self.channels,
-            "conv_blocks": [
-                {"filters": b.filters, "kernel": b.kernel, "pool": b.pool} for b in self.conv_blocks
-            ],
-            "frame_embedding": self.frame_embedding,
-            "lstm_hidden": self.lstm_hidden,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "ModelConfig":
-        d = dict(d)
-        if "conv_blocks" in d:
-            d["conv_blocks"] = tuple(ConvBlock(**b) for b in d["conv_blocks"])
-        return ModelConfig(**d)
+        return build_spec(ModelConfig, d, "model")
 
 
 def _glorot(rng, shape, fan_in, fan_out, dtype):
@@ -96,30 +81,37 @@ def _glorot(rng, shape, fan_in, fan_out, dtype):
     return rng.uniform(-limit, limit, size=shape).astype(dtype)
 
 
-def init_params(config: ModelConfig, dtype=np.float32) -> dict[str, np.ndarray]:
-    """Glorot-uniform parameters from the config seed; forget bias is 1."""
-    rng = np.random.Generator(np.random.PCG64(config.seed))
-    params: dict[str, np.ndarray] = {}
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every parameter the config needs, in init order."""
+    shapes: dict[str, tuple[int, ...]] = {}
     cin = config.channels
     for n, blk in enumerate(config.conv_blocks):
-        k = blk.kernel
-        params[f"conv{n}_w"] = _glorot(
-            rng, (k, k, cin, blk.filters), k * k * cin, k * k * blk.filters, dtype
-        )
-        params[f"conv{n}_b"] = np.zeros(blk.filters, dtype=dtype)
+        shapes[f"conv{n}_w"] = (blk.kernel, blk.kernel, cin, blk.filters)
+        shapes[f"conv{n}_b"] = (blk.filters,)
         cin = blk.filters
-    flat = config.flat_features
-    emb = config.frame_embedding
-    params["embed_w"] = _glorot(rng, (flat, emb), flat, emb, dtype)
-    params["embed_b"] = np.zeros(emb, dtype=dtype)
+    emb, m = config.frame_embedding, config.lstm_hidden
+    shapes.update(
+        embed_w=(config.flat_features, emb), embed_b=(emb,), lstm_wx=(emb, 4 * m),
+        lstm_wh=(m, 4 * m), lstm_b=(4 * m,), out_w=(m, 1), out_b=(1,),
+    )
+    return shapes
+
+
+def init_params(config: ModelConfig, dtype=np.float32) -> dict[str, np.ndarray]:
+    """Glorot-uniform weights from the config seed; biases are 0, the forget bias 1.
+
+    A weight's fan-in is every axis but the last (kernel x kernel x input
+    channels for a conv), its fan-out the kernel axes times the last.
+    """
+    rng = np.random.Generator(np.random.PCG64(config.seed))
+    params: dict[str, np.ndarray] = {}
+    for name, shape in param_shapes(config).items():
+        if len(shape) == 1:
+            params[name] = np.zeros(shape, dtype=dtype)
+        else:
+            params[name] = _glorot(rng, shape, math.prod(shape[:-1]), math.prod(shape[:-2]) * shape[-1], dtype)
     m = config.lstm_hidden
-    params["lstm_wx"] = _glorot(rng, (emb, 4 * m), emb, 4 * m, dtype)
-    params["lstm_wh"] = _glorot(rng, (m, 4 * m), m, 4 * m, dtype)
-    bias = np.zeros(4 * m, dtype=dtype)
-    bias[m : 2 * m] = 1.0
-    params["lstm_b"] = bias
-    params["out_w"] = _glorot(rng, (m, 1), m, 1, dtype)
-    params["out_b"] = np.zeros(1, dtype=dtype)
+    params["lstm_b"][m : 2 * m] = 1.0
     return params
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -23,26 +23,18 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.learning_rate <= 0:
-            raise ConfigError("train.learning_rate", f"must be > 0, got {self.learning_rate}")
+            raise ConfigError("learning_rate", f"must be > 0, got {self.learning_rate}")
         for name in ("beta1", "beta2"):
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
-                raise ConfigError(f"train.{name}", f"must be in (0, 1), got {v}")
+                raise ConfigError(name, f"must be in (0, 1), got {v}")
         if self.batch_size < 1:
-            raise ConfigError("train.batch_size", f"must be >= 1, got {self.batch_size}")
+            raise ConfigError("batch_size", f"must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
-            raise ConfigError("train.epochs", f"must be >= 0, got {self.epochs}")
+            raise ConfigError("epochs", f"must be >= 0, got {self.epochs}")
 
     def to_dict(self):
-        return {
-            "learning_rate": self.learning_rate,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "epsilon": self.epsilon,
-            "batch_size": self.batch_size,
-            "epochs": self.epochs,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def bce_loss(p, y):

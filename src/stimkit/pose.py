@@ -36,15 +36,7 @@ log = logging.getLogger("stimkit.pose")
 
 N_BODY_PARTS = 25
 
-# Head-region subset of the 25-part layout: index -> label.
-HEAD_PARTS = {
-    0: "nose",
-    1: "neck",
-    15: "right_eye",
-    16: "left_eye",
-    17: "right_ear",
-    18: "left_ear",
-}
+# Head-region subset of the 25-part layout: HEAD_LABELS[i] is part HEAD_INDICES[i].
 HEAD_LABELS = ("nose", "neck", "right_eye", "left_eye", "right_ear", "left_ear")
 HEAD_INDICES = (0, 1, 15, 16, 17, 18)
 

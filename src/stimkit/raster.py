@@ -13,12 +13,12 @@ keypoint, or within half the line thickness of an edge segment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ConfigError
 from .pose import HEAD_EDGES, HEAD_LABELS, KeypointSequence, center_coords, effective_frame_size
 
 EDGE_INDEX = np.array(
@@ -37,23 +37,14 @@ class RasterSpec:
     center_mode: str = "sequence_mean"  # or "none"
 
     def __post_init__(self):
-        if self.width < 16 or self.height < 16:
-            raise ValidationError(f"raster size must be >= 16x16, got {self.width}x{self.height}")
-        if self.point_radius < 1:
-            raise ValidationError(f"point_radius must be >= 1, got {self.point_radius}")
-        if self.line_thickness < 1:
-            raise ValidationError(f"line_thickness must be >= 1, got {self.line_thickness}")
+        for name, minimum in (("width", 16), ("height", 16), ("point_radius", 1), ("line_thickness", 1)):
+            if getattr(self, name) < minimum:
+                raise ConfigError(name, f"must be >= {minimum}, got {getattr(self, name)}")
         if self.center_mode not in ("none", "sequence_mean"):
-            raise ValidationError(f"center_mode must be none|sequence_mean, got {self.center_mode!r}")
+            raise ConfigError("center_mode", f"must be none|sequence_mean, got {self.center_mode!r}")
 
     def to_dict(self):
-        return {
-            "width": self.width,
-            "height": self.height,
-            "point_radius": self.point_radius,
-            "line_thickness": self.line_thickness,
-            "center_mode": self.center_mode,
-        }
+        return asdict(self)
 
 
 @dataclass

@@ -1,0 +1,70 @@
+"""One JSON-object-to-spec builder for every spec dataclass.
+
+The run config, the checkpoint header's ``config`` and the
+``training_metadata`` that ``predict`` reads are all built here. A spec's
+keys and defaults are its dataclass fields; this module checks only the
+JSON type of each value, by the kind of the field's default (integer,
+number, string, number pair, array of nested specs). Ranges and enums are
+the spec's own ``__post_init__`` rules, which name the bare field; any
+failure surfaces as a ``ConfigError`` whose path starts with ``section``.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import fields, is_dataclass
+
+from .errors import ConfigError
+
+
+def _number(value) -> bool:
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number, or an integer too large for a float
+        return False
+
+
+def json_value(value, default, path: str):
+    """``value`` checked and converted to the JSON kind of ``default``."""
+    if isinstance(default, str):
+        if not isinstance(value, str):
+            raise ConfigError(path, f"string required, got {value!r}")
+        return value
+    if isinstance(default, tuple) and default and is_dataclass(default[0]):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(path, f"array required, got {value!r}")
+        return tuple(build_spec(type(default[0]), item, f"{path}[{n}]") for n, item in enumerate(value))
+    if isinstance(default, tuple):
+        if not isinstance(value, (list, tuple)) or len(value) != 2 or not all(map(_number, value)):
+            raise ConfigError(path, f"pair of numbers required, got {value!r}")
+        return (float(value[0]), float(value[1]))
+    if not _number(value):
+        raise ConfigError(path, f"number required, got {value!r}")
+    if isinstance(default, int):
+        if not float(value).is_integer():
+            raise ConfigError(path, f"integer required, got {value!r}")
+        return int(value)
+    return float(value)
+
+
+def build_spec(cls, doc, section: str, **fixed):
+    """Construct the dataclass ``cls`` from the JSON object ``doc``.
+
+    Every field of ``cls`` has a default, which also gives its JSON kind.
+    ``fixed`` holds the fields the caller derives; they are not accepted
+    as keys. Absent keys take the dataclass default.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError(section, f"object required, got {doc!r}")
+    known = {f.name: f.default for f in fields(cls) if f.name not in fixed}
+    for key in doc:
+        if key not in known:
+            raise ConfigError(f"{section}.{key}", "unknown field")
+    values = dict(fixed)
+    for name, default in known.items():
+        if name in doc:
+            values[name] = json_value(doc[name], default, f"{section}.{name}")
+    try:
+        return cls(**values)
+    except ConfigError as e:
+        raise ConfigError(f"{section}.{e.field_path}", e.reason) from e

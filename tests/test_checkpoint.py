@@ -32,6 +32,10 @@ def _saved_checkpoint(tmp_path):
     return path, blob, hlen
 
 
+def _param(header, name):
+    return next(entry for entry in header["parameters"] if entry["name"] == name)
+
+
 # header fault -> (edit of the decoded header, expected message)
 _HEADER_FAULTS = {
     "parameters": (lambda h: h.pop("parameters"), "lacks parameters"),
@@ -42,6 +46,15 @@ _HEADER_FAULTS = {
         lambda h: h["config"]["conv_blocks"][0].update(bogus=1), "corrupt checkpoint config"
     ),
     "shape_mismatch": (lambda h: h["parameters"][0].update(shape=[999]), "has shape \\[999\\]"),
+    "param_renamed": (lambda h: _param(h, "out_b").update(name="zzz"), "'zzz'.* do not match the config"),
+    "param_transposed": (
+        lambda h: _param(h, "embed_w").update(shape=[8, 64]),
+        "'embed_w' has shape \\[8, 64\\], the config needs \\[64, 8\\]",
+    ),
+    "config_out_of_range": (
+        lambda h: h["config"]["conv_blocks"][0].update(kernel=4),
+        "corrupt checkpoint config: config.conv_blocks\\[0\\].kernel",
+    ),
 }
 
 

@@ -209,6 +209,29 @@ class TestPredictCommand:
         err = capsys.readouterr().err
         assert "corrupt checkpoint raster metadata" in err and str(ckpt) in err
 
+    def test_non_numeric_window_metadata_exits_2(self, tmp_path, mini_dataset, capsys):
+        ckpt = tmp_path / "micro.ckpt"
+        meta = {"window": {"T": "seven"}}
+        save_checkpoint(ModelCheckpoint(micro_config(), init_params(micro_config()), training_metadata=meta), ckpt)
+        kp = Path(mini_dataset).parent / "keypoints" / "synth_000_c00.json"
+        assert run_cli("predict", "-m", ckpt, "-k", kp) == 2
+        err = capsys.readouterr().err
+        assert "corrupt checkpoint window metadata: training_metadata.window.T" in err and str(ckpt) in err
+
+    @pytest.mark.parametrize(
+        "key, value, path",
+        [("window", {"hop": 0}, "training_metadata.window.hop"),
+         ("raster", {"width": 16, "height": 16, "center_mode": "median"}, "training_metadata.raster.center_mode")],
+    )
+    def test_metadata_rule_violation_exits_2(self, tmp_path, mini_dataset, capsys, key, value, path):
+        # the metadata obeys the run config's rules, but is rejected as a corrupt checkpoint
+        ckpt = tmp_path / "micro.ckpt"
+        save_checkpoint(ModelCheckpoint(micro_config(), init_params(micro_config()), training_metadata={key: value}), ckpt)
+        kp = Path(mini_dataset).parent / "keypoints" / "synth_000_c00.json"
+        assert run_cli("predict", "-m", ckpt, "-k", kp) == 2
+        err = capsys.readouterr().err
+        assert f"{ckpt}: corrupt checkpoint {key} metadata: {path}" in err
+
     def test_zero_weight_checkpoint_gives_half(self, trained, tmp_path, mini_dataset, capsys):
         from stimkit.nn.checkpoint import load_checkpoint, save_checkpoint
 

@@ -62,6 +62,28 @@ class TestRunConfig:
             load_run_config(_write(tmp_path, _minimal(window={field: value})))
         assert err.value.field_path == f"window.{field}"
 
+    @pytest.mark.parametrize(
+        "section, value, path, reason",
+        [
+            ("raster", {"width": 8}, "raster.width", ">= 16"),
+            ("raster", {"point_radius": 0.5}, "raster.point_radius", ">= 1"),
+            ("raster", {"center_mode": "median"}, "raster.center_mode", "none\\|sequence_mean"),
+            ("model", {"conv_blocks": [{"filters": 16}, {"kernel": 4}]}, "model.conv_blocks[1].kernel", "odd"),
+            ("model", {"conv_blocks": [{"pool": 3}]}, "model.conv_blocks[0].pool", "pool=2"),
+            ("model", {"lstm_hidden": 0}, "model.lstm_hidden", ">= 1"),
+            ("train", {"learning_rate": 0}, "train.learning_rate", "> 0"),
+            ("train", {"beta1": 1.0}, "train.beta1", "in \\(0, 1\\)"),
+            ("augment", {"mode": "per_pixel"}, "augment.mode", "per_clip\\|per_frame"),
+            ("raster", {"center_mode": 5}, "raster.center_mode", "string required"),
+            ("augment", {"zoom_range": 2}, "augment.zoom_range", "pair of numbers required"),
+        ],
+    )
+    def test_spec_rule_names_field_path(self, tmp_path, section, value, path, reason):
+        # each spec owns its rules; the run config only adds the section path
+        with pytest.raises(ConfigError, match=reason) as err:
+            load_run_config(_write(tmp_path, _minimal(**{section: value})))
+        assert err.value.field_path == path
+
     def test_unknown_key_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown field"):
             load_run_config(_write(tmp_path, _minimal(learning_rate=0.1)))
