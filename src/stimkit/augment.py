@@ -100,20 +100,10 @@ def make_training_augmenter(spec: AugmentSpec):
     def augment(clip: RasterClip, rng: np.random.Generator) -> RasterClip:
         seq = clip.source
         if seq is None:
-            raise ValidationError(
-                f"clip {clip.clip_id!r}: cannot augment a raster clip without its keypoint source"
-            )
+            raise ValidationError("cannot augment a raster clip without its keypoint source")
         raster_spec = clip.spec if clip.spec is not None else RasterSpec()
         coords = augment_coords(seq, spec, rng)
         frames = render_frames(coords, seq.present, effective_frame_size(seq), raster_spec)
-        return RasterClip(
-            frames=frames,
-            label=clip.label,
-            subject_id=clip.subject_id,
-            clip_id=clip.clip_id,
-            origin_frame=clip.origin_frame,
-            source=seq,
-            spec=raster_spec,
-        )
+        return RasterClip(frames=frames, label=clip.label, source=seq, spec=raster_spec)
 
     return augment

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import imageio
 from .config import load_run_config
-from .data import WindowParams, build_dataset
+from .data import WindowParams, build_dataset, clip_windows
 from .errors import (
     ConfigError,
     ConflictError,
@@ -31,14 +31,14 @@ from .errors import (
     StimkitError,
     ValidationError,
 )
-from .evaluate import cross_validate
+from .evaluate import confusion, cross_validate, fit, precision_recall_f1, score
 from .flow import farneback_dense, lucas_kanade_grid
 from .flowviz import flow_to_hsv, render_arrows
 from .nn.checkpoint import load_checkpoint, save_checkpoint
-from .nn.train import classify, predict, train
-from .pose import filter_head, load_clip_frames, load_manifest, sample_windows
-from .raster import RasterSpec, rasterize
-from .spec import build_spec
+from .nn.train import classify
+from .pose import load_clip_frames, load_manifest
+from .raster import RasterSpec
+from .spec import build_spec, json_value
 from .synth import gen_dataset
 
 EXIT_OK = 0
@@ -170,30 +170,19 @@ def cmd_train(args) -> int:
             raise ConfigError("holdout_subjects", f"unknown subject {s!r}")
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
 
-    from .augment import make_training_augmenter
-
     holdout = set(cfg.holdout_subjects)
     train_windows = [w for w in dataset.windows if w.subject_id not in holdout]
     if not train_windows:
         raise ConfigError("holdout_subjects", "holdout leaves no training windows")
-    clips = [rasterize(w, cfg.raster) for w in train_windows]
-    augmenter = make_training_augmenter(cfg.augment) if cfg.augment else None
-    checkpoint, history = train(cfg.model, clips, cfg.train, augmenter)
-    checkpoint.training_metadata["raster"] = cfg.raster.to_dict()
-    checkpoint.training_metadata["window"] = cfg.window.to_dict()
+    checkpoint, history = fit(train_windows, cfg.model, cfg.train, cfg.augment, cfg.raster, cfg.window)
 
     ckpt_path = cfg.output_dir / "checkpoint.ckpt"
     save_checkpoint(checkpoint, ckpt_path)
-    summary = {"epoch_mean_loss": history, "windows": len(clips), "seed": cfg.seed}
+    summary = {"epoch_mean_loss": history, "windows": len(train_windows), "seed": cfg.seed}
     if holdout:
-        from .evaluate import confusion, precision_recall_f1
-
         held = [w for w in dataset.windows if w.subject_id in holdout]
-        preds, labels = [], []
-        for w in held:
-            clip = rasterize(w, cfg.raster)
-            preds.append(predict(checkpoint, clip.frames))
-            labels.append(clip.label)
+        preds = score(checkpoint, held, cfg.raster)
+        labels = [int(w.label == "positive") for w in held]
         cm = confusion(preds, labels)
         metrics = precision_recall_f1(cm)
         summary["holdout"] = {
@@ -206,7 +195,7 @@ def cmd_train(args) -> int:
         }
         print(f"holdout ({','.join(sorted(holdout))}): F1 {metrics.f1:.4f} over {len(held)} windows")
     _write_json(cfg.output_dir / "history.json", summary)
-    print(f"trained on {len(clips)} windows for {cfg.train.epochs} epochs")
+    print(f"trained on {len(train_windows)} windows for {cfg.train.epochs} epochs")
     print(f"wrote {ckpt_path}")
     return EXIT_OK
 
@@ -258,43 +247,46 @@ def _metadata_spec(path, checkpoint, cls, key, **defaults):
         raise SchemaError(f"{path}: corrupt checkpoint {key} metadata: {e}") from e
 
 
+def _frame_size(args, checkpoint) -> tuple:
+    """The source frame size to render at: both flags, else the one training recorded."""
+    flags = (args.frame_width, args.frame_height)
+    if flags.count(None) == 1:
+        raise _UsageError("--frame-width and --frame-height must be given together")
+    size = flags if None not in flags else checkpoint.training_metadata.get("frame_size")
+    if size is None:
+        raise _UsageError(f"{args.model}: no training frame size recorded; pass --frame-width and --frame-height")
+    try:
+        size = json_value(size, (1.0, 1.0), "training_metadata.frame_size")  # a recorded size is any JSON value
+    except ConfigError as e:
+        raise SchemaError(f"{args.model}: corrupt checkpoint frame size metadata: {e}") from e
+    if min(size) <= 0:
+        raise _UsageError(f"frame size must be positive, got {size[0]:g}x{size[1]:g}")
+    return size
+
+
 def cmd_predict(args) -> int:
     checkpoint = load_checkpoint(args.model)
     config = checkpoint.config
-    # the checkpoint's training metadata carries the window and raster
-    # geometry it was trained with; explicit flags win over it
+    # the checkpoint's training metadata carries the window, raster and
+    # frame geometry it was trained with; explicit flags win over it
     params = _metadata_spec(args.model, checkpoint, WindowParams, "window", T=config.T)
     flags = {name: getattr(args, name) for name in ("T", "stride", "hop") if getattr(args, name) is not None}
     params = replace(params, **flags)
     spec = _metadata_spec(args.model, checkpoint, RasterSpec, "raster", width=config.width, height=config.height)
-    frames = load_clip_frames(args.keypoints)
-    heads = [filter_head(f, params.confidence_threshold) for f in frames]
-    frame_size = None
-    if args.frame_width and args.frame_height:
-        frame_size = (args.frame_width, args.frame_height)
-    windows = sample_windows(
-        heads,
-        T=params.T,
-        stride=params.stride,
-        hop=params.hop,
-        clip_id=str(args.keypoints),
-        frame_size=frame_size,
-    )
+    if (spec.width, spec.height) != (config.width, config.height):
+        raise SchemaError(f"{args.model}: corrupt checkpoint raster metadata: training_metadata.raster: "
+                          f"{spec.width}x{spec.height} is not the model's {config.width}x{config.height} input")
+    clip = str(args.keypoints)
+    windows = clip_windows(args.keypoints, params, clip_id=clip, frame_size=_frame_size(args, checkpoint))
     if not windows:
         print("no windows: clip shorter than one window span", file=sys.stderr)
         return EXIT_OK
 
     out = open(args.out, "w") if args.out else sys.stdout
     try:
-        for w in windows:
-            clip = rasterize(w, spec)
-            p = predict(checkpoint, clip.frames)
-            line = {
-                "clip": str(args.keypoints),
-                "origin_frame": w.origin_frame,
-                "probability": p,
-                "predicted": "positive" if classify(p) else "negative",
-            }
+        for w, p in zip(windows, score(checkpoint, windows, spec)):
+            line = {"clip": clip, "origin_frame": w.origin_frame, "probability": p,
+                    "predicted": "positive" if classify(p) else "negative"}
             out.write(json.dumps(line, sort_keys=True) + "\n")
     finally:
         if args.out:
@@ -349,8 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=int, default=None, help="window length (default: from checkpoint)")
     p.add_argument("--stride", type=int, default=None)
     p.add_argument("--hop", type=int, default=None)
-    p.add_argument("--frame-width", type=int, default=0)
-    p.add_argument("--frame-height", type=int, default=0)
+    p.add_argument("--frame-width", type=int, default=None, help="source frame width (default: from checkpoint)")
+    p.add_argument("--frame-height", type=int, default=None, help="source frame height (default: from checkpoint)")
     p.add_argument("-o", "--out", default="", help="write JSON lines here instead of stdout")
     p.set_defaults(func=cmd_predict)
 

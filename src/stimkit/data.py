@@ -51,25 +51,17 @@ class WindowDataset:
         return counts
 
 
-def clip_windows(manifest: Manifest, record, params: WindowParams) -> list[KeypointSequence]:
-    """Load one clip's keypoints and slice them into windows."""
-    frames = load_clip_frames(manifest.resolve_source(record), record.frame_range)
+def clip_windows(source, params: WindowParams, frame_range=None, **ids) -> list[KeypointSequence]:
+    """Load one keypoint source, keep its head points and slice it into windows carrying ``ids``."""
+    frames = load_clip_frames(source, frame_range)
     heads = [filter_head(f, params.confidence_threshold) for f in frames]
-    return sample_windows(
-        heads,
-        T=params.T,
-        stride=params.stride,
-        hop=params.hop,
-        clip_id=record.clip_id,
-        subject_id=record.subject_id,
-        label=record.label,
-        frame_size=manifest.frame_size,
-    )
+    return sample_windows(heads, T=params.T, stride=params.stride, hop=params.hop, **ids)
 
 
 def build_dataset(manifest: Manifest, params: WindowParams = WindowParams()) -> WindowDataset:
     """Window every clip in the manifest, in manifest order."""
     ds = WindowDataset(manifest=manifest, window_params=params)
-    for record in manifest.clips:
-        ds.windows.extend(clip_windows(manifest, record, params))
+    for r in manifest.clips:
+        ids = dict(clip_id=r.clip_id, subject_id=r.subject_id, label=r.label, frame_size=manifest.frame_size)
+        ds.windows.extend(clip_windows(manifest.resolve_source(r), params, r.frame_range, **ids))
     return ds

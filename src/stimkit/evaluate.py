@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .augment import AugmentSpec, make_training_augmenter
-from .data import WindowDataset
+from .data import WindowDataset, WindowParams
 from .errors import ConfigError
 from .nn.model import ModelConfig
 from .nn.optim import TrainConfig
@@ -229,6 +229,26 @@ def _clip_vote(predictions) -> tuple[list, list]:
     return votes, truth
 
 
+def fit(windows, model_config: ModelConfig, train_config: TrainConfig, augment_spec: Optional[AugmentSpec],
+        raster_spec: RasterSpec, window_params: WindowParams, allow_single_class: bool = False):
+    """Train one model on keypoint windows, augmented each epoch when a spec is given.
+
+    The checkpoint records the window, raster and frame geometry that ``predict`` must serve with.
+    """
+    clips = [rasterize(w, raster_spec) for w in windows]
+    augmenter = make_training_augmenter(augment_spec) if augment_spec else None
+    checkpoint, history = train(model_config, clips, train_config, augmenter, allow_single_class=allow_single_class)
+    checkpoint.training_metadata["raster"] = raster_spec.to_dict()
+    checkpoint.training_metadata["window"] = window_params.to_dict()
+    checkpoint.training_metadata["frame_size"] = windows[0].frame_size  # saved as [w, h], or null if unknown
+    return checkpoint, history
+
+
+def score(checkpoint, windows, raster_spec: RasterSpec) -> list[float]:
+    """Positive-class probability of each window, rendered raw, one forward pass per window."""
+    return [predict(checkpoint, rasterize(w, raster_spec).frames) for w in windows]
+
+
 def cross_validate(
     dataset: WindowDataset,
     model_config: ModelConfig = ModelConfig(),
@@ -273,30 +293,19 @@ def cross_validate(
         fold_model = replace(model_config, seed=model_seed)
         fold_train = replace(train_config, seed=train_seed)
         try:
-            train_clips = [rasterize(w, raster_spec) for w in train_windows]
-            augmenter = make_training_augmenter(augment_spec) if augment_spec else None
-            checkpoint, _ = train(
-                fold_model, train_clips, fold_train, augmenter, allow_single_class=single_class
+            checkpoint, _ = fit(
+                train_windows, fold_model, fold_train, augment_spec, raster_spec,
+                dataset.window_params, allow_single_class=single_class,
             )
-            checkpoint.training_metadata["raster"] = raster_spec.to_dict()
-            checkpoint.training_metadata["window"] = dataset.window_params.to_dict()
-
-            predictions = []
-            for w in test_windows:
-                clip = rasterize(w, raster_spec)
-                p = predict(checkpoint, clip.frames)
-                predictions.append(
-                    {
-                        "clip_id": w.clip_id,
-                        "subject_id": w.subject_id,
-                        "origin_frame": w.origin_frame,
-                        "label": clip.label,
-                        "probability": p,
-                        "predicted": classify(p),
-                    }
-                )
+            probabilities = score(checkpoint, test_windows, raster_spec)
         except ConfigError as e:
             raise ConfigError(f"fold[{fold}].{e.field_path}", e.reason) from e
+
+        predictions = [
+            {"clip_id": w.clip_id, "subject_id": w.subject_id, "origin_frame": w.origin_frame,
+             "label": int(w.label == "positive"), "probability": p, "predicted": classify(p)}
+            for w, p in zip(test_windows, probabilities)
+        ]
 
         cm = confusion([p["probability"] for p in predictions], [p["label"] for p in predictions])
         votes, truth = _clip_vote(predictions)

@@ -98,6 +98,12 @@ def _unfilter(raw, h, w, channels):
     return out.reshape((h, w, channels))
 
 
+def _check_size(path, width, height, needed, present):
+    """Reject an empty image, or a payload short of the header's size, before allocating."""
+    if width < 1 or height < 1 or present < needed:
+        raise ImageFormatError(f"{path}: a {width}x{height} image needs {needed} data bytes, {present} present")
+
+
 def read_png(path):
     with open(path, "rb") as f:
         blob = f.read()
@@ -107,23 +113,30 @@ def read_png(path):
     width = height = None
     idat = bytearray()
     color_type = bit_depth = interlace = None
-    while pos < len(blob):
-        (length,) = struct.unpack(">I", blob[pos : pos + 4])
-        tag = blob[pos + 4 : pos + 8]
-        payload = blob[pos + 8 : pos + 8 + length]
-        pos += 12 + length
-        if tag == b"IHDR":
-            width, height, bit_depth, color_type, _, _, interlace = struct.unpack(">IIBBBBB", payload)
-        elif tag == b"IDAT":
-            idat.extend(payload)
-        elif tag == b"IEND":
-            break
+    try:
+        while pos < len(blob):
+            (length,) = struct.unpack(">I", blob[pos : pos + 4])
+            tag = blob[pos + 4 : pos + 8]
+            payload = blob[pos + 8 : pos + 8 + length]
+            pos += 12 + length
+            if tag == b"IHDR":
+                width, height, bit_depth, color_type, _, _, interlace = struct.unpack(">IIBBBBB", payload)
+            elif tag == b"IDAT":
+                idat.extend(payload)
+            elif tag == b"IEND":
+                break
+    except struct.error as e:
+        raise ImageFormatError(f"{path}: truncated PNG chunk at byte {pos}") from e
     if bit_depth != 8 or interlace != 0 or color_type not in (0, 2, 4, 6):
         raise ImageFormatError(
             f"{path}: only 8-bit non-interlaced gray/RGB PNG supported; convert to PPM"
         )
     channels = {0: 1, 2: 3, 4: 2, 6: 4}[color_type]
-    raw = zlib.decompress(bytes(idat))
+    try:
+        raw = zlib.decompress(bytes(idat))
+    except zlib.error as e:
+        raise ImageFormatError(f"{path}: corrupt PNG image data: {e}") from e
+    _check_size(path, width, height, height * (1 + width * channels), len(raw))
     img = _unfilter(raw, height, width, channels)
     if channels == 2:
         img = img[:, :, :1]
@@ -167,12 +180,15 @@ def read_ppm(path):
         start = pos
         while pos < len(blob) and not blob[pos : pos + 1].isspace():
             pos += 1
+        if not blob[start:pos].isdigit():
+            raise ImageFormatError(f"{path}: malformed PGM/PPM header field {blob[start:pos][:16]!r}")
         fields.append(int(blob[start:pos]))
     pos += 1  # single whitespace after maxval
     w, h, maxval = fields
     if maxval != 255:
         raise ImageFormatError(f"{path}: only maxval 255 supported")
     channels = 3 if magic == b"P6" else 1
+    _check_size(path, w, h, h * w * channels, len(blob) - pos)
     data = np.frombuffer(blob, dtype=np.uint8, count=h * w * channels, offset=pos)
     img = data.reshape((h, w, channels))
     return img[:, :, 0] if channels == 1 else img

@@ -76,7 +76,7 @@ def _parameter_table(path, entries) -> dict:
     """The header's parameter table as name -> (shape, offset, nbytes)."""
     try:
         table = {e["name"]: (list(e["shape"]), int(e["offset"]), int(e["nbytes"])) for e in entries}
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise SchemaError(f"{path}: corrupt checkpoint parameter table: {e!r}") from e
     if len(table) != len(entries) or any(offset < 0 for _, offset, _ in table.values()):
         raise SchemaError(f"{path}: corrupt checkpoint parameter table (repeated name or negative offset)")
@@ -95,8 +95,8 @@ def load_checkpoint(path) -> ModelCheckpoint:
         raise SchemaError(f"{path}: truncated checkpoint (header of {hlen} bytes runs past end of file)")
     try:
         header = json.loads(blob[12 : 12 + hlen])
-    except json.JSONDecodeError as e:
-        raise SchemaError(f"{path}: corrupt checkpoint header: {e.msg}") from e
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        raise SchemaError(f"{path}: corrupt checkpoint header: {e}") from e
     if not isinstance(header, dict):
         raise SchemaError(f"{path}: corrupt checkpoint header: not a JSON object")
     if header.get("format_version") != FORMAT_VERSION:

@@ -24,6 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
+    ConfigError,
     ConflictError,
     InvalidSequenceError,
     KeypointFormatError,
@@ -31,6 +32,7 @@ from .errors import (
     SchemaError,
     ValidationError,
 )
+from .spec import json_value
 
 log = logging.getLogger("stimkit.pose")
 
@@ -55,15 +57,6 @@ DEFAULT_CONFIDENCE_THRESHOLD = 0.1
 # (a frame is valid with >= 2 present points).
 MIN_VALID_FRACTION = 0.7
 MIN_POINTS_PER_FRAME = 2
-
-
-@dataclass(frozen=True)
-class Keypoint:
-    """One detected landmark: pixel position plus confidence in [0, 1]."""
-
-    x: float
-    y: float
-    confidence: float
 
 
 @dataclass
@@ -106,27 +99,6 @@ class HeadPose:
     @property
     def valid(self) -> bool:
         return int(self.present.sum()) >= MIN_POINTS_PER_FRAME
-
-    @property
-    def points(self) -> dict[str, Optional[Keypoint]]:
-        """Label -> Keypoint for present parts, None for absent ones."""
-        out = {}
-        for i, label in enumerate(HEAD_LABELS):
-            if self.present[i]:
-                out[label] = Keypoint(self.coords[i, 0], self.coords[i, 1], self.confidence[i])
-            else:
-                out[label] = None
-        return out
-
-    @property
-    def edges(self) -> list[tuple[str, str]]:
-        """Head-skeleton edges restricted to present endpoints."""
-        idx = {label: i for i, label in enumerate(HEAD_LABELS)}
-        return [
-            (a, b)
-            for a, b in HEAD_EDGES
-            if self.present[idx[a]] and self.present[idx[b]]
-        ]
 
 
 @dataclass(frozen=True)
@@ -243,10 +215,17 @@ def parse_pose_document(doc: dict, frame_index: int, source: str = "<memory>") -
     best = None
     best_score = -1.0
     for person in people:
-        raw = person.get("pose_keypoints_2d")
-        if raw is None:
+        if not isinstance(person, dict) or person.get("pose_keypoints_2d") is None:
             raise KeypointFormatError(f"{source}: frame {frame_index}: person missing 'pose_keypoints_2d'")
-        flat = np.asarray(raw, dtype=np.float64)
+        try:
+            flat = np.asarray(person["pose_keypoints_2d"], dtype=np.float64)
+            numeric = flat.ndim == 1 and bool(np.isfinite(flat).all())
+        except (TypeError, ValueError, OverflowError):
+            numeric = False
+        if not numeric:
+            raise KeypointFormatError(
+                f"{source}: frame {frame_index}: 'pose_keypoints_2d' must be a flat array of finite numbers"
+            )
         if flat.size % 3 != 0:
             raise KeypointFormatError(
                 f"{source}: frame {frame_index}: keypoint array length {flat.size} not divisible by 3"
@@ -272,11 +251,17 @@ def import_openpose_frame(raw_json: bytes, frame_index: int = 0, source: str = "
     When several people are present, the one with the largest summed head
     confidence wins; an empty ``people`` array yields an all-absent frame.
     """
+    return parse_pose_document(_decode_json(raw_json, source), frame_index, source)
+
+
+def _decode_json(raw: bytes, source: str):
+    """Decoded JSON, or a KeypointParseError naming the source and byte offset."""
     try:
-        doc = json.loads(raw_json)
+        return json.loads(raw)
     except json.JSONDecodeError as e:
         raise KeypointParseError(source, e.pos, e.msg) from e
-    return parse_pose_document(doc, frame_index, source)
+    except UnicodeDecodeError as e:
+        raise KeypointParseError(source, e.start, f"not UTF-8 text ({e.reason})") from e
 
 
 def load_clip_frames(path, frame_range: Optional[tuple[int, int]] = None) -> list[PoseFrame]:
@@ -293,10 +278,7 @@ def load_clip_frames(path, frame_range: Optional[tuple[int, int]] = None) -> lis
         for i, p in enumerate(files):
             frames.append(import_openpose_frame(p.read_bytes(), i, str(p)))
     else:
-        try:
-            docs = json.loads(path.read_bytes())
-        except json.JSONDecodeError as e:
-            raise KeypointParseError(str(path), e.pos, e.msg) from e
+        docs = _decode_json(path.read_bytes(), str(path))
         if not isinstance(docs, list):
             raise KeypointFormatError(f"{path}: consolidated keypoint file must be a JSON array")
         for i, doc in enumerate(docs):
@@ -308,15 +290,18 @@ def load_clip_frames(path, frame_range: Optional[tuple[int, int]] = None) -> lis
 
 
 _MANIFEST_CLIP_FIELDS = ("id", "subject", "label", "fps", "keypoints", "start_frame", "end_frame")
+_MANIFEST_NUMBERS = (("fps", 0.0), ("start_frame", 0), ("end_frame", 0))  # field, default of its JSON kind
 
 
 def load_manifest(path) -> Manifest:
     """Load and validate a dataset manifest (schema version 1)."""
     path = Path(path)
     try:
-        doc = json.loads(path.read_bytes())
-    except json.JSONDecodeError as e:
-        raise SchemaError(f"{path}: malformed JSON at byte {e.pos}: {e.msg}") from e
+        doc = _decode_json(path.read_bytes(), str(path))
+    except KeypointParseError as e:
+        raise SchemaError(f"{path}: malformed JSON at byte {e.offset}: {e.reason}") from e
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{path}: manifest must be a JSON object")
     if doc.get("version") != 1:
         raise SchemaError(f"{path}: field 'version': expected 1, got {doc.get('version')!r}")
     for dim in ("frame_width", "frame_height"):
@@ -328,20 +313,27 @@ def load_manifest(path) -> Manifest:
     records = []
     seen = set()
     for n, entry in enumerate(doc["clips"]):
+        if not isinstance(entry, dict):
+            raise SchemaError(f"{path}: clip record {n}: object required, got {entry!r}")
         for f in _MANIFEST_CLIP_FIELDS:
             if f not in entry:
                 raise SchemaError(f"{path}: clip record {n}: missing field '{f}'")
-        if entry["id"] in seen:
-            raise ConflictError(f"{path}: duplicate clip id {entry['id']!r}")
-        seen.add(entry["id"])
+        try:
+            fps, start, end = (json_value(entry[f], default, f) for f, default in _MANIFEST_NUMBERS)
+        except ConfigError as e:
+            raise SchemaError(f"{path}: clip record {n}: field '{e.field_path}': {e.reason}") from e
+        clip_id = str(entry["id"])
+        if clip_id in seen:
+            raise ConflictError(f"{path}: duplicate clip id {clip_id!r}")
+        seen.add(clip_id)
         records.append(
             ClipRecord(
-                clip_id=str(entry["id"]),
+                clip_id=clip_id,
                 subject_id=str(entry["subject"]),
                 label=str(entry["label"]),
-                fps=float(entry["fps"]),
+                fps=fps,
                 keypoint_source=str(entry["keypoints"]),
-                frame_range=(int(entry["start_frame"]), int(entry["end_frame"])),
+                frame_range=(start, end),
             )
         )
     return Manifest(

@@ -49,18 +49,14 @@ class RasterSpec:
 
 @dataclass
 class RasterClip:
-    """T rasterized frames plus the labels the trainer needs.
+    """T rasterized frames plus the label the trainer needs.
 
-    ``source`` keeps the keypoint window this clip was drawn from (its
-    ``coords``/``present`` arrays, read without restacking) so that
-    augmentation can re-rasterize with fresh geometry each epoch.
+    ``source`` is the keypoint window it was drawn from: it carries the window's
+    identity and the arrays that augmentation re-renders each epoch.
     """
 
     frames: np.ndarray  # (T, H, W) float32 in {0, 1}
     label: int  # 1 positive, 0 negative
-    subject_id: str
-    clip_id: str = ""
-    origin_frame: int = 0
     source: Optional[KeypointSequence] = None
     spec: Optional[RasterSpec] = field(default=None, repr=False)
 
@@ -146,12 +142,4 @@ def render_frames(coords, present, frame_size, spec: RasterSpec) -> np.ndarray:
 def rasterize(seq: KeypointSequence, spec: RasterSpec = RasterSpec()) -> RasterClip:
     """Render a keypoint window into T binary images."""
     frames = render_frames(seq.coords, seq.present, effective_frame_size(seq), spec)
-    return RasterClip(
-        frames=frames,
-        label=1 if seq.label == "positive" else 0,
-        subject_id=seq.subject_id,
-        clip_id=seq.clip_id,
-        origin_frame=seq.origin_frame,
-        source=seq,
-        spec=spec,
-    )
+    return RasterClip(frames=frames, label=int(seq.label == "positive"), source=seq, spec=spec)

@@ -136,8 +136,9 @@ class TestSequenceAugmentation:
         before = seq.copy()
         clip = rasterize(seq, RasterSpec())
         out = make_training_augmenter(AugmentSpec())(clip, np.random.default_rng(1))
-        assert (out.label, out.subject_id, out.clip_id) == (clip.label, clip.subject_id, clip.clip_id)
+        assert out.label == clip.label
         assert out.source is seq
+        assert (out.source.subject_id, out.source.clip_id, out.source.origin_frame) == ("subj", "fixture", 0)
         for name in ("coords", "present", "confidence"):
             assert np.array_equal(getattr(seq, name), getattr(before, name))
 
@@ -155,7 +156,7 @@ class TestSequenceAugmentation:
     def test_augmenter_requires_source(self):
         from stimkit.raster import RasterClip
 
-        clip = RasterClip(frames=np.zeros((7, 64, 64), np.float32), label=0, subject_id="s")
+        clip = RasterClip(frames=np.zeros((7, 64, 64), np.float32), label=0)
         with pytest.raises(ValidationError, match="keypoint source"):
             make_training_augmenter(AugmentSpec())(clip, np.random.default_rng(0))
 

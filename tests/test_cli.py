@@ -8,11 +8,19 @@ from stimkit import imageio
 from stimkit.cli import main
 from stimkit.nn.checkpoint import ModelCheckpoint, save_checkpoint
 from stimkit.nn.gradcheck import micro_config
-from stimkit.nn.model import init_params
+from stimkit.nn.model import ConvBlock, ModelConfig, init_params
 
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+def _servable_checkpoint(path, **metadata):
+    """A T=2, 16x16 model that predict can serve, with the given training metadata."""
+    config = ModelConfig(T=2, height=16, width=16, conv_blocks=(ConvBlock(2),), frame_embedding=4, lstm_hidden=2)
+    meta = {"raster": {"width": 16, "height": 16}, **metadata}
+    save_checkpoint(ModelCheckpoint(config, init_params(config), training_metadata=meta), path)
+    return path
 
 
 def _texture_png(path, shift=(0.0, 0.0), size=64):
@@ -221,7 +229,8 @@ class TestPredictCommand:
     @pytest.mark.parametrize(
         "key, value, path",
         [("window", {"hop": 0}, "training_metadata.window.hop"),
-         ("raster", {"width": 16, "height": 16, "center_mode": "median"}, "training_metadata.raster.center_mode")],
+         ("raster", {"width": 16, "height": 16, "center_mode": "median"}, "training_metadata.raster.center_mode"),
+         ("raster", {"width": 16, "height": 16}, "training_metadata.raster: 16x16 is not the model's 8x8 input")],
     )
     def test_metadata_rule_violation_exits_2(self, tmp_path, mini_dataset, capsys, key, value, path):
         # the metadata obeys the run config's rules, but is rejected as a corrupt checkpoint
@@ -231,6 +240,16 @@ class TestPredictCommand:
         assert run_cli("predict", "-m", ckpt, "-k", kp) == 2
         err = capsys.readouterr().err
         assert f"{ckpt}: corrupt checkpoint {key} metadata: {path}" in err
+
+    @pytest.mark.parametrize("flags", [(), ("--frame-width", 640), ("--frame-height", 480)])
+    def test_frame_size_needs_both_flags_or_a_recorded_size(self, tmp_path, mini_dataset, capsys, flags):
+        # this checkpoint records no training frame size
+        ckpt = _servable_checkpoint(tmp_path / "small.ckpt")
+        kp = Path(mini_dataset).parent / "keypoints" / "synth_000_c00.json"
+        assert run_cli("predict", "-m", ckpt, "-k", kp, *flags) == 2
+        err = capsys.readouterr().err
+        assert "--frame-width" in err and "--frame-height" in err
+        assert run_cli("predict", "-m", ckpt, "-k", kp, "--frame-width", 640, "--frame-height", 480) == 0
 
     def test_zero_weight_checkpoint_gives_half(self, trained, tmp_path, mini_dataset, capsys):
         from stimkit.nn.checkpoint import load_checkpoint, save_checkpoint
@@ -266,26 +285,26 @@ class TestPredictCommand:
         entry = next(c for c in manifest_doc["clips"] if c["id"] == clip_id)
         kp_path = Path(json.loads(Path(mini_run_config).read_text())["manifest"]).parent / entry["keypoints"]
 
-        pred_file = tmp_path / "cross.jsonl"
-        assert run_cli(
-            "predict", "-m", out / f"fold_{fold}.ckpt", "-k", kp_path,
-            "--frame-width", manifest_doc["frame_width"], "--frame-height", manifest_doc["frame_height"],
-            "-o", pred_file,
-        ) == 0
-        got = {json.loads(l)["origin_frame"]: json.loads(l)["probability"] for l in pred_file.read_text().splitlines()}
-        for origin, prob in expected:
-            assert got[origin] == pytest.approx(prob, abs=1e-9)
+        flags = ("--frame-width", manifest_doc["frame_width"], "--frame-height", manifest_doc["frame_height"])
+        # with the flags, and without them: the checkpoint records the frame size it was trained at
+        for n, frame_flags in enumerate((flags, ())):
+            pred_file = tmp_path / f"cross_{n}.jsonl"
+            assert run_cli("predict", "-m", out / f"fold_{fold}.ckpt", "-k", kp_path, *frame_flags, "-o", pred_file) == 0
+            lines = [json.loads(l) for l in pred_file.read_text().splitlines()]
+            got = {line["origin_frame"]: line["probability"] for line in lines}
+            for origin, prob in expected:
+                assert got[origin] == pytest.approx(prob, abs=1e-9)
 
 
 class TestExitCodes:
     def test_numeric_failure_maps_to_exit_3(self, mini_run_config, monkeypatch):
-        from stimkit import cli
+        from stimkit import evaluate
         from stimkit.errors import NumericError
 
         def diverge(*args, **kwargs):
             raise NumericError("training diverged: epoch 0 mean loss nan")
 
-        monkeypatch.setattr(cli, "train", diverge)
+        monkeypatch.setattr(evaluate, "train", diverge)
         assert run_cli("train", "-c", mini_run_config) == 3
 
     def test_missing_manifest_maps_to_exit_4(self, tmp_path):
@@ -295,6 +314,53 @@ class TestExitCodes:
 
     def test_unknown_subcommand_exits_2(self, capsys):
         assert run_cli("frobnicate") == 2
+
+
+_CLIP = {"id": "a", "subject": "s", "label": "positive", "fps": 30, "keypoints": "k.json",
+         "start_frame": 0, "end_frame": 9}
+
+
+def _manifest(clip):
+    return json.dumps({"version": 1, "frame_width": 640, "frame_height": 480, "clips": [clip]}).encode()
+
+
+def _people(person):
+    return json.dumps([{"people": [person]}]).encode()
+
+
+@pytest.mark.parametrize(
+    "reader, blob, code",
+    [
+        ("manifest", b"[]", 2),
+        ("manifest", _manifest(5), 2),
+        ("manifest", _manifest({**_CLIP, "fps": "x"}), 2),
+        ("manifest", _manifest({**_CLIP, "fps": None}), 2),
+        ("manifest", _manifest({**_CLIP, "start_frame": "x"}), 2),
+        ("manifest", _manifest({**_CLIP, "start_frame": None}), 2),
+        ("keypoints", _people(5), 2),
+        ("keypoints", _people({"pose_keypoints_2d": ["x"] * 75}), 2),
+        ("keypoints", _people({"pose_keypoints_2d": [[0.0, 0.0, 0.0]] * 25}), 2),
+        ("image", b"P5\nxx 2\n255\n" + bytes(4), 4),
+        ("image", b"P5\n4 4\n255\n" + bytes(3), 4),
+        ("image", imageio._PNG_SIG + b"\x00\x00\x00\x0dIHDR\x00\x00\x00\x10", 4),
+    ],
+    ids=["manifest_array", "clip_not_object", "fps_string", "fps_null", "start_string", "start_null",
+         "person_not_object", "keypoints_non_numeric", "keypoints_nested",
+         "ppm_header_xx", "ppm_short_payload", "png_truncated"],
+)
+def test_malformed_reader_input_exits_with_contract_code(tmp_path, capsys, reader, blob, code):
+    path = tmp_path / f"input.{'png' if reader == 'image' else 'json'}"
+    path.write_bytes(blob)
+    if reader == "manifest":
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"manifest": str(path), "output_dir": str(tmp_path / "out"), "seed": 1}))
+        argv = ("train", "-c", cfg)
+    elif reader == "keypoints":
+        argv = ("predict", "-m", _servable_checkpoint(tmp_path / "small.ckpt", frame_size=[640, 480]), "-k", path)
+    else:
+        argv = ("flowviz", path, path, "-o", tmp_path / "flow")
+    assert run_cli(*argv) == code
+    assert str(path) in capsys.readouterr().err
 
 
 class TestTrainHoldout:

@@ -1,0 +1,144 @@
+"""Fuzz the file readers with arbitrary bytes and with mutated valid files.
+
+Whatever the bytes, a reader raises nothing but a ``StimkitError``, and
+the CLI command that reads the file exits 0, 2, 3 or 4 (never 1, an
+escaped exception).
+"""
+
+import contextlib
+import io
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stimkit import imageio
+from stimkit.cli import main
+from stimkit.data import WindowParams
+from stimkit.errors import StimkitError
+from stimkit.nn.checkpoint import ModelCheckpoint, load_checkpoint, save_checkpoint
+from stimkit.nn.model import ConvBlock, ModelConfig, init_params
+from stimkit.pose import load_clip_frames, load_manifest
+from stimkit.raster import RasterSpec
+
+from conftest import full_body_frame
+
+EXIT_CODES = {0, 2, 3, 4}
+# replacement bytes for text formats: JSON punctuation, digits and a non-UTF-8 byte
+JSON_BYTES = b'0123456789.-+eE"[]{},: nulx\xff'
+FUZZ = settings(max_examples=60)
+
+
+def fuzzed(seed: bytes, alphabet=None, prefixes=(b"",), limit=None):
+    """Arbitrary bytes after one of ``prefixes``; ``seed`` with up to 8 of its
+    first ``limit`` bytes overwritten (by bytes from ``alphabet``, any byte
+    when None); or ``seed`` cut short."""
+    replacement = st.integers(0, 255) if alphabet is None else st.sampled_from(alphabet)
+
+    def overwrite(edits):
+        blob = bytearray(seed)
+        for pos, value in edits:
+            blob[pos] = value
+        return bytes(blob)
+
+    positions = st.integers(0, (limit or len(seed)) - 1)
+    edits = st.lists(st.tuples(positions, replacement), min_size=1, max_size=8)
+    return st.one_of(
+        st.tuples(st.sampled_from(prefixes), st.binary(max_size=200)).map(b"".join),
+        edits.map(overwrite),
+        st.integers(0, len(seed) - 1).map(lambda n: seed[:n]),
+    )
+
+
+def run_cli(*argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main([str(a) for a in argv])
+
+
+def read_quietly(reader, path):
+    try:
+        reader(path)
+    except StimkitError:
+        pass
+
+
+def _keypoint_doc(n_frames=6):
+    flat = [round(v, 1) for kp in full_body_frame() for v in kp]
+    return [{"people": [{"pose_keypoints_2d": flat}]} for _ in range(n_frames)]
+
+
+@pytest.fixture(scope="module")
+def seeds(tmp_path_factory):
+    """Valid inputs of each format, plus what the CLI needs to read them."""
+    d = tmp_path_factory.mktemp("fuzz")
+    (d / "clip.json").write_text(json.dumps(_keypoint_doc()))
+    (d / "short.json").write_text(json.dumps(_keypoint_doc(3)))
+    manifest = {
+        "version": 1,
+        "frame_width": 640,
+        "frame_height": 480,
+        "clips": [{"id": "a", "subject": "s", "label": "positive", "fps": 30, "keypoints": "short.json",
+                   "start_frame": 0, "end_frame": 2}],
+    }
+    (d / "manifest.json").write_text(json.dumps(manifest))
+    run = {"manifest": str(d / "fuzzed_manifest.json"), "output_dir": str(d / "out"), "seed": 1}
+    (d / "run.json").write_text(json.dumps(run))
+
+    config = ModelConfig(T=2, height=16, width=16, conv_blocks=(ConvBlock(2),), frame_embedding=4, lstm_hidden=2)
+    meta = {"raster": RasterSpec(16, 16).to_dict(), "window": WindowParams(T=2).to_dict(), "frame_size": [640, 480]}
+    save_checkpoint(ModelCheckpoint(config, init_params(config), training_metadata=meta), d / "model.ckpt")
+
+    rng = np.random.default_rng(0)
+    imageio.write_ppm(d / "image.pgm", rng.integers(0, 256, (12, 12), dtype=np.uint8))
+    imageio.write_png(d / "image.png", rng.integers(0, 256, (12, 12, 3), dtype=np.uint8))
+    return d
+
+
+def _seed_bytes(seeds, name):
+    return (seeds / name).read_bytes()
+
+
+@FUZZ
+@given(data=st.data())
+def test_manifest_reader_raises_only_stimkit_errors(seeds, data):
+    blob = data.draw(fuzzed(_seed_bytes(seeds, "manifest.json"), JSON_BYTES))
+    path = seeds / "fuzzed_manifest.json"
+    path.write_bytes(blob)
+    read_quietly(load_manifest, path)
+    assert run_cli("train", "-c", seeds / "run.json") in EXIT_CODES
+
+
+@FUZZ
+@given(data=st.data())
+def test_keypoint_reader_raises_only_stimkit_errors(seeds, data):
+    blob = data.draw(fuzzed(_seed_bytes(seeds, "clip.json"), JSON_BYTES))
+    path = seeds / "fuzzed_clip.json"
+    path.write_bytes(blob)
+    read_quietly(load_clip_frames, path)
+    assert run_cli("predict", "-m", seeds / "model.ckpt", "-k", path) in EXIT_CODES
+
+
+@FUZZ
+@given(data=st.data())
+@pytest.mark.parametrize("name", ["image.pgm", "image.png"])
+def test_image_reader_raises_only_stimkit_errors(seeds, name, data):
+    seed = _seed_bytes(seeds, name)
+    blob = data.draw(fuzzed(seed, prefixes=(b"P5", b"P6 ", seed[:16])))
+    path = seeds / f"fuzzed_{name}"
+    path.write_bytes(blob)
+    read_quietly(imageio.read_image, path)
+    assert run_cli("flowviz", seeds / name, path, "-o", seeds / "flow_out") in EXIT_CODES
+
+
+@FUZZ
+@given(data=st.data())
+def test_checkpoint_reader_raises_only_stimkit_errors(seeds, data):
+    seed = _seed_bytes(seeds, "model.ckpt")
+    header_end = 12 + int.from_bytes(seed[8:12], "little")
+    blob = data.draw(st.one_of(fuzzed(seed, prefixes=(seed[:12],)), fuzzed(seed, JSON_BYTES, limit=header_end)))
+    path = seeds / "fuzzed.ckpt"
+    path.write_bytes(blob)
+    read_quietly(load_checkpoint, path)
+    assert run_cli("predict", "-m", path, "-k", seeds / "clip.json") in EXIT_CODES

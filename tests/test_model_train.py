@@ -33,8 +33,6 @@ def _training_set(n=20, seed=0):
             RasterClip(
                 frames=np.clip(frames + noise, 0, 1),
                 label=label,
-                subject_id=f"s{i % 4}",
-                clip_id=f"c{i}",
             )
         )
     return clips

@@ -128,17 +128,15 @@ class TestFilterHead:
     def test_full_frame_gives_six_points_five_edges(self):
         frame = import_openpose_frame(make_pose_frame_json(full_body_frame()))
         head = filter_head(frame)
-        assert int(head.present.sum()) == 6
-        assert len(head.edges) == 5
+        assert head.present.all()
         assert head.valid
 
     def test_low_confidence_part_absent_and_edge_dropped(self):
         kps = full_body_frame()
         kps[18] = (kps[18][0], kps[18][1], 0.0)  # left_ear
         head = filter_head(import_openpose_frame(make_pose_frame_json(kps)))
-        assert head.points["left_ear"] is None
-        assert ("left_eye", "left_ear") not in head.edges
-        assert len(head.edges) == 4
+        assert head.present.tolist() == [label != "left_ear" for label in HEAD_LABELS]
+        assert head.coords[HEAD_LABELS.index("left_ear")].tolist() == [0.0, 0.0]
 
     def test_single_point_is_invalid(self):
         kps = [(0.0, 0.0, 0.0)] * 25
@@ -152,8 +150,8 @@ class TestFilterHead:
         kps[0] = (5.0, 5.0, 0.1)
         kps[1] = (5.0, 9.0, 0.09)
         head = filter_head(import_openpose_frame(make_pose_frame_json(kps)), confidence_threshold=0.1)
-        assert head.points["nose"] is not None
-        assert head.points["neck"] is None
+        assert head.present[HEAD_LABELS.index("nose")]
+        assert not head.present[HEAD_LABELS.index("neck")]
 
     @given(
         st.lists(
@@ -169,10 +167,10 @@ class TestFilterHead:
     def test_labels_always_within_head_set(self, triples):
         frame = PoseFrame(0, np.array(triples))
         head = filter_head(frame)
-        present_labels = {l for l, kp in head.points.items() if kp is not None}
-        assert present_labels <= set(HEAD_LABELS)
-        for a, b in head.edges:
-            assert a in present_labels and b in present_labels
+        # slot i is head part HEAD_INDICES[i], present exactly when its confidence meets the threshold
+        confidence = np.array(triples)[list(HEAD_INDICES), 2]
+        assert head.present.tolist() == [bool(c >= 0.1 and c > 0) for c in confidence]
+        assert (head.coords[~head.present] == 0).all()
 
 
 def _heads(n, drop=()):

@@ -39,6 +39,16 @@ class TestRasterize:
         assert img[: int(a[1]) - 3].sum() == 0
         assert img[int(a[1]) + 4 :].sum() == 0
 
+    @pytest.mark.parametrize("ear_present", [False, True])
+    def test_edge_drawn_only_between_present_endpoints(self, ear_present):
+        # left_ear sits at the source origin, which maps to raster (0, 8); the
+        # left_eye-left_ear edge reaches up there only when the ear is present
+        ear = (0.0, 0.0) if ear_present else None
+        seq = window_fixture([[(200.0, 240.0), (200.0, 300.0), None, (440.0, 240.0), None, ear]] * 7)
+        img = rasterize(seq, RasterSpec(center_mode="none")).frames[0]
+        assert img[30:41, 18:47].sum() > 0  # nose, neck, left_eye and their edges
+        assert (img[:25].sum() > 0) == ear_present
+
     def test_all_absent_frames_render_black(self):
         seq = window_fixture([[(10.0, 10.0), (20.0, 20.0)]] + [[None] * 6] * 6)
         clip = rasterize(seq, RasterSpec(center_mode="none"))
@@ -88,8 +98,8 @@ class TestRasterize:
         seq = window_fixture([[(10.0, 10.0), (20.0, 20.0)]] * 7, label="negative")
         clip = rasterize(seq)
         assert clip.label == 0
-        assert clip.subject_id == "subj"
         assert clip.source is seq
+        assert (clip.source.subject_id, clip.source.clip_id, clip.source.origin_frame) == ("subj", "fixture", 0)
 
     def test_spec_validation(self):
         with pytest.raises(ValidationError):
