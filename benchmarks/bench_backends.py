@@ -38,7 +38,9 @@ def _oscillating_window():
 
 
 def build_cases(quick):
+    from stimkit.augment import AugmentSpec, make_training_augmenter
     from stimkit.flow import farneback_dense, lucas_kanade_grid
+    from stimkit.flowviz import render_arrows
     from stimkit.nn import ops
     from stimkit.raster import RasterSpec, rasterize
 
@@ -58,8 +60,15 @@ def build_cases(quick):
     prev = _texture(img_side)
     nxt = _texture(img_side, shift=(2.0, 1.0))
 
+    # the flow-pairs frame size; arrows are drawn on the frame and in isolation
+    frame = _texture(640)[:480]
+    lk = lucas_kanade_grid(frame, _texture(640, shift=(2.0, 1.0))[:480])
+
     seq = _oscillating_window()
     spec = RasterSpec()
+    clip = rasterize(seq, spec)
+    augment = make_training_augmenter(AugmentSpec())
+    aug_rng = np.random.default_rng(0)
 
     return [
         ("conv2d fw 1->16", lambda: ops.conv2d_forward(x1, w1, b1)),
@@ -69,7 +78,9 @@ def build_cases(quick):
         ("maxpool fw+bw", lambda: _pool_roundtrip(ops, x1)),
         ("lucas-kanade grid", lambda: lucas_kanade_grid(prev, nxt)),
         ("farneback dense", lambda: farneback_dense(prev, nxt)),
+        ("render_arrows lk grid", lambda: (render_arrows(lk, background=frame), render_arrows(lk, shape=frame.shape))),
         ("rasterize window", lambda: rasterize(seq, spec)),
+        ("augment window", lambda: augment(clip, aug_rng)),
     ]
 
 

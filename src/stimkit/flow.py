@@ -165,12 +165,14 @@ def polynomial_expansion(img, sigma: float = 1.5):
     s2 = float(np.sum(x2g))
     s4 = float(np.sum(xs**4 * g))
 
-    m00 = _correlate1d(_correlate1d(img, g, 0), g, 1)
-    mx = _correlate1d(_correlate1d(img, g, 0), xg, 1)
-    my = _correlate1d(_correlate1d(img, xg, 0), g, 1)
-    mxx = _correlate1d(_correlate1d(img, g, 0), x2g, 1)
+    rows_g = _correlate1d(img, g, 0)
+    rows_xg = _correlate1d(img, xg, 0)
+    m00 = _correlate1d(rows_g, g, 1)
+    mx = _correlate1d(rows_g, xg, 1)
+    my = _correlate1d(rows_xg, g, 1)
+    mxx = _correlate1d(rows_g, x2g, 1)
     myy = _correlate1d(_correlate1d(img, x2g, 0), g, 1)
-    mxy = _correlate1d(_correlate1d(img, xg, 0), xg, 1)
+    mxy = _correlate1d(rows_xg, xg, 1)
 
     bx = mx / s2
     by = my / s2
@@ -184,8 +186,9 @@ def polynomial_expansion(img, sigma: float = 1.5):
     return axx, ayy, axy, bx, by
 
 
-def _bilinear_grid(field, sx, sy):
-    h, w = field.shape
+def _bilinear_taps(sx, sy):
+    """Flat gather indices and weights of bilinear sampling at (sx, sy), clamped to the grid."""
+    h, w = sx.shape
     sx = np.clip(sx, 0.0, w - 1.0)
     sy = np.clip(sy, 0.0, h - 1.0)
     x0 = np.floor(sx).astype(np.intp)
@@ -194,12 +197,13 @@ def _bilinear_grid(field, sx, sy):
     y1 = np.minimum(y0 + 1, h - 1)
     fx = sx - x0
     fy = sy - y0
-    return (
-        field[y0, x0] * (1 - fx) * (1 - fy)
-        + field[y0, x1] * fx * (1 - fy)
-        + field[y1, x0] * (1 - fx) * fy
-        + field[y1, x1] * fx * fy
-    )
+    return (y0 * w + x0, y0 * w + x1, y1 * w + x0, y1 * w + x1), (fx, 1 - fx, fy, 1 - fy)
+
+
+def _bilinear_grid(field, taps):
+    (i00, i01, i10, i11), (fx, gx, fy, gy) = taps
+    flat = field.ravel()
+    return flat[i00] * gx * gy + flat[i01] * fx * gy + flat[i10] * gx * fy + flat[i11] * fx * fy
 
 
 def _box_sum1d(img, size, axis):
@@ -211,11 +215,14 @@ def _box_sum1d(img, size, axis):
     return windows.sum(axis=-1)
 
 
-def _box_filter(img, size):
-    """Mean over the size x size window clipped to the image bounds."""
-    total = _box_sum1d(_box_sum1d(img, size, 0), size, 1)
-    counts = _box_sum1d(_box_sum1d(np.ones_like(img), size, 0), size, 1)
-    return total / counts
+def _box_filter(img, size, counts):
+    """Mean over the size x size window clipped to the image bounds; ``counts`` is _box_counts."""
+    return _box_sum1d(_box_sum1d(img, size, 0), size, 1) / counts
+
+
+def _box_counts(shape, size):
+    """Pixels inside each clipped size x size window."""
+    return _box_sum1d(_box_sum1d(np.ones(shape), size, 0), size, 1)
 
 
 def farneback_dense(
@@ -242,25 +249,27 @@ def farneback_dense(
     dv = np.zeros((h, w))
     valid = np.zeros((h, w), dtype=bool)
 
+    counts = _box_counts((h, w), avg_window)
+    xs = np.arange(w)
+    ys = np.arange(h)[:, None]
     for _ in range(max(1, iterations)):
-        ys, xs = np.mgrid[0:h, 0:w]
-        sx = xs + du
-        sy = ys + dv
-        n11 = 0.5 * (a11_1 + _bilinear_grid(a11_2, sx, sy))
-        n12 = 0.5 * (a12_1 + _bilinear_grid(a12_2, sx, sy))
-        n22 = 0.5 * (a22_1 + _bilinear_grid(a22_2, sx, sy))
-        g1 = -0.5 * (_bilinear_grid(bx2, sx, sy) - bx1) + n11 * du + n12 * dv
-        g2 = -0.5 * (_bilinear_grid(by2, sx, sy) - by1) + n12 * du + n22 * dv
+        taps = _bilinear_taps(xs + du, ys + dv)
+        n11 = 0.5 * (a11_1 + _bilinear_grid(a11_2, taps))
+        n12 = 0.5 * (a12_1 + _bilinear_grid(a12_2, taps))
+        n22 = 0.5 * (a22_1 + _bilinear_grid(a22_2, taps))
+        g1 = -0.5 * (_bilinear_grid(bx2, taps) - bx1) + n11 * du + n12 * dv
+        g2 = -0.5 * (_bilinear_grid(by2, taps) - by1) + n12 * du + n22 * dv
+        del taps  # freed before the box-filter temporaries peak
 
         # Least squares over the neighborhood: box-average the normal
         # products A'A and A'db rather than the raw systems, so weak or
         # sign-flipping pixels cannot cancel their neighbors into a
         # near-singular average.
-        m11 = _box_filter(n11 * n11 + n12 * n12, avg_window)
-        m12 = _box_filter(n12 * (n11 + n22), avg_window)
-        m22 = _box_filter(n12 * n12 + n22 * n22, avg_window)
-        r1 = _box_filter(n11 * g1 + n12 * g2, avg_window)
-        r2 = _box_filter(n12 * g1 + n22 * g2, avg_window)
+        m11 = _box_filter(n11 * n11 + n12 * n12, avg_window, counts)
+        m12 = _box_filter(n12 * (n11 + n22), avg_window, counts)
+        m22 = _box_filter(n12 * n12 + n22 * n22, avg_window, counts)
+        r1 = _box_filter(n11 * g1 + n12 * g2, avg_window, counts)
+        r2 = _box_filter(n12 * g1 + n22 * g2, avg_window, counts)
 
         # det(A'A) = det(A)^2, so the det-of-A validity threshold squares.
         det = m11 * m22 - m12 * m12

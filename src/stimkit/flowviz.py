@@ -6,7 +6,7 @@ import numpy as np
 
 from .errors import SizeError
 from .flow import FlowField
-from .raster import draw_primitives
+from .raster import stamp
 
 
 _HUE_GRID = 2.0**43  # hue snapped to multiples of 2^-43 deg: 180 + hue is then
@@ -94,14 +94,12 @@ def render_arrows(
             h, w = shape
         canvas = np.zeros((h, w, 3))
 
-    seg_mask = np.zeros((h, w), dtype=np.float32)
-    dot_mask = np.zeros((h, w), dtype=np.float32)
+    masks = np.zeros((2, h, w), dtype=bool)  # motion segments, dots
     pts = flow.points[flow.valid]
-    vecs = flow.vectors[flow.valid]
     if len(pts):
-        segments = np.concatenate([pts, pts + scale * vecs], axis=1)
-        draw_primitives(seg_mask, np.zeros((0, 2)), 1.0, segments, 0.5)
-        draw_primitives(dot_mask, pts, 1.0, np.zeros((0, 4)), 0.5)
-    canvas[seg_mask > 0] = (0.0, 1.0, 0.0)
-    canvas[dot_mask > 0] = (1.0, 0.2, 0.2)
+        segments = np.concatenate([pts, pts + scale * flow.vectors[flow.valid]], axis=1)
+        stamp(masks[:1], 0, segments, 0.5)
+        stamp(masks[1:], 0, np.concatenate([pts, pts], axis=1), 1.0)
+    canvas[masks[0]] = (0.0, 1.0, 0.0)
+    canvas[masks[1]] = (1.0, 0.2, 0.2)
     return canvas

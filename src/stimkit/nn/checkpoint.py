@@ -136,6 +136,8 @@ def load_checkpoint(path) -> ModelCheckpoint:
                 f"{path}: corrupt checkpoint (parameter {name!r} has shape {shape} but {nbytes} bytes)"
             )
         arr = np.frombuffer(payload, dtype="<f4", count=nbytes // 4, offset=start)
+        if not np.isfinite(arr).all():
+            raise SchemaError(f"{path}: corrupt checkpoint (parameter {name!r} has non-finite values)")
         params[name] = arr.reshape(want).copy()
     return ModelCheckpoint(
         config=config,

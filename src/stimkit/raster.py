@@ -6,9 +6,12 @@ disks, skeleton edges as straight lines. One uniform scale per sequence
 maps source-frame coordinates into the raster, preserving aspect ratio
 and centering the letterboxed frame.
 
-Each primitive is stamped with numpy over its bounding box: a pixel is
-set when its integer coordinates lie within the disk radius of a
-keypoint, or within half the line thickness of an edge segment.
+One batched kernel, :func:`stamp`, draws every primitive of a window
+(and the arrows and dots of a flow overlay) over an (N, H, W) stack. A
+disk is a zero-length segment, so one float64 test covers both: a pixel
+is set when its integer coordinates lie within the primitive's radius
+(the disk radius of a keypoint, half the line thickness of an edge) of
+the segment, tested over the primitive's clipped bounding box.
 """
 
 from __future__ import annotations
@@ -61,51 +64,51 @@ class RasterClip:
     spec: Optional[RasterSpec] = field(default=None, repr=False)
 
 
-def _stamp_disk(img, cx, cy, radius):
-    h, w = img.shape
-    r2 = radius * radius
-    x0 = max(int(np.floor(cx - radius)), 0)
-    x1 = min(int(np.ceil(cx + radius)), w - 1)
-    y0 = max(int(np.floor(cy - radius)), 0)
-    y1 = min(int(np.ceil(cy + radius)), h - 1)
-    if x1 < x0 or y1 < y0:
-        return
-    ys, xs = np.mgrid[y0 : y1 + 1, x0 : x1 + 1]
-    dx = xs - cx
-    dy = ys - cy
-    img[y0 : y1 + 1, x0 : x1 + 1][dx * dx + dy * dy <= r2] = 1.0
+_CHUNK_PIXELS = 1 << 17  # patch pixels per chunk: a float64 temporary stays near 1 MiB
 
 
-def _stamp_segment(img, ax, ay, bx, by, half_thick):
-    h, w = img.shape
-    t2 = half_thick * half_thick
-    x0 = max(int(np.floor(min(ax, bx) - half_thick)), 0)
-    x1 = min(int(np.ceil(max(ax, bx) + half_thick)), w - 1)
-    y0 = max(int(np.floor(min(ay, by) - half_thick)), 0)
-    y1 = min(int(np.ceil(max(ay, by) + half_thick)), h - 1)
-    if x1 < x0 or y1 < y0:
-        return
-    ys, xs = np.mgrid[y0 : y1 + 1, x0 : x1 + 1]
-    ux = bx - ax
-    uy = by - ay
-    seg2 = ux * ux + uy * uy
-    if seg2 == 0.0:
-        dx = xs - ax
-        dy = ys - ay
-    else:
-        t = ((xs - ax) * ux + (ys - ay) * uy) / seg2
+def stamp(stack, frame, segments, radius) -> None:
+    """Set every pixel of ``stack[frame[i]]`` within ``radius[i]`` of segment i.
+
+    ``stack`` is (N, H, W) and written in place; ``segments`` is (P, 4) rows
+    ``(ax, ay, bx, by)`` in pixels, ``frame`` and ``radius`` are (P,) or
+    scalars. A disk is the zero-length segment ``(x, y, x, y)``. Each
+    primitive is tested over its bounding box clipped to the image; boxes are
+    sorted by area and padded to the largest in their chunk, and a chunk
+    holds at most ``_CHUNK_PIXELS`` patch pixels (or one primitive).
+    """
+    _, h, w = stack.shape
+    segments = np.asarray(segments, dtype=np.float64).reshape(-1, 4)
+    ax, ay, bx, by = segments.T
+    frame = np.broadcast_to(np.asarray(frame, dtype=np.intp), ax.shape)
+    radius = np.broadcast_to(np.asarray(radius, dtype=np.float64), ax.shape)
+    x0 = np.maximum(np.floor(np.minimum(ax, bx) - radius), 0)
+    x1 = np.minimum(np.ceil(np.maximum(ax, bx) + radius), w - 1)
+    y0 = np.maximum(np.floor(np.minimum(ay, by) - radius), 0)
+    y1 = np.minimum(np.ceil(np.maximum(ay, by) + radius), h - 1)
+    keep = (x1 >= x0) & (y1 >= y0) & np.isfinite(segments).all(axis=1)  # on-image, finite
+    box_w = np.where(keep, x1 - x0 + 1, 0).astype(np.intp)
+    box_h = np.where(keep, y1 - y0 + 1, 0).astype(np.intp)
+    order = np.flatnonzero(keep)[np.argsort((box_w * box_h)[keep], kind="stable")]
+    while len(order):
+        patch_h = np.maximum.accumulate(box_h[order])
+        patch_w = np.maximum.accumulate(box_w[order])
+        pixels = np.arange(1, len(order) + 1) * patch_h * patch_w
+        n = max(1, int(np.searchsorted(pixels, _CHUNK_PIXELS, side="right")))
+        i, order = order[:n, None, None], order[n:]
+        xs = x0[i] + np.arange(patch_w[n - 1])
+        ys = y0[i] + np.arange(patch_h[n - 1])[:, None]
+        ux = bx[i] - ax[i]
+        uy = by[i] - ay[i]
+        seg2 = ux * ux + uy * uy
+        t = ((xs - ax[i]) * ux + (ys - ay[i]) * uy) / np.where(seg2 == 0.0, 1.0, seg2)
         t = np.minimum(np.maximum(t, 0.0), 1.0)
-        dx = xs - (ax + t * ux)
-        dy = ys - (ay + t * uy)
-    img[y0 : y1 + 1, x0 : x1 + 1][dx * dx + dy * dy <= t2] = 1.0
-
-
-def draw_primitives(img, centers, radius, segments, half_thick):
-    """Stamp disks and thick segments into one float32 image in place."""
-    for cx, cy in np.asarray(centers, dtype=np.float64).reshape(-1, 2):
-        _stamp_disk(img, cx, cy, radius)
-    for ax, ay, bx, by in np.asarray(segments, dtype=np.float64).reshape(-1, 4):
-        _stamp_segment(img, ax, ay, bx, by, half_thick)
+        dx = xs - (ax[i] + t * ux)
+        dy = ys - (ay[i] + t * uy)
+        inside = (dx * dx + dy * dy <= radius[i] * radius[i]) & (xs <= x1[i]) & (ys <= y1[i])
+        k, r, c = np.nonzero(inside)
+        j = i[k, 0, 0]
+        stack[frame[j], y0[j].astype(np.intp) + r, x0[j].astype(np.intp) + c] = 1
 
 
 def render_frames(coords, present, frame_size, spec: RasterSpec) -> np.ndarray:
@@ -129,13 +132,13 @@ def render_frames(coords, present, frame_size, spec: RasterSpec) -> np.ndarray:
 
     frames = np.zeros((n_frames, spec.height, spec.width), dtype=np.float32)
     half_thick = max(spec.line_thickness / 2.0, 0.5)
-    for t in range(n_frames):
-        img, pts = frames[t], mapped[t]
-        for cx, cy in pts[present[t]]:
-            _stamp_disk(img, cx, cy, spec.point_radius)
-        both = present[t, EDGE_INDEX[:, 0]] & present[t, EDGE_INDEX[:, 1]]
-        for a, b in EDGE_INDEX[both]:
-            _stamp_segment(img, pts[a, 0], pts[a, 1], pts[b, 0], pts[b, 1], half_thick)
+    t_pts, k_pts = np.nonzero(present)
+    t_edges, k_edges = np.nonzero(present[:, EDGE_INDEX[:, 0]] & present[:, EDGE_INDEX[:, 1]])
+    a, b = EDGE_INDEX[k_edges].T
+    points = mapped[t_pts, k_pts]
+    segments = np.concatenate([np.hstack([points, points]), np.hstack([mapped[t_edges, a], mapped[t_edges, b]])])
+    radius = np.repeat([spec.point_radius, half_thick], [len(t_pts), len(t_edges)])
+    stamp(frames, np.concatenate([t_pts, t_edges]), segments, radius)
     return frames
 
 

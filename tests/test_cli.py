@@ -251,6 +251,21 @@ class TestPredictCommand:
         assert "--frame-width" in err and "--frame-height" in err
         assert run_cli("predict", "-m", ckpt, "-k", kp, "--frame-width", 640, "--frame-height", 480) == 0
 
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_non_finite_parameter_exits_2(self, tmp_path, mini_dataset, capsys, value):
+        # a NaN output bias once made predict exit 0 printing "probability": NaN
+        from stimkit.nn.checkpoint import load_checkpoint
+
+        ckpt = load_checkpoint(_servable_checkpoint(tmp_path / "small.ckpt", frame_size=[640, 480]))
+        ckpt.parameters["out_b"][:] = value
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(ckpt, bad)
+        kp = Path(mini_dataset).parent / "keypoints" / "synth_000_c00.json"
+        assert run_cli("predict", "-m", bad, "-k", kp) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{bad}: corrupt checkpoint (parameter 'out_b' has non-finite values)" in captured.err
+
     def test_zero_weight_checkpoint_gives_half(self, trained, tmp_path, mini_dataset, capsys):
         from stimkit.nn.checkpoint import load_checkpoint, save_checkpoint
 

@@ -265,3 +265,20 @@ class TestAutoNormalization:
         rgb = flow_to_hsv(field)  # auto max = 95th percentile ~= 2.0
         assert rgb[5, 5, 0] >= 0.99  # typical pixels at full intensity
         assert rgb[0, 0, 0] == 1.0  # outlier clipped, not overflowing
+
+
+class TestPinnedDense:
+    def test_dense_vectors_valid_and_hsv_bytes_are_pinned(self):
+        # Dense flow as produced with numpy 2.4.6. The frames are cropped to
+        # 72x96 so a height/width mix-up in the expansion, warp or box filter
+        # changes the bytes, and a flat strip leaves some pixels invalid.
+        prev = bench_texture(96)[:72]
+        nxt = bench_texture(96, shift=(1.0, -2.0))[:72]
+        prev[:, :24] = nxt[:, :24] = 0.5
+        field = farneback_dense(prev, nxt)
+        digests = [hashlib.sha256(a.tobytes()).hexdigest() for a in (field.vectors, field.valid, flow_to_hsv(field))]
+        assert digests == [
+            "f4c5062a8c6e5f33dbed7de064cfc035418fa61a861b921ec9b4a4d1e41145e6",
+            "5c7d24a936dabee99aa9ead972f311b14b2ce2bb3d9d02fd82faac2ce6d9f0cb",
+            "ba8580e37788a45e0b3ed9435b98841e7f55863386c6cc46d16c997c6cf3408e",
+        ]

@@ -5,7 +5,8 @@ import pytest
 
 from stimkit.augment import AugmentSpec, make_training_augmenter
 from stimkit.errors import ValidationError
-from stimkit.raster import RasterSpec, rasterize
+from stimkit import raster
+from stimkit.raster import RasterSpec, rasterize, stamp
 
 from conftest import window_fixture
 
@@ -108,6 +109,88 @@ class TestRasterize:
             RasterSpec(point_radius=0.5)
         with pytest.raises(ValidationError):
             RasterSpec(center_mode="median")
+
+
+def _reference_disk(img, cx, cy, radius):
+    h, w = img.shape
+    r2 = radius * radius
+    x0 = max(int(np.floor(cx - radius)), 0)
+    x1 = min(int(np.ceil(cx + radius)), w - 1)
+    y0 = max(int(np.floor(cy - radius)), 0)
+    y1 = min(int(np.ceil(cy + radius)), h - 1)
+    if x1 < x0 or y1 < y0:
+        return
+    ys, xs = np.mgrid[y0 : y1 + 1, x0 : x1 + 1]
+    dx = xs - cx
+    dy = ys - cy
+    img[y0 : y1 + 1, x0 : x1 + 1][dx * dx + dy * dy <= r2] = 1.0
+
+
+def _reference_segment(img, ax, ay, bx, by, half_thick):
+    h, w = img.shape
+    t2 = half_thick * half_thick
+    x0 = max(int(np.floor(min(ax, bx) - half_thick)), 0)
+    x1 = min(int(np.ceil(max(ax, bx) + half_thick)), w - 1)
+    y0 = max(int(np.floor(min(ay, by) - half_thick)), 0)
+    y1 = min(int(np.ceil(max(ay, by) + half_thick)), h - 1)
+    if x1 < x0 or y1 < y0:
+        return
+    ys, xs = np.mgrid[y0 : y1 + 1, x0 : x1 + 1]
+    ux = bx - ax
+    uy = by - ay
+    seg2 = ux * ux + uy * uy
+    if seg2 == 0.0:
+        dx = xs - ax
+        dy = ys - ay
+    else:
+        t = ((xs - ax) * ux + (ys - ay) * uy) / seg2
+        t = np.minimum(np.maximum(t, 0.0), 1.0)
+        dx = xs - (ax + t * ux)
+        dy = ys - (ay + t * uy)
+    img[y0 : y1 + 1, x0 : x1 + 1][dx * dx + dy * dy <= t2] = 1.0
+
+
+class TestStampKernel:
+    # The per-primitive disk and segment stampers the batched kernel replaced,
+    # kept above as the reference: the two must set exactly the same pixels.
+
+    @pytest.mark.parametrize("chunk_pixels", [raster._CHUNK_PIXELS, 64])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_per_primitive_reference(self, monkeypatch, chunk_pixels, seed):
+        monkeypatch.setattr(raster, "_CHUNK_PIXELS", chunk_pixels)
+        rng = np.random.default_rng(seed)
+        n_frames, h, w = 3, 400, 380
+        n = 300
+        # centers reach past every border, so some primitives are partly or
+        # fully off-image
+        ends = rng.uniform(-30.0, [w + 30.0, h + 30.0], size=(n, 2))
+        segments = np.concatenate([ends, ends + rng.normal(0.0, 6.0, size=(n, 2))], axis=1)
+        segments[::7, 2:] = segments[::7, :2]  # zero-length segments
+        segments[::11, 2:] = np.round(segments[::11, 2:])  # integer endpoints
+        is_disk = np.zeros(n, bool)
+        is_disk[::3] = True
+        segments[is_disk, 2:] = segments[is_disk, :2]
+        segments[-1] = (-5.0, -5.0, w + 5.0, h + 5.0)  # one long diagonal
+        frame = rng.integers(0, n_frames, size=n)
+        radius = rng.choice([0.5, 1.0, 1.5, 2.0, 3.7], size=n)
+        assert w * h > raster._CHUNK_PIXELS  # the diagonal's clipped box fills a chunk alone
+
+        expected = np.zeros((n_frames, h, w), np.float32)
+        for (ax, ay, bx, by), f, r, disk in zip(segments, frame, radius, is_disk):
+            if disk:
+                _reference_disk(expected[f], ax, ay, r)
+            else:
+                _reference_segment(expected[f], ax, ay, bx, by, r)
+        got = np.zeros_like(expected)
+        stamp(got, frame, segments, radius)
+        assert expected.sum() > 0 and got.tobytes() == expected.tobytes()
+
+    def test_off_image_non_finite_and_empty_batches_draw_nothing(self):
+        stack = np.zeros((1, 16, 16), np.float32)
+        stamp(stack, 0, [(-10.0, -10.0, -4.0, -3.0), (40.0, 5.0, 40.0, 5.0)], 2.0)
+        stamp(stack, 0, [(np.inf, 4.0, 4.0, 4.0), (4.0, np.nan, 4.0, 4.0)], 2.0)
+        stamp(stack, 0, np.zeros((0, 4)), 1.0)
+        assert not stack.any()
 
 
 class TestPinnedPixels:
