@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .pose import KeypointSequence, effective_frame_size
+from .pose import KeypointSequence
 from .raster import RasterClip, RasterSpec, render_frames
 
 
@@ -79,13 +79,11 @@ def augment_coords(seq: KeypointSequence, spec: AugmentSpec, rng: np.random.Gene
     """One epoch's randomly rotated and zoomed copy of a window's coords.
 
     Draws one (theta, factor) pair per window, or one per frame in
-    ``per_frame`` mode, rotation first. The center is that of the window's
-    frame size (or of its whole keypoint extent when the size is unknown).
+    ``per_frame`` mode, rotation first, about the center of the window's frame.
     """
-    frame_size = effective_frame_size(seq)
     if spec.mode == "per_clip":
-        return rotate_zoom(seq.coords, frame_size, *draw_augmentation(spec, rng))
-    return np.stack([rotate_zoom(frame, frame_size, *draw_augmentation(spec, rng)) for frame in seq.coords])
+        return rotate_zoom(seq.coords, seq.frame_size, *draw_augmentation(spec, rng))
+    return np.stack([rotate_zoom(frame, seq.frame_size, *draw_augmentation(spec, rng)) for frame in seq.coords])
 
 
 def make_training_augmenter(spec: AugmentSpec):
@@ -103,7 +101,7 @@ def make_training_augmenter(spec: AugmentSpec):
             raise ValidationError("cannot augment a raster clip without its keypoint source")
         raster_spec = clip.spec if clip.spec is not None else RasterSpec()
         coords = augment_coords(seq, spec, rng)
-        frames = render_frames(coords, seq.present, effective_frame_size(seq), raster_spec)
+        frames = render_frames(coords, seq.present, seq.frame_size, raster_spec)
         return RasterClip(frames=frames, label=clip.label, source=seq, spec=raster_spec)
 
     return augment

@@ -267,11 +267,11 @@ def _frame_size(args, checkpoint) -> tuple:
 def cmd_predict(args) -> int:
     checkpoint = load_checkpoint(args.model)
     config = checkpoint.config
-    # the checkpoint's training metadata carries the window, raster and
-    # frame geometry it was trained with; explicit flags win over it
+    # the checkpoint's training metadata carries the window, raster and frame geometry it was
+    # trained with; T and stride are always the trained ones, --hop only picks the windows scored
     params = _metadata_spec(args.model, checkpoint, WindowParams, "window", T=config.T)
-    flags = {name: getattr(args, name) for name in ("T", "stride", "hop") if getattr(args, name) is not None}
-    params = replace(params, **flags)
+    if args.hop is not None:
+        params = replace(params, hop=args.hop)
     spec = _metadata_spec(args.model, checkpoint, RasterSpec, "raster", width=config.width, height=config.height)
     if (spec.width, spec.height) != (config.width, config.height):
         raise SchemaError(f"{args.model}: corrupt checkpoint raster metadata: training_metadata.raster: "
@@ -338,9 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="per-window probabilities for one clip")
     p.add_argument("-m", "--model", required=True, help="checkpoint file")
     p.add_argument("-k", "--keypoints", required=True, help="keypoint file or directory")
-    p.add_argument("--T", type=int, default=None, help="window length (default: from checkpoint)")
-    p.add_argument("--stride", type=int, default=None)
-    p.add_argument("--hop", type=int, default=None)
+    p.add_argument("--hop", type=int, default=None, help="frames between window starts (default: from checkpoint)")
     p.add_argument("--frame-width", type=int, default=None, help="source frame width (default: from checkpoint)")
     p.add_argument("--frame-height", type=int, default=None, help="source frame height (default: from checkpoint)")
     p.add_argument("-o", "--out", default="", help="write JSON lines here instead of stdout")

@@ -240,7 +240,7 @@ def fit(windows, model_config: ModelConfig, train_config: TrainConfig, augment_s
     checkpoint, history = train(model_config, clips, train_config, augmenter, allow_single_class=allow_single_class)
     checkpoint.training_metadata["raster"] = raster_spec.to_dict()
     checkpoint.training_metadata["window"] = window_params.to_dict()
-    checkpoint.training_metadata["frame_size"] = windows[0].frame_size  # saved as [w, h], or null if unknown
+    checkpoint.training_metadata["frame_size"] = windows[0].frame_size  # saved as [w, h]
     return checkpoint, history
 
 

@@ -74,8 +74,9 @@ def render_arrows(
 ) -> np.ndarray:
     """Sparse flow as dots plus motion segments, optionally over an image.
 
-    Isolation mode (no background) draws on black. Returns float64
-    (H, W, 3) RGB in [0, 1].
+    Isolation mode (no background) draws on a black canvas of ``shape``
+    (H, W); one of the two must be given. Returns float64 (H, W, 3) RGB
+    in [0, 1].
     """
     if flow.kind != "sparse_grid":
         raise SizeError("render_arrows renders sparse grids; use flow_to_hsv for dense fields")
@@ -83,16 +84,11 @@ def render_arrows(
         bg = np.asarray(background, dtype=np.float64)
         canvas = np.stack([bg, bg, bg], axis=-1)
         h, w = bg.shape
-    else:
-        if shape is None:
-            if len(flow.points):
-                w = int(np.ceil(flow.points[:, 0].max())) + 2
-                h = int(np.ceil(flow.points[:, 1].max())) + 2
-            else:
-                h = w = 2
-        else:
-            h, w = shape
+    elif shape is not None:
+        h, w = shape
         canvas = np.zeros((h, w, 3))
+    else:
+        raise SizeError("render_arrows needs a background image or a canvas shape")
 
     masks = np.zeros((2, h, w), dtype=bool)  # motion segments, dots
     pts = flow.points[flow.valid]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import math
 
 import numpy as np
 
@@ -28,7 +29,8 @@ def train(
     re-renders every sample with a fresh random transform. Returns
     (ModelCheckpoint, history) where history holds each epoch's mean loss.
     All randomness comes from one generator seeded by the train config, so
-    identical inputs give bit-identical results.
+    identical inputs give bit-identical results. A non-finite batch loss,
+    gradient norm or updated parameter raises NumericError at that step.
 
     A single-class training set is a configuration error unless the
     caller opts in (cross-validation does, after warning, so degenerate
@@ -50,7 +52,7 @@ def train(
     for epoch in range(train_config.epochs):
         order = rng.permutation(n)
         loss_sum = 0.0
-        for start in range(0, n, train_config.batch_size):
+        for step, start in enumerate(range(0, n, train_config.batch_size)):
             batch_idx = order[start : start + train_config.batch_size]
             xs = []
             ys = []
@@ -65,14 +67,19 @@ def train(
 
             p, cache = forward_batch(params, model_config, x)
             losses, dp = bce_loss(p, y)
-            loss_sum += float(losses.sum())
+            batch_loss = float(losses.sum())
+            loss_sum += batch_loss
             grads = backward_batch(params, model_config, cache, dp / len(batch_idx))
             t += 1
             adam_step(params, grads, state, t, train_config)
+            grad_norm = math.sqrt(sum(float(np.square(g, dtype=np.float64).sum()) for g in grads.values()))
+            params_finite = all(np.isfinite(v).all() for v in params.values())
+            if not (math.isfinite(batch_loss) and math.isfinite(grad_norm) and params_finite):
+                state = "finite" if params_finite else "non-finite"
+                raise NumericError(f"training diverged: epoch {epoch} step {step}: batch loss {batch_loss}, "
+                                   f"gradient norm {grad_norm}, {state} parameters after the update")
 
         mean_loss = loss_sum / n
-        if not np.isfinite(mean_loss):
-            raise NumericError(f"training diverged: epoch {epoch} mean loss {mean_loss}")
         history.append(mean_loss)
         log.debug("epoch %d: mean loss %.6f", epoch, mean_loss)
 

@@ -160,7 +160,7 @@ class KeypointSequence:
     confidence: np.ndarray  # (T, 6) float64
     stride: int
     origin_frame: int
-    frame_size: Optional[tuple[int, int]] = None
+    frame_size: tuple[float, float]  # (width, height) of the source frame, in pixels
 
     def __post_init__(self):
         self.coords = np.asarray(self.coords, dtype=np.float64)
@@ -186,10 +186,6 @@ class KeypointSequence:
         return replace(
             self, coords=self.coords.copy(), present=self.present.copy(), confidence=self.confidence.copy()
         )
-
-    def present_coords(self) -> np.ndarray:
-        """Stack of (x, y) over all present points in all frames."""
-        return self.coords[self.present]
 
     def frame_centroids(self) -> np.ndarray:
         """(T, 2) per-frame centroid over present points; NaN rows if empty."""
@@ -366,9 +362,10 @@ def sample_windows(
     clip_id: str = "",
     subject_id: str = "",
     label: str = "negative",
-    frame_size: Optional[tuple[int, int]] = None,
+    *,
+    frame_size: tuple[float, float],
 ) -> list[KeypointSequence]:
-    """Slice a clip's head poses into overlapping T-frame windows.
+    """Slice a clip's head poses into overlapping T-frame windows of a ``frame_size`` source frame.
 
     Window k takes list positions ``k*hop + j*stride`` for j in [0, T).
     Windows that would run past the clip are not emitted; windows with
@@ -410,18 +407,6 @@ def sample_windows(
     return out
 
 
-def effective_frame_size(seq: KeypointSequence) -> tuple[float, float]:
-    """Source frame dimensions, falling back to the keypoint extent."""
-    if seq.frame_size is not None:
-        return (float(seq.frame_size[0]), float(seq.frame_size[1]))
-    pts = seq.present_coords()
-    if len(pts) == 0:
-        raise InvalidSequenceError(f"clip {seq.clip_id!r}: no present keypoints and no frame size")
-    w = max(float(pts[:, 0].max()), 1.0)
-    h = max(float(pts[:, 1].max()), 1.0)
-    return (w, h)
-
-
 def center_coords(coords: np.ndarray, present: np.ndarray, frame_size) -> np.ndarray:
     """Shift a window's present points so their mean sits at the frame center.
 
@@ -441,5 +426,5 @@ def center_coords(coords: np.ndarray, present: np.ndarray, frame_size) -> np.nda
 def center_sequence(seq: KeypointSequence) -> KeypointSequence:
     """A copy of the window re-centered by :func:`center_coords`."""
     out = seq.copy()
-    out.coords = center_coords(out.coords, out.present, effective_frame_size(seq))
+    out.coords = center_coords(out.coords, out.present, seq.frame_size)
     return out

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError
-from .pose import HEAD_EDGES, HEAD_LABELS, KeypointSequence, center_coords, effective_frame_size
+from .pose import HEAD_EDGES, HEAD_LABELS, KeypointSequence, center_coords
 
 EDGE_INDEX = np.array(
     [(HEAD_LABELS.index(a), HEAD_LABELS.index(b)) for a, b in HEAD_EDGES], dtype=np.int64
@@ -31,7 +31,7 @@ EDGE_INDEX = np.array(
 
 @dataclass(frozen=True)
 class RasterSpec:
-    """Geometry of the rasterized window frames."""
+    """Geometry of the rasterized window frames; the model decides which sizes it takes."""
 
     width: int = 64
     height: int = 64
@@ -40,9 +40,9 @@ class RasterSpec:
     center_mode: str = "sequence_mean"  # or "none"
 
     def __post_init__(self):
-        for name, minimum in (("width", 16), ("height", 16), ("point_radius", 1), ("line_thickness", 1)):
-            if getattr(self, name) < minimum:
-                raise ConfigError(name, f"must be >= {minimum}, got {getattr(self, name)}")
+        for name in ("width", "height", "point_radius", "line_thickness"):
+            if getattr(self, name) < 1:
+                raise ConfigError(name, f"must be >= 1, got {getattr(self, name)}")
         if self.center_mode not in ("none", "sequence_mean"):
             raise ConfigError("center_mode", f"must be none|sequence_mean, got {self.center_mode!r}")
 
@@ -144,5 +144,5 @@ def render_frames(coords, present, frame_size, spec: RasterSpec) -> np.ndarray:
 
 def rasterize(seq: KeypointSequence, spec: RasterSpec = RasterSpec()) -> RasterClip:
     """Render a keypoint window into T binary images."""
-    frames = render_frames(seq.coords, seq.present, effective_frame_size(seq), spec)
+    frames = render_frames(seq.coords, seq.present, seq.frame_size, spec)
     return RasterClip(frames=frames, label=int(seq.label == "positive"), source=seq, spec=spec)

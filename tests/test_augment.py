@@ -167,13 +167,13 @@ class TestSequenceAugmentation:
         # identical input frames should now differ between timesteps
         assert not np.allclose(coords[0], coords[1])
 
-    def test_per_frame_without_frame_size_zooms_about_window_extent_center(self):
-        # no frame size: every frame turns about half the whole window's
-        # keypoint extent (160 x 60 here), not about its own frame's extent
+    def test_per_frame_zooms_about_frame_center(self):
+        # every frame turns about the center of the window's source frame,
+        # not about its own keypoints
         frames = [[(100.0 + 10 * t, 50.0), (100.0 + 10 * t, 60.0)] for t in range(7)]
-        seq = window_fixture(frames, frame_size=None)
+        seq = window_fixture(frames, frame_size=(640, 480))
         spec = AugmentSpec(rotation_range=(0.0, 0.0), zoom_range=(2.0, 2.0), mode="per_frame")
         coords = augment_coords(seq, spec, np.random.default_rng(0))
-        center = np.array([80.0, 30.0])
+        center = np.array([320.0, 240.0])
         assert np.allclose(coords[seq.present], 2.0 * (seq.coords[seq.present] - center) + center, atol=1e-12)
 

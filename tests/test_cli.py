@@ -1,3 +1,4 @@
+import importlib
 import json
 from pathlib import Path
 
@@ -8,18 +9,16 @@ from stimkit import imageio
 from stimkit.cli import main
 from stimkit.nn.checkpoint import ModelCheckpoint, save_checkpoint
 from stimkit.nn.gradcheck import micro_config
-from stimkit.nn.model import ConvBlock, ModelConfig, init_params
+from stimkit.nn.model import init_params
 
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
-def _servable_checkpoint(path, **metadata):
-    """A T=2, 16x16 model that predict can serve, with the given training metadata."""
-    config = ModelConfig(T=2, height=16, width=16, conv_blocks=(ConvBlock(2),), frame_embedding=4, lstm_hidden=2)
-    meta = {"raster": {"width": 16, "height": 16}, **metadata}
-    save_checkpoint(ModelCheckpoint(config, init_params(config), training_metadata=meta), path)
+def _micro_checkpoint(path, **metadata):
+    """An untrained ``micro_config()`` (T=2, 8x8) checkpoint with the given training metadata."""
+    save_checkpoint(ModelCheckpoint(micro_config(), init_params(micro_config()), training_metadata=metadata), path)
     return path
 
 
@@ -170,6 +169,12 @@ class TestCvCommand:
         printed = capsys.readouterr().out
         assert "mean F1 (windows):" in printed
 
+    def test_k_below_2_exits_2_naming_cv_k(self, mini_run_config, capsys):
+        doc = json.loads(Path(mini_run_config).read_text())
+        Path(mini_run_config).write_text(json.dumps({**doc, "k": 1}))
+        assert run_cli("cv", "-c", mini_run_config) == 2
+        assert "cv.k: need at least 2 folds" in capsys.readouterr().err
+
 
 class TestPredictCommand:
     @pytest.fixture()
@@ -199,28 +204,56 @@ class TestPredictCommand:
         assert run_cli("predict", "-m", cut, "-k", kp) == 2
         assert ": truncated checkpoint" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag, value", [("--T", 1), ("--stride", 0), ("--hop", 0)])
+    @pytest.mark.parametrize("flag, value", [("--hop", 0)])
     def test_window_flag_below_range_exits_2(self, tmp_path, mini_dataset, capsys, flag, value):
-        # --hop 0 once sampled windows forever; --stride 0 repeated one frame
-        ckpt = tmp_path / "micro.ckpt"
-        save_checkpoint(ModelCheckpoint(micro_config(), init_params(micro_config())), ckpt)
+        # --hop 0 once sampled windows forever
+        ckpt = _micro_checkpoint(tmp_path / "micro.ckpt", frame_size=[640, 480])
         kp = Path(mini_dataset).parent / "keypoints" / "synth_000_c00.json"
         assert run_cli("predict", "-m", ckpt, "-k", kp, flag, value) == 2
         assert f"window {flag[2:]} must be >=" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("--T", 2), ("--stride", 3)])
+    def test_window_is_the_trained_window_only(self, tmp_path, mini_dataset, capsys, flag, value):
+        # --stride once served windows at a sampling the model never saw; --T could only repeat config.T
+        ckpt = _micro_checkpoint(tmp_path / "micro.ckpt", frame_size=[640, 480])
+        kp = Path(mini_dataset).parent / "keypoints" / "synth_000_c00.json"
+        assert run_cli("predict", "-m", ckpt, "-k", kp, flag, value) == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+    def test_serves_a_micro_checkpoint_without_raster_metadata(self, tmp_path, mini_dataset, capsys):
+        # the raster defaults to the model's 8x8 input, which once fell below a 16-pixel floor
+        ckpt = _micro_checkpoint(tmp_path / "micro.ckpt")
+        kp = Path(mini_dataset).parent / "keypoints" / "synth_000_c00.json"
+        assert run_cli("predict", "-m", ckpt, "-k", kp, "--frame-width", 640, "--frame-height", 480) == 0
+        lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert lines and all(0.0 < line["probability"] < 1.0 for line in lines)
+
+    def test_checkpoint_of_an_8x8_raster_is_servable(self, mini_dataset, tmp_path, capsys):
+        cfg = {
+            "manifest": str(mini_dataset),
+            "output_dir": str(tmp_path / "out"),
+            "seed": 2,
+            "raster": {"width": 8, "height": 8},
+            "model": {"conv_blocks": [{"filters": 4}], "frame_embedding": 8, "lstm_hidden": 4},
+            "train": {"epochs": 1},
+        }
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("train", "-c", path) == 0
+        kp = Path(mini_dataset).parent / "keypoints" / "synth_000_c00.json"
+        capsys.readouterr()
+        assert run_cli("predict", "-m", tmp_path / "out" / "checkpoint.ckpt", "-k", kp) == 0
+        assert capsys.readouterr().out.count("probability") > 0
+
     def test_unknown_raster_metadata_key_exits_2(self, tmp_path, mini_dataset, capsys):
-        ckpt = tmp_path / "micro.ckpt"
-        meta = {"raster": {"width": 16, "height": 16, "bogus": 1}}
-        save_checkpoint(ModelCheckpoint(micro_config(), init_params(micro_config()), training_metadata=meta), ckpt)
+        ckpt = _micro_checkpoint(tmp_path / "micro.ckpt", raster={"bogus": 1})
         kp = Path(mini_dataset).parent / "keypoints" / "synth_000_c00.json"
         assert run_cli("predict", "-m", ckpt, "-k", kp) == 2
         err = capsys.readouterr().err
         assert "corrupt checkpoint raster metadata" in err and str(ckpt) in err
 
     def test_non_numeric_window_metadata_exits_2(self, tmp_path, mini_dataset, capsys):
-        ckpt = tmp_path / "micro.ckpt"
-        meta = {"window": {"T": "seven"}}
-        save_checkpoint(ModelCheckpoint(micro_config(), init_params(micro_config()), training_metadata=meta), ckpt)
+        ckpt = _micro_checkpoint(tmp_path / "micro.ckpt", window={"T": "seven"})
         kp = Path(mini_dataset).parent / "keypoints" / "synth_000_c00.json"
         assert run_cli("predict", "-m", ckpt, "-k", kp) == 2
         err = capsys.readouterr().err
@@ -229,13 +262,12 @@ class TestPredictCommand:
     @pytest.mark.parametrize(
         "key, value, path",
         [("window", {"hop": 0}, "training_metadata.window.hop"),
-         ("raster", {"width": 16, "height": 16, "center_mode": "median"}, "training_metadata.raster.center_mode"),
+         ("raster", {"center_mode": "median"}, "training_metadata.raster.center_mode"),
          ("raster", {"width": 16, "height": 16}, "training_metadata.raster: 16x16 is not the model's 8x8 input")],
     )
     def test_metadata_rule_violation_exits_2(self, tmp_path, mini_dataset, capsys, key, value, path):
         # the metadata obeys the run config's rules, but is rejected as a corrupt checkpoint
-        ckpt = tmp_path / "micro.ckpt"
-        save_checkpoint(ModelCheckpoint(micro_config(), init_params(micro_config()), training_metadata={key: value}), ckpt)
+        ckpt = _micro_checkpoint(tmp_path / "micro.ckpt", **{key: value})
         kp = Path(mini_dataset).parent / "keypoints" / "synth_000_c00.json"
         assert run_cli("predict", "-m", ckpt, "-k", kp) == 2
         err = capsys.readouterr().err
@@ -244,7 +276,7 @@ class TestPredictCommand:
     @pytest.mark.parametrize("flags", [(), ("--frame-width", 640), ("--frame-height", 480)])
     def test_frame_size_needs_both_flags_or_a_recorded_size(self, tmp_path, mini_dataset, capsys, flags):
         # this checkpoint records no training frame size
-        ckpt = _servable_checkpoint(tmp_path / "small.ckpt")
+        ckpt = _micro_checkpoint(tmp_path / "micro.ckpt")
         kp = Path(mini_dataset).parent / "keypoints" / "synth_000_c00.json"
         assert run_cli("predict", "-m", ckpt, "-k", kp, *flags) == 2
         err = capsys.readouterr().err
@@ -256,7 +288,7 @@ class TestPredictCommand:
         # a NaN output bias once made predict exit 0 printing "probability": NaN
         from stimkit.nn.checkpoint import load_checkpoint
 
-        ckpt = load_checkpoint(_servable_checkpoint(tmp_path / "small.ckpt", frame_size=[640, 480]))
+        ckpt = load_checkpoint(_micro_checkpoint(tmp_path / "micro.ckpt", frame_size=[640, 480]))
         ckpt.parameters["out_b"][:] = value
         bad = tmp_path / "bad.ckpt"
         save_checkpoint(ckpt, bad)
@@ -322,6 +354,32 @@ class TestExitCodes:
         monkeypatch.setattr(evaluate, "train", diverge)
         assert run_cli("train", "-c", mini_run_config) == 3
 
+    def test_divergence_on_the_last_step_exits_3(self, mini_run_config, tmp_path, monkeypatch, capsys):
+        # an infinite gradient on the last step of the last epoch once let train exit 0,
+        # writing a checkpoint of NaN parameters that predict rejects
+        from stimkit.data import build_dataset
+        from stimkit.pose import load_manifest
+
+        doc = json.loads(Path(mini_run_config).read_text())
+        windows = len(build_dataset(load_manifest(doc["manifest"])).windows)
+        steps_per_epoch = -(-windows // doc["train"]["batch_size"])
+        train_module = importlib.import_module("stimkit.nn.train")  # the package re-exports train()
+        real = train_module.backward_batch
+        calls = []
+
+        def backward_batch(*args):
+            grads = real(*args)
+            calls.append(1)
+            if len(calls) == doc["train"]["epochs"] * steps_per_epoch:
+                grads["embed_w"][0, 0] = np.inf
+            return grads
+
+        monkeypatch.setattr(train_module, "backward_batch", backward_batch)
+        assert run_cli("train", "-c", mini_run_config) == 3
+        last = f"epoch {doc['train']['epochs'] - 1} step {steps_per_epoch - 1}: "
+        assert last in capsys.readouterr().err
+        assert not (tmp_path / "out" / "checkpoint.ckpt").exists()
+
     def test_missing_manifest_maps_to_exit_4(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"manifest": "nope.json", "output_dir": "o", "seed": 1}))
@@ -371,7 +429,7 @@ def test_malformed_reader_input_exits_with_contract_code(tmp_path, capsys, reade
         cfg.write_text(json.dumps({"manifest": str(path), "output_dir": str(tmp_path / "out"), "seed": 1}))
         argv = ("train", "-c", cfg)
     elif reader == "keypoints":
-        argv = ("predict", "-m", _servable_checkpoint(tmp_path / "small.ckpt", frame_size=[640, 480]), "-k", path)
+        argv = ("predict", "-m", _micro_checkpoint(tmp_path / "micro.ckpt", frame_size=[640, 480]), "-k", path)
     else:
         argv = ("flowviz", path, path, "-o", tmp_path / "flow")
     assert run_cli(*argv) == code

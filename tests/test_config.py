@@ -65,7 +65,7 @@ class TestRunConfig:
     @pytest.mark.parametrize(
         "section, value, path, reason",
         [
-            ("raster", {"width": 8}, "raster.width", ">= 16"),
+            ("raster", {"width": 0}, "raster.width", ">= 1"),
             ("raster", {"point_radius": 0.5}, "raster.point_radius", ">= 1"),
             ("raster", {"center_mode": "median"}, "raster.center_mode", "none\\|sequence_mean"),
             ("model", {"conv_blocks": [{"filters": 16}, {"kernel": 4}]}, "model.conv_blocks[1].kernel", "odd"),
@@ -76,6 +76,7 @@ class TestRunConfig:
             ("augment", {"mode": "per_pixel"}, "augment.mode", "per_clip\\|per_frame"),
             ("raster", {"center_mode": 5}, "raster.center_mode", "string required"),
             ("augment", {"zoom_range": 2}, "augment.zoom_range", "pair of numbers required"),
+            ("raster", {"width": 10}, "model.conv_blocks", "64x10 not divisible by pooling factor 4"),
         ],
     )
     def test_spec_rule_names_field_path(self, tmp_path, section, value, path, reason):

@@ -235,6 +235,10 @@ class TestRenderArrows:
         with pytest.raises(SizeError):
             render_arrows(dense)
 
+    def test_canvas_size_is_never_guessed_from_the_points(self):
+        with pytest.raises(SizeError, match="background image or a canvas shape"):
+            render_arrows(self._sparse(np.zeros((4, 2))))
+
 
 def bench_texture(side, shift=(0.0, 0.0)):
     """The frame texture of benchmarks/bench_backends.py (two terms, not three)."""

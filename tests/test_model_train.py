@@ -1,9 +1,11 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stimkit.errors import ConfigError, SizeError
+from stimkit.errors import ConfigError, NumericError, SizeError
 from stimkit.nn.gradcheck import micro_config
 from stimkit.nn.model import ConvBlock, ModelConfig, forward, init_params, parameter_count
 from stimkit.nn.optim import TrainConfig, adam_init, adam_step, bce_loss
@@ -189,6 +191,24 @@ class TestTrain:
     def test_empty_set_rejected(self):
         with pytest.raises(ConfigError, match="empty"):
             train(micro_config(), [], TrainConfig(epochs=1))
+
+    def test_infinite_gradient_on_the_last_step_raises(self, monkeypatch):
+        # 20 clips in batches of 8: steps 0-2 of each epoch. An infinite gradient on the very
+        # last step once returned NaN parameters, because only the epoch's mean loss was checked.
+        train_module = importlib.import_module("stimkit.nn.train")  # the package re-exports train()
+        calls = []
+
+        def backward_batch(*args):
+            grads = real(*args)
+            calls.append(1)
+            if len(calls) == 6:
+                grads["out_b"][:] = np.inf
+            return grads
+
+        real = train_module.backward_batch
+        monkeypatch.setattr(train_module, "backward_batch", backward_batch)
+        with pytest.raises(NumericError, match="epoch 1 step 2: .*gradient norm inf"):
+            train(micro_config(), _training_set(), TrainConfig(epochs=2, batch_size=8, seed=1))
 
 
 class TestPredictClassify:

@@ -18,6 +18,7 @@ from stimkit.errors import (
 from stimkit.pose import (
     HEAD_INDICES,
     HEAD_LABELS,
+    KeypointSequence,
     PoseFrame,
     center_sequence,
     filter_head,
@@ -187,32 +188,32 @@ def _heads(n, drop=()):
 
 class TestSampleWindows:
     def test_31_frame_clip_yields_single_window(self):
-        wins = sample_windows(_heads(31), clip_id="c")
+        wins = sample_windows(_heads(31), clip_id="c", frame_size=(640, 480))
         assert len(wins) == 1
         assert wins[0].frame_indices.tolist() == [0, 5, 10, 15, 20, 25, 30]
 
     def test_70_frame_clip_hop_15_starts(self):
-        wins = sample_windows(_heads(70), clip_id="c")
+        wins = sample_windows(_heads(70), clip_id="c", frame_size=(640, 480))
         assert [w.origin_frame for w in wins] == [0, 15, 30]
 
     def test_30_frame_clip_yields_nothing(self, caplog):
         with caplog.at_level("WARNING", logger="stimkit.pose"):
-            wins = sample_windows(_heads(30), clip_id="c")
+            wins = sample_windows(_heads(30), clip_id="c", frame_size=(640, 480))
         assert wins == []
         assert "no windows" in caplog.text
 
     def test_windows_below_valid_fraction_dropped(self):
         # window 0 samples frames 0,5,...,30; empty 3 of them -> 4/7 < 70%
-        wins = sample_windows(_heads(46, drop={0, 5, 10}), clip_id="c")
+        wins = sample_windows(_heads(46, drop={0, 5, 10}), clip_id="c", frame_size=(640, 480))
         assert [w.origin_frame for w in wins] == [15]
 
     def test_mild_occlusion_kept(self):
         # 5 of 7 valid frames passes the 70% rule
-        wins = sample_windows(_heads(31, drop={5, 10}), clip_id="c")
+        wins = sample_windows(_heads(31, drop={5, 10}), clip_id="c", frame_size=(640, 480))
         assert len(wins) == 1
 
     def test_origin_spacing_is_exactly_stride(self):
-        for w in sample_windows(_heads(90), clip_id="c"):
+        for w in sample_windows(_heads(90), clip_id="c", frame_size=(640, 480)):
             diffs = np.diff(w.frame_indices)
             assert np.all(diffs == w.stride)
             assert w.frame_indices[-1] <= 89
@@ -224,6 +225,15 @@ class TestKeypointSequence:
         fc = seq.frame_centroids()
         assert np.array_equal(fc[[0, 2]], [[2.0, 2.0], [5.0, 7.0]])
         assert np.isnan(fc[1]).all()
+
+    def test_frame_size_is_required(self):
+        # no window is drawn without the source frame geometry it came from
+        seq = window_fixture([[(1.0, 2.0)]] * 7)
+        arrays = dict(coords=seq.coords, present=seq.present, confidence=seq.confidence)
+        with pytest.raises(TypeError, match="frame_size"):
+            KeypointSequence("c", "s", "negative", stride=5, origin_frame=0, **arrays)
+        with pytest.raises(TypeError, match="frame_size"):
+            sample_windows(_heads(31), clip_id="c")
 
     def test_mismatched_array_shapes_rejected(self):
         seq = window_fixture([[(1.0, 2.0), (3.0, 4.0)]] * 7)
@@ -260,7 +270,7 @@ class TestCenterSequence:
 
     def test_centroid_lands_on_frame_center(self):
         centered = center_sequence(self._osc(drift=(5.0, 1.0)))
-        assert np.allclose(centered.present_coords().mean(axis=0), [320.0, 240.0], atol=1e-9)
+        assert np.allclose(centered.coords[centered.present].mean(axis=0), [320.0, 240.0], atol=1e-9)
 
     def test_no_present_points_raises(self):
         seq = window_fixture([[None] * 6 for _ in range(7)])

@@ -104,7 +104,8 @@ class TestRasterize:
 
     def test_spec_validation(self):
         with pytest.raises(ValidationError):
-            RasterSpec(width=8)
+            RasterSpec(width=0)
+        assert RasterSpec(width=8, height=8).width == 8  # the model decides which sizes it takes
         with pytest.raises(ValidationError):
             RasterSpec(point_radius=0.5)
         with pytest.raises(ValidationError):
