@@ -31,7 +31,7 @@ from .errors import (
     StimkitError,
     ValidationError,
 )
-from .evaluate import confusion, cross_validate, fit, precision_recall_f1, score
+from .evaluate import check_fold_count, confusion, cross_validate, fit, precision_recall_f1, score
 from .flow import farneback_dense, lucas_kanade_grid
 from .flowviz import flow_to_hsv, render_arrows
 from .nn.checkpoint import load_checkpoint, save_checkpoint
@@ -202,6 +202,7 @@ def cmd_train(args) -> int:
 
 def cmd_cv(args) -> int:
     cfg = load_run_config(args.config)
+    check_fold_count(cfg.k)  # before any keypoint file is read
     manifest = load_manifest(cfg.manifest_path)
     dataset = build_dataset(manifest, cfg.window)
     report = cross_validate(
@@ -270,6 +271,9 @@ def cmd_predict(args) -> int:
     # the checkpoint's training metadata carries the window, raster and frame geometry it was
     # trained with; T and stride are always the trained ones, --hop only picks the windows scored
     params = _metadata_spec(args.model, checkpoint, WindowParams, "window", T=config.T)
+    if params.T != config.T:
+        raise SchemaError(f"{args.model}: corrupt checkpoint window metadata: training_metadata.window.T: "
+                          f"{params.T} is not the model's sequence length {config.T}")
     if args.hop is not None:
         params = replace(params, hop=args.hop)
     spec = _metadata_spec(args.model, checkpoint, RasterSpec, "raster", width=config.width, height=config.height)

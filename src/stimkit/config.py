@@ -56,7 +56,7 @@ def parse_run_config(doc: dict, base_dir: Path) -> RunConfig:
     manifest = json_value(doc["manifest"], "", "manifest")
     output_dir = json_value(doc["output_dir"], "", "output_dir")
     seed = json_value(doc["seed"], 0, "seed")
-    k = json_value(doc.get("k", 3), 0, "k")  # range checked where cv splits the folds
+    k = json_value(doc.get("k", 3), 0, "k")  # range checked by evaluate.check_fold_count, for cv only
 
     holdout = doc.get("holdout_subjects", [])
     if not isinstance(holdout, list) or any(not isinstance(s, str) for s in holdout):

@@ -134,6 +134,12 @@ def mean_fold_f1(f1_scores) -> float:
     return sum(scores) / len(scores)
 
 
+def check_fold_count(k: int) -> None:
+    """The one rule on k: a held-out split needs at least 2 folds."""
+    if k < 2:
+        raise ConfigError("cv.k", f"need at least 2 folds for a held-out split, got {k}")
+
+
 def subject_disjoint_folds(records, k: int = 3, seed: int = 0, weights: Optional[dict] = None) -> FoldPlan:
     """Partition subjects into k folds balanced by window count.
 
@@ -143,8 +149,7 @@ def subject_disjoint_folds(records, k: int = 3, seed: int = 0, weights: Optional
     Heaviest-first keeps a dominant subject from piling onto a fold that
     already has others. All clips of a subject follow it into its fold.
     """
-    if k < 2:
-        raise ConfigError("cv.k", f"need at least 2 folds for a held-out split, got {k}")
+    check_fold_count(k)
     subjects = []
     for r in records:
         if r.subject_id not in subjects:

@@ -27,7 +27,7 @@ def micro_config(seed: int = 0) -> ModelConfig:
 
 
 def _loss(params, config, x, y):
-    p, _ = forward_batch(params, config, x)
+    p, _ = forward_batch(params, config, x, need_cache=False)
     losses, _ = bce_loss(p, y)
     return float(losses.sum())
 

@@ -119,10 +119,12 @@ def parameter_count(params: dict[str, np.ndarray]) -> int:
     return int(sum(p.size for p in params.values()))
 
 
-def forward_batch(params, config: ModelConfig, x):
+def forward_batch(params, config: ModelConfig, x, need_cache: bool = True):
     """Classify a batch of windows.
 
     ``x`` is (B, T, H, W, C); returns (p of shape (B,), cache for backward).
+    ``need_cache=False`` is the inference path: it keeps no layer inputs
+    and takes no pooling argmax, and returns None for the cache.
     """
     batch = x.shape[0]
     expected = (config.T, config.height, config.width, config.channels)
@@ -135,8 +137,9 @@ def forward_batch(params, config: ModelConfig, x):
     for n in range(len(config.conv_blocks)):
         z = ops.conv2d_forward(cur, params[f"conv{n}_w"], params[f"conv{n}_b"])
         a = ops.relu(z)
-        pooled, idx = ops.maxpool2_forward(a)
-        conv_caches.append((cur, z, a.shape, idx))
+        pooled, idx = ops.maxpool2_forward(a, need_argmax=need_cache)
+        if need_cache:
+            conv_caches.append((cur, z, a.shape, idx))
         cur = pooled
 
     flat = cur.reshape(batch * config.T, -1)
@@ -146,6 +149,8 @@ def forward_batch(params, config: ModelConfig, x):
     logit, out_z = ops.dense_forward(h_last, params["out_w"], params["out_b"], "none")
     p = ops.sigmoid(logit[:, 0])
     p = np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
+    if not need_cache:
+        return p, None
     cache = (x.shape, frames.shape, conv_caches, cur.shape, flat, emb_z, h_last, lstm_caches, out_z, p)
     return p, cache
 
@@ -186,5 +191,5 @@ def forward(params, config: ModelConfig, clip_frames) -> float:
     x = np.asarray(clip_frames)
     if x.ndim == 3:
         x = x[:, :, :, None]
-    p, _ = forward_batch(params, config, x[None].astype(params["out_w"].dtype, copy=False))
+    p, _ = forward_batch(params, config, x[None].astype(params["out_w"].dtype, copy=False), need_cache=False)
     return float(p[0])

@@ -6,6 +6,13 @@ float64 for gradient verification. Layout is channels-last: images are
 
 Convolution is same-padded cross-correlation with odd kernels, lowered
 to im2col + matmul (forward, input gradient and weight gradient alike).
+
+2x2 max pooling reads the four strided views ``x[:, i::2, j::2]`` of
+the input and folds them with ``np.maximum``; no block copy is made.
+The argmax that backward routes through is the first view equal to the
+max, and is computed only when asked for. Backward scatters into
+(..., 4, C) blocks with ``put_along_axis``, which measured faster than
+a four-view scatter.
 """
 
 from __future__ import annotations
@@ -73,15 +80,31 @@ def conv2d_backward(x, w, dy, need_dx: bool = True):
     return dx, dw, db
 
 
-def maxpool2_forward(x):
-    """Non-overlapping 2x2 max pool; returns (y, argmax) with ties to the first."""
+def maxpool2_forward(x, need_argmax: bool = True):
+    """Non-overlapping 2x2 max pool; returns (y, argmax) with ties to the first.
+
+    The argmax is int8 0..3 in row-major order within each 2x2 block.
+    ``need_argmax=False`` skips it (returns None), as inference never
+    routes a gradient back.
+    """
     if x.ndim != 4 or x.shape[1] % 2 or x.shape[2] % 2:
         raise SizeError(f"maxpool2 needs (N, even H, even W, C), got {x.shape}")
-    n, h, w, c = x.shape
-    blocks = x.reshape(n, h // 2, 2, w // 2, 2, c).transpose(0, 1, 3, 2, 4, 5).reshape(n, h // 2, w // 2, 4, c)
-    idx = blocks.argmax(axis=3).astype(np.int8)
-    out = np.take_along_axis(blocks, idx[:, :, :, None, :], axis=3)[:, :, :, 0, :]
-    return out, idx
+    v0, v1, v2, v3 = (x[:, i::2, j::2] for i in (0, 1) for j in (0, 1))
+    # np.maximum keeps its second operand on a tie (+0.0 vs -0.0 included),
+    # so each later view goes first and the earliest maximal value survives
+    y = np.maximum(v1, v0)
+    np.maximum(v2, y, out=y)
+    np.maximum(v3, y, out=y)
+    if not need_argmax:
+        return y, None
+    # first view equal to the max: count the leading views that miss it
+    past0 = v0 != y
+    past1 = past0 & (v1 != y)
+    past2 = past1 & (v2 != y)
+    idx = past0.astype(np.int8)
+    idx += past1
+    idx += past2
+    return y, idx
 
 
 def maxpool2_backward(x_shape, idx, dy):

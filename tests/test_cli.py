@@ -175,6 +175,19 @@ class TestCvCommand:
         assert run_cli("cv", "-c", mini_run_config) == 2
         assert "cv.k: need at least 2 folds" in capsys.readouterr().err
 
+    def test_k_below_2_exits_2_before_reading_keypoints(self, mini_dataset, tmp_path, capsys):
+        # a copy of the manifest without its keypoint directory: every clip file is missing
+        manifest = tmp_path / "manifest.json"
+        manifest.write_bytes(Path(mini_dataset).read_bytes())
+        cfg = {"manifest": str(manifest), "output_dir": str(tmp_path / "out"), "seed": 3}
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({**cfg, "k": 2}))
+        assert run_cli("cv", "-c", path) == 4
+        capsys.readouterr()
+        path.write_text(json.dumps({**cfg, "k": 1}))
+        assert run_cli("cv", "-c", path) == 2
+        assert "cv.k: need at least 2 folds" in capsys.readouterr().err
+
 
 class TestPredictCommand:
     @pytest.fixture()
@@ -263,7 +276,8 @@ class TestPredictCommand:
         "key, value, path",
         [("window", {"hop": 0}, "training_metadata.window.hop"),
          ("raster", {"center_mode": "median"}, "training_metadata.raster.center_mode"),
-         ("raster", {"width": 16, "height": 16}, "training_metadata.raster: 16x16 is not the model's 8x8 input")],
+         ("raster", {"width": 16, "height": 16}, "training_metadata.raster: 16x16 is not the model's 8x8 input"),
+         ("window", {"T": 3}, "training_metadata.window.T: 3 is not the model's sequence length 2")],
     )
     def test_metadata_rule_violation_exits_2(self, tmp_path, mini_dataset, capsys, key, value, path):
         # the metadata obeys the run config's rules, but is rejected as a corrupt checkpoint

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from stimkit.errors import ConfigError, NumericError, SizeError
 from stimkit.nn.gradcheck import micro_config
-from stimkit.nn.model import ConvBlock, ModelConfig, forward, init_params, parameter_count
+from stimkit.nn.model import ConvBlock, ModelConfig, forward, forward_batch, init_params, parameter_count
 from stimkit.nn.optim import TrainConfig, adam_init, adam_step, bce_loss
 from stimkit.nn.train import classify, predict, train
 from stimkit.raster import RasterClip
@@ -77,6 +77,19 @@ class TestForward:
         frame = np.random.default_rng(1).random((8, 8))
         clip = np.stack([frame, frame])
         assert forward(params, cfg, clip) == forward(params, cfg, clip[::-1])
+
+    @pytest.mark.parametrize("cfg", [ModelConfig(), micro_config(seed=3)], ids=["default", "micro"])
+    def test_inference_path_matches_training_path_bit_for_bit(self, cfg):
+        rng = np.random.default_rng(4)
+        params = init_params(cfg)
+        shape = (cfg.T, cfg.height, cfg.width, 1)
+        # a sparse binary window, as rasterize draws, whose pools are full of zero ties
+        for window in ((rng.random(shape) < 0.1).astype(np.float32), rng.random(shape).astype(np.float32)):
+            p_train, cache = forward_batch(params, cfg, window[None])
+            p_infer, no_cache = forward_batch(params, cfg, window[None], need_cache=False)
+            assert cache is not None and no_cache is None
+            assert p_infer.tobytes() == p_train.tobytes()
+            assert np.float64(forward(params, cfg, window)).tobytes() == np.float64(p_train[0]).tobytes()
 
     def test_wrong_shape_rejected(self):
         cfg = micro_config()

@@ -66,7 +66,46 @@ class TestConv2d:
             ops.conv2d_forward(np.zeros((1, 4, 4, 1)), np.zeros((2, 2, 1, 1)), np.zeros(1))
 
 
+def _reference_maxpool2_forward(x):
+    # The block-copy pool the four-view kernel replaced: (..., 4, C) blocks,
+    # argmax, then take_along_axis.
+    n, h, w, c = x.shape
+    blocks = x.reshape(n, h // 2, 2, w // 2, 2, c).transpose(0, 1, 3, 2, 4, 5).reshape(n, h // 2, w // 2, 4, c)
+    idx = blocks.argmax(axis=3).astype(np.int8)
+    out = np.take_along_axis(blocks, idx[:, :, :, None, :], axis=3)[:, :, :, 0, :]
+    return out, idx
+
+
 class TestMaxpool2:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(1, 2, 2, 1), (3, 6, 10, 5), (2, 8, 4, 33), (7, 16, 16, 16)])
+    def test_matches_block_copy_reference(self, dtype, shape):
+        # few distinct values, so most blocks hold ties: positive, +0.0 against
+        # -0.0 (equal, but different bytes) and all-negative
+        rng = np.random.default_rng(sum(shape))
+        values = np.array([-3.0, -1.5, -0.0, 0.0, 0.5, 2.0], dtype=dtype)
+        x = rng.choice(values, size=shape)
+        x[0, :2, :2, 0] = -0.0  # a block of equal zeros whose first is -0.0
+        x[-1, :2, :2, -1] = [[0.0, -0.0], [-0.0, 0.0]]
+        want_y, want_idx = _reference_maxpool2_forward(x)
+        y, idx = ops.maxpool2_forward(x)
+        assert y.dtype == dtype and idx.dtype == np.int8
+        assert y.tobytes() == want_y.tobytes()
+        assert idx.tobytes() == want_idx.tobytes()
+        y_only, none = ops.maxpool2_forward(x, need_argmax=False)
+        assert none is None
+        assert y_only.tobytes() == want_y.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_reference_on_random_tensors(self, dtype):
+        rng = np.random.default_rng(9)
+        x = ops.relu(rng.standard_normal((5, 12, 8, 7))).astype(dtype)  # relu leaves zero ties
+        x[1] = -np.abs(x[1]) - 1.0  # all-negative blocks
+        want_y, want_idx = _reference_maxpool2_forward(x)
+        y, idx = ops.maxpool2_forward(x)
+        assert (y.tobytes(), idx.tobytes()) == (want_y.tobytes(), want_idx.tobytes())
+        assert ops.maxpool2_forward(x, need_argmax=False)[0].tobytes() == want_y.tobytes()
+
     def test_constant_image_unchanged(self):
         x = np.full((1, 4, 4, 2), 0.3)
         y, _ = ops.maxpool2_forward(x)
