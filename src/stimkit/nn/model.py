@@ -134,12 +134,13 @@ def forward_batch(params, config: ModelConfig, x, need_cache: bool = True):
 
     conv_caches = []
     cur = frames
-    for n in range(len(config.conv_blocks)):
-        z = ops.conv2d_forward(cur, params[f"conv{n}_w"], params[f"conv{n}_b"])
-        a = ops.relu(z)
+    for n, block in enumerate(config.conv_blocks):
+        # the weight gradient reuses these columns, so the training cache keeps them
+        cols = ops.im2col(cur, block.kernel)
+        a = ops.relu(ops.conv2d_forward(cur, params[f"conv{n}_w"], params[f"conv{n}_b"], cols=cols))
         pooled, idx = ops.maxpool2_forward(a, need_argmax=need_cache)
         if need_cache:
-            conv_caches.append((cur, z, a.shape, idx))
+            conv_caches.append((cur, cols, a.shape, pooled, idx))
         cur = pooled
 
     flat = cur.reshape(batch * config.T, -1)
@@ -177,11 +178,13 @@ def backward_batch(params, config: ModelConfig, cache, dp):
     )
     dcur = dflat.reshape(pooled_shape)
     for n in range(len(config.conv_blocks) - 1, -1, -1):
-        cur_in, z, a_shape, idx = conv_caches[n]
-        da = ops.maxpool2_backward(a_shape, idx, dcur)
-        dz = ops.relu_backward(z, da)
+        cur_in, cols, a_shape, pooled, idx = conv_caches[n]
+        # the pool gradient reaches only each block's argmax, where the
+        # pre-activation is > 0 exactly when the pooled max is: so the ReLU
+        # gradient is taken on the quarter-size pooled array
+        dz = ops.maxpool2_backward(a_shape, idx, ops.relu_backward(pooled, dcur))
         dcur, grads[f"conv{n}_w"], grads[f"conv{n}_b"] = ops.conv2d_backward(
-            cur_in, params[f"conv{n}_w"], dz, need_dx=(n > 0)
+            cur_in, params[f"conv{n}_w"], dz, need_dx=(n > 0), cols=cols
         )
     return grads
 

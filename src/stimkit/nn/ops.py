@@ -6,13 +6,18 @@ float64 for gradient verification. Layout is channels-last: images are
 
 Convolution is same-padded cross-correlation with odd kernels, lowered
 to im2col + matmul (forward, input gradient and weight gradient alike).
+The training forward keeps its patch matrix, and the weight gradient
+reuses it instead of lowering the input again. Single-channel columns
+are built with one plane copy per kernel tap; wider inputs go through
+a sliding-window view, which is faster once a patch row holds whole
+channel vectors.
 
 2x2 max pooling reads the four strided views ``x[:, i::2, j::2]`` of
 the input and folds them with ``np.maximum``; no block copy is made.
 The argmax that backward routes through is the first view equal to the
-max, and is computed only when asked for. Backward scatters into
-(..., 4, C) blocks with ``put_along_axis``, which measured faster than
-a four-view scatter.
+max, and is computed only when asked for. Backward writes each pooled
+gradient at the flat offset of its argmax (block corner plus the
+argmax's row and column step) in a zeroed input-shaped array.
 """
 
 from __future__ import annotations
@@ -39,42 +44,57 @@ def _pad_same(x, half):
     return np.pad(x, ((0, 0), (half, half), (half, half), (0, 0)))
 
 
-def _im2col(xp, k):
+def im2col(x, k):
+    """Same-padded k x k patches of x (N, H, W, Cin) as an (N*H*W, k*k*Cin) matrix.
+
+    Rows run over (n, h, w), columns over (di, dj, cin), matching
+    ``w.reshape(k*k*Cin, Cout)``.
+    """
+    n, h, w, cin = x.shape
+    xp = _pad_same(x, k // 2)
+    if cin == 1:
+        # a patch row is k*k scalars: k*k plane copies beat one 6-D strided copy
+        cols = np.empty((n, h, w, k, k), dtype=x.dtype)
+        for di in range(k):
+            for dj in range(k):
+                cols[:, :, :, di, dj] = xp[:, di : di + h, dj : dj + w, 0]
+        return cols.reshape(n * h * w, k * k)
     # (N, H, W, Cin, k, k) view over the padded image
     patches = sliding_window_view(xp, (k, k), axis=(1, 2))
-    n, h, w = patches.shape[:3]
-    # reorder to (N*H*W, k*k*Cin) matching w.reshape(k*k*Cin, Cout)
     return patches.transpose(0, 1, 2, 4, 5, 3).reshape(n * h * w, -1)
 
 
-def conv2d_forward(x, w, b):
-    """Same-padded cross-correlation; returns y of shape (N, H, W, Cout)."""
+def conv2d_forward(x, w, b, cols=None):
+    """Same-padded cross-correlation; returns y of shape (N, H, W, Cout).
+
+    ``cols`` is ``im2col(x, k)`` when the caller already holds it.
+    """
     _check_conv_shapes(x, w, b)
     k = w.shape[0]
-    half = k // 2
-    xp = _pad_same(x, half)
-    cols = _im2col(xp, k)
+    if cols is None:
+        cols = im2col(x, k)
     y = cols @ w.reshape(-1, w.shape[3]) + b
     return y.reshape(x.shape[:3] + (w.shape[3],)).astype(x.dtype, copy=False)
 
 
-def conv2d_backward(x, w, dy, need_dx: bool = True):
+def conv2d_backward(x, w, dy, need_dx: bool = True, cols=None):
     """Gradients of conv2d_forward: returns (dx, dw, db).
 
     ``need_dx=False`` skips the input gradient (returns None for dx),
-    which the first layer of a network never consumes.
+    which the first layer of a network never consumes. ``cols`` is the
+    forward's ``im2col(x, k)``; without it the input is lowered again.
     """
     k = w.shape[0]
-    half = k // 2
-    xp = _pad_same(x, half)
+    if dy.shape != x.shape[:3] + (w.shape[3],):
+        raise SizeError(f"conv2d gradient has shape {dy.shape}, forward output is {x.shape[:3] + (w.shape[3],)}")
     dx = None
     if need_dx:
         # input gradient: same-padded conv of dy with the rotated kernel
         wrot = np.ascontiguousarray(w[::-1, ::-1].transpose(0, 1, 3, 2))
-        cols_dy = _im2col(_pad_same(dy, half), k)
-        dx = (cols_dy @ wrot.reshape(-1, w.shape[2])).reshape(x.shape).astype(x.dtype, copy=False)
-    cols_x = _im2col(xp, k)
-    dw_flat = cols_x.T @ dy.reshape(-1, w.shape[3])
+        dx = (im2col(dy, k) @ wrot.reshape(-1, w.shape[2])).reshape(x.shape).astype(x.dtype, copy=False)
+    if cols is None:
+        cols = im2col(x, k)
+    dw_flat = cols.T @ dy.reshape(-1, w.shape[3])
     dw = dw_flat.reshape(k, k, w.shape[2], w.shape[3]).astype(w.dtype, copy=False)
     db = dy.sum(axis=(0, 1, 2))
     return dx, dw, db
@@ -110,9 +130,17 @@ def maxpool2_forward(x, need_argmax: bool = True):
 def maxpool2_backward(x_shape, idx, dy):
     """Route pooled gradients back to the argmax positions."""
     n, h, w, c = x_shape
-    dx4 = np.zeros((n, h // 2, w // 2, 4, c), dtype=dy.dtype)
-    np.put_along_axis(dx4, idx[:, :, :, None, :].astype(np.intp), dy[:, :, :, None, :], axis=3)
-    return dx4.reshape(n, h // 2, w // 2, 2, 2, c).transpose(0, 1, 3, 2, 4, 5).reshape(n, h, w, c)
+    if dy.shape != (n, h // 2, w // 2, c) or idx.shape != dy.shape:
+        raise SizeError(f"maxpool2 gradient {dy.shape} and argmax {idx.shape} must match the pooled shape "
+                        f"{(n, h // 2, w // 2, c)} of input {tuple(x_shape)}")
+    # flat offset in the (n, h, w, c) input: the argmax's row/column step,
+    # plus its channel in the block's top-left corner, plus the frame
+    off = np.array([0, c, w * c, w * c + c], dtype=np.intp)[idx]
+    off += np.arange(0, h * w * c, 2 * w * c)[:, None, None] + np.arange(0, w * c, 2 * c)[:, None] + np.arange(c)
+    off += np.arange(0, n * h * w * c, h * w * c)[:, None, None, None]
+    dx = np.zeros(n * h * w * c, dtype=dy.dtype)
+    dx[off.ravel()] = dy.ravel()
+    return dx.reshape(n, h, w, c)
 
 
 def relu(x):

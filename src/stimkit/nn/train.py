@@ -75,9 +75,9 @@ def train(
             grad_norm = math.sqrt(sum(float(np.square(g, dtype=np.float64).sum()) for g in grads.values()))
             params_finite = all(np.isfinite(v).all() for v in params.values())
             if not (math.isfinite(batch_loss) and math.isfinite(grad_norm) and params_finite):
-                state = "finite" if params_finite else "non-finite"
+                finiteness = "finite" if params_finite else "non-finite"
                 raise NumericError(f"training diverged: epoch {epoch} step {step}: batch loss {batch_loss}, "
-                                   f"gradient norm {grad_norm}, {state} parameters after the update")
+                                   f"gradient norm {grad_norm}, {finiteness} parameters after the update")
 
         mean_loss = loss_sum / n
         history.append(mean_loss)

@@ -5,12 +5,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stimkit.augment import AugmentSpec, make_training_augmenter
+from stimkit.data import build_dataset
 from stimkit.errors import ConfigError, NumericError, SizeError
+from stimkit.nn import ops
 from stimkit.nn.gradcheck import micro_config
-from stimkit.nn.model import ConvBlock, ModelConfig, forward, forward_batch, init_params, parameter_count
+from stimkit.nn.lstm import lstm_backward
+from stimkit.nn.model import (
+    ConvBlock,
+    ModelConfig,
+    backward_batch,
+    forward,
+    forward_batch,
+    init_params,
+    parameter_count,
+)
 from stimkit.nn.optim import TrainConfig, adam_init, adam_step, bce_loss
 from stimkit.nn.train import classify, predict, train
-from stimkit.raster import RasterClip
+from stimkit.pose import load_manifest
+from stimkit.raster import RasterClip, RasterSpec, rasterize
+
+from test_nn_ops import _reference_maxpool2_backward
 
 
 def _micro_clip(rng, T=2, size=8):
@@ -106,6 +121,66 @@ class TestForward:
         p = forward(params, cfg, clip)
         assert np.isfinite(p)
         assert 0.0 < p < 1.0
+
+
+def _reference_backward_batch(params, config, cache, dp):
+    # backward_batch from the pieces it replaced: the ReLU gradient on the
+    # full-size pre-activation (recomputed here), the put_along_axis pool
+    # backward, and a conv backward that lowers its input again.
+    (x_shape, frames_shape, conv_caches, pooled_shape, flat, emb_z, h_last, lstm_caches, out_z, p) = cache
+    grads = {}
+    dlogit = (dp * p * (1.0 - p))[:, None]
+    dh_last, grads["out_w"], grads["out_b"] = ops.dense_backward(h_last, params["out_w"], out_z, dlogit, "none")
+    dseq, grads["lstm_wx"], grads["lstm_wh"], grads["lstm_b"] = lstm_backward(
+        dh_last, lstm_caches, params["lstm_wx"], params["lstm_wh"]
+    )
+    demb = dseq.reshape(x_shape[0] * config.T, config.frame_embedding)
+    dflat, grads["embed_w"], grads["embed_b"] = ops.dense_backward(flat, params["embed_w"], emb_z, demb, "relu")
+    dcur = dflat.reshape(pooled_shape)
+    for n in range(len(config.conv_blocks) - 1, -1, -1):
+        cur_in, _, a_shape, _, idx = conv_caches[n]
+        w = params[f"conv{n}_w"]
+        z = ops.conv2d_forward(cur_in, w, params[f"conv{n}_b"])
+        dz = ops.relu_backward(z, _reference_maxpool2_backward(a_shape, idx, dcur))
+        dcur, grads[f"conv{n}_w"], grads[f"conv{n}_b"] = ops.conv2d_backward(cur_in, w, dz, need_dx=(n > 0))
+    return grads
+
+
+def _assert_backward_matches_reference(params, config, x, y):
+    p, cache = forward_batch(params, config, x)
+    _, dp = bce_loss(p, y)
+    dp = dp / len(y)
+    got = backward_batch(params, config, cache, dp)
+    want = _reference_backward_batch(params, config, cache, dp)
+    assert got.keys() == want.keys() == params.keys()
+    for name in params:
+        assert got[name].dtype == want[name].dtype == params[name].dtype, name
+        assert got[name].shape == params[name].shape, name
+        assert got[name].tobytes() == want[name].tobytes(), name
+    # the check is not vacuous: both conv layers get a gradient
+    assert all(np.any(got[f"conv{n}_w"] != 0) for n in range(len(config.conv_blocks)))
+
+
+class TestBackwardBatch:
+    def test_matches_reference_on_augmented_rasters(self, mini_dataset):
+        # binary rasters, so ReLU zeros and pooling ties are common
+        windows = build_dataset(load_manifest(mini_dataset)).windows
+        batch = [windows[i] for i in np.linspace(0, len(windows) - 1, 8).astype(int)]
+        augment = make_training_augmenter(AugmentSpec())
+        rng = np.random.default_rng(0)
+        clips = [augment(rasterize(w, RasterSpec()), rng) for w in batch]
+        x = np.stack([c.frames for c in clips]).astype(np.float32)[:, :, :, :, None]
+        y = np.array([c.label for c in clips], dtype=np.float32)
+        assert 0 < y.sum() < len(y)
+        cfg = ModelConfig()
+        _assert_backward_matches_reference(init_params(cfg), cfg, x, y)
+
+    def test_matches_reference_in_float64(self):
+        cfg = micro_config(seed=2)
+        rng = np.random.default_rng(5)
+        x = np.where(rng.random((6, cfg.T, cfg.height, cfg.width, 1)) < 0.3, rng.random(1), 0.0)
+        y = np.array([0, 1, 1, 0, 1, 0], dtype=np.float64)
+        _assert_backward_matches_reference(init_params(cfg, np.float64), cfg, x, y)
 
 
 class TestBceLoss:

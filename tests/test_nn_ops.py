@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from stimkit.errors import SizeError
 from stimkit.nn import ops
@@ -65,6 +66,58 @@ class TestConv2d:
         with pytest.raises(SizeError, match="odd"):
             ops.conv2d_forward(np.zeros((1, 4, 4, 1)), np.zeros((2, 2, 1, 1)), np.zeros(1))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("cin,cout,k", [(1, 4, 3), (1, 1, 5), (3, 5, 3), (16, 8, 1), (2, 3, 5)])
+    def test_cached_columns_give_the_same_bytes(self, dtype, cin, cout, k):
+        rng = np.random.default_rng(cin * 10 + k)
+        x = (rng.random((3, 6, 8, cin)) < 0.3).astype(dtype)  # binary, as rasters are
+        w = rng.standard_normal((k, k, cin, cout)).astype(dtype)
+        b = rng.standard_normal(cout).astype(dtype)
+        dy = rng.standard_normal((3, 6, 8, cout)).astype(dtype)
+        cols = ops.im2col(x, k)
+        assert ops.conv2d_forward(x, w, b, cols=cols).tobytes() == ops.conv2d_forward(x, w, b).tobytes()
+        for need_dx in (True, False):
+            cached = ops.conv2d_backward(x, w, dy, need_dx, cols=cols)
+            lowered = ops.conv2d_backward(x, w, dy, need_dx)
+            if need_dx:
+                assert cached[0].dtype == dtype and cached[0].tobytes() == lowered[0].tobytes()
+            else:
+                assert cached[0] is None and lowered[0] is None
+            for got, want in zip(cached[1:], lowered[1:]):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_gradient_of_wrong_shape_rejected(self):
+        x, w = np.zeros((2, 4, 4, 1)), np.zeros((3, 3, 1, 2))
+        for dy in (np.zeros((1, 1, 1, 1)), np.zeros((2, 4, 4, 1)), np.zeros((2, 2, 2, 2))):
+            with pytest.raises(SizeError, match="gradient"):
+                ops.conv2d_backward(x, w, dy)
+
+
+def _reference_im2col(x, k):
+    # The sliding-window lowering that the single-channel plane copies replaced.
+    half = k // 2
+    xp = np.pad(x, ((0, 0), (half, half), (half, half), (0, 0)))
+    patches = sliding_window_view(xp, (k, k), axis=(1, 2))
+    n, h, w = patches.shape[:3]
+    return patches.transpose(0, 1, 2, 4, 5, 3).reshape(n * h * w, -1)
+
+
+class TestIm2col:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "shape,k",
+        [((1, 1, 1, 1), 1), ((1, 1, 1, 1), 3), ((2, 5, 7, 1), 3), ((3, 8, 8, 1), 5), ((1, 4, 6, 1), 1),
+         ((2, 6, 4, 3), 3), ((1, 9, 5, 16), 3), ((2, 4, 4, 2), 1), ((1, 3, 3, 4), 5)],
+    )
+    def test_matches_sliding_window_reference(self, dtype, shape, k):
+        rng = np.random.default_rng(sum(shape) + k)
+        x = rng.choice(np.array([-1.5, -0.0, 0.0, 1.0, 2.5], dtype=dtype), size=shape)
+        cols = ops.im2col(x, k)
+        want = _reference_im2col(x, k)
+        assert cols.shape == want.shape == (shape[0] * shape[1] * shape[2], k * k * shape[3])
+        assert cols.dtype == dtype and cols.flags.c_contiguous
+        assert cols.tobytes() == want.tobytes()
+
 
 def _reference_maxpool2_forward(x):
     # The block-copy pool the four-view kernel replaced: (..., 4, C) blocks,
@@ -76,17 +129,34 @@ def _reference_maxpool2_forward(x):
     return out, idx
 
 
+def _reference_maxpool2_backward(x_shape, idx, dy):
+    # The put_along_axis scatter into (..., 4, C) blocks and the transposing
+    # copy back that the flat-index scatter replaced.
+    n, h, w, c = x_shape
+    dx4 = np.zeros((n, h // 2, w // 2, 4, c), dtype=dy.dtype)
+    np.put_along_axis(dx4, idx[:, :, :, None, :].astype(np.intp), dy[:, :, :, None, :], axis=3)
+    return dx4.reshape(n, h // 2, w // 2, 2, 2, c).transpose(0, 1, 3, 2, 4, 5).reshape(n, h, w, c)
+
+
+def _tied_pool_input(dtype, shape):
+    # few distinct values, so most blocks hold ties: positive, +0.0 against
+    # -0.0 (equal, but different bytes) and all-negative
+    rng = np.random.default_rng(sum(shape))
+    values = np.array([-3.0, -1.5, -0.0, 0.0, 0.5, 2.0], dtype=dtype)
+    x = rng.choice(values, size=shape)
+    x[0, :2, :2, 0] = -0.0  # a block of equal zeros whose first is -0.0
+    x[-1, :2, :2, -1] = [[0.0, -0.0], [-0.0, 0.0]]
+    return x
+
+
+POOL_SHAPES = [(1, 2, 2, 1), (3, 6, 10, 5), (2, 8, 4, 33), (7, 16, 16, 16)]
+
+
 class TestMaxpool2:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("shape", [(1, 2, 2, 1), (3, 6, 10, 5), (2, 8, 4, 33), (7, 16, 16, 16)])
+    @pytest.mark.parametrize("shape", POOL_SHAPES)
     def test_matches_block_copy_reference(self, dtype, shape):
-        # few distinct values, so most blocks hold ties: positive, +0.0 against
-        # -0.0 (equal, but different bytes) and all-negative
-        rng = np.random.default_rng(sum(shape))
-        values = np.array([-3.0, -1.5, -0.0, 0.0, 0.5, 2.0], dtype=dtype)
-        x = rng.choice(values, size=shape)
-        x[0, :2, :2, 0] = -0.0  # a block of equal zeros whose first is -0.0
-        x[-1, :2, :2, -1] = [[0.0, -0.0], [-0.0, 0.0]]
+        x = _tied_pool_input(dtype, shape)
         want_y, want_idx = _reference_maxpool2_forward(x)
         y, idx = ops.maxpool2_forward(x)
         assert y.dtype == dtype and idx.dtype == np.int8
@@ -95,6 +165,28 @@ class TestMaxpool2:
         y_only, none = ops.maxpool2_forward(x, need_argmax=False)
         assert none is None
         assert y_only.tobytes() == want_y.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", POOL_SHAPES)
+    def test_backward_matches_put_along_axis_reference(self, dtype, shape):
+        x = _tied_pool_input(dtype, shape)
+        _, idx = ops.maxpool2_forward(x)
+        rng = np.random.default_rng(len(shape) + x.size)
+        dy = rng.choice(np.array([-2.5, -0.0, 0.0, 1.25, 3.0], dtype=dtype), size=idx.shape)
+        dx = ops.maxpool2_backward(x.shape, idx, dy)
+        want = _reference_maxpool2_backward(x.shape, idx, dy)
+        assert dx.shape == x.shape and dx.dtype == dtype and dx.flags.c_contiguous
+        assert dx.tobytes() == want.tobytes()
+
+    def test_gradient_of_wrong_shape_rejected(self):
+        x = np.zeros((2, 4, 4, 3))
+        _, idx = ops.maxpool2_forward(x)
+        # a (1, 1, 1, 1) gradient would broadcast over every block unnoticed
+        for dy in (np.ones((1, 1, 1, 1)), np.ones((2, 2, 2, 1)), np.ones((2, 4, 4, 3))):
+            with pytest.raises(SizeError, match="gradient"):
+                ops.maxpool2_backward(x.shape, idx, dy)
+        with pytest.raises(SizeError, match="argmax"):
+            ops.maxpool2_backward(x.shape, idx[:1], np.ones((2, 2, 2, 3)))
 
     def test_constant_image_unchanged(self):
         x = np.full((1, 4, 4, 2), 0.3)
