@@ -135,9 +135,11 @@ def forward_batch(params, config: ModelConfig, x, need_cache: bool = True):
     conv_caches = []
     cur = frames
     for n, block in enumerate(config.conv_blocks):
-        # the weight gradient reuses these columns, so the training cache keeps them
-        cols = ops.im2col(cur, block.kernel)
-        a = ops.relu(ops.conv2d_forward(cur, params[f"conv{n}_w"], params[f"conv{n}_b"], cols=cols))
+        # the weight gradient reuses these columns, so the training cache keeps
+        # them; without a cache the conv lowers its input a few frames at a time
+        cols = ops.im2col(cur, block.kernel) if need_cache else None
+        a = ops.conv2d_forward(cur, params[f"conv{n}_w"], params[f"conv{n}_b"], cols=cols)
+        np.maximum(a, 0, out=a)  # ReLU without a second full-size array
         pooled, idx = ops.maxpool2_forward(a, need_argmax=need_cache)
         if need_cache:
             conv_caches.append((cur, cols, a.shape, pooled, idx))

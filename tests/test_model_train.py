@@ -1,4 +1,5 @@
 import importlib
+import weakref
 
 import numpy as np
 import pytest
@@ -297,6 +298,24 @@ class TestTrain:
         monkeypatch.setattr(train_module, "backward_batch", backward_batch)
         with pytest.raises(NumericError, match="epoch 1 step 2: .*gradient norm inf"):
             train(micro_config(), _training_set(), TrainConfig(epochs=2, batch_size=8, seed=1))
+
+    def test_previous_step_cache_is_freed_before_the_next_forward(self, monkeypatch):
+        # two steps' columns and pooled outputs alive at once doubled the training peak
+        train_module = importlib.import_module("stimkit.nn.train")
+        real = train_module.forward_batch
+        cached = []
+
+        def forward_batch(params, config, x, need_cache=True):
+            alive = [ref for ref in cached if ref() is not None]
+            assert not alive, f"{len(alive)} cached arrays of the previous step are still alive"
+            p, cache = real(params, config, x, need_cache)
+            conv_caches = cache[2]
+            cached[:] = [weakref.ref(a) for _, cols, _, pooled, idx in conv_caches for a in (cols, pooled, idx)]
+            return p, cache
+
+        monkeypatch.setattr(train_module, "forward_batch", forward_batch)
+        train(micro_config(), _training_set(), TrainConfig(epochs=2, batch_size=8, seed=1))
+        assert len(cached) == 3 * len(micro_config().conv_blocks)
 
 
 class TestPredictClassify:
