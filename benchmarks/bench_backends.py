@@ -12,6 +12,9 @@ import time
 
 import numpy as np
 
+# perfbench/setup_inputs.py draws the flow-pairs frames through this name
+from stimkit.synth import flow_texture as _texture
+
 
 def timeit(fn, reps):
     fn()  # warm-up
@@ -87,14 +90,6 @@ def build_cases(quick):
 def _pool_roundtrip(ops, x):
     y, idx = ops.maxpool2_forward(x)
     ops.maxpool2_backward(x.shape, idx, y)
-
-
-def _texture(side, shift=(0.0, 0.0)):
-    ys, xs = np.mgrid[0:side, 0:side].astype(np.float64)
-    xs -= shift[0]
-    ys -= shift[1]
-    img = np.sin(2 * np.pi * xs / 32) * np.cos(2 * np.pi * ys / 24) + 0.5 * np.sin(2 * np.pi * (xs + ys) / 40)
-    return (img - img.min()) / (img.max() - img.min())
 
 
 def main():

@@ -147,6 +147,8 @@ def _to_u8(img01):
 
 
 def cmd_synth(args) -> int:
+    if args.seed < 0:
+        raise ConfigError("--seed", f"must be >= 0, got {args.seed}")
     manifest = gen_dataset(
         args.out,
         n_subjects=args.subjects,

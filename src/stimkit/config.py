@@ -55,7 +55,12 @@ def parse_run_config(doc: dict, base_dir: Path) -> RunConfig:
             raise ConfigError(key, reason)
     manifest = json_value(doc["manifest"], "", "manifest")
     output_dir = json_value(doc["output_dir"], "", "output_dir")
+    for key, path in (("manifest", manifest), ("output_dir", output_dir)):
+        if "\0" in path:
+            raise ConfigError(key, "a path cannot hold a NUL character")
     seed = json_value(doc["seed"], 0, "seed")
+    if seed < 0:
+        raise ConfigError("seed", f"must be >= 0, got {seed}")
     k = json_value(doc.get("k", 3), 0, "k")  # range checked by evaluate.check_fold_count, for cv only
 
     holdout = doc.get("holdout_subjects", [])

@@ -15,6 +15,19 @@ neighborhood of both frames via Gaussian-weighted least squares, reads
 the displacement from the polynomial coefficients, and refines it with
 warped re-estimation passes, box-averaging the per-pixel systems for
 stability.
+
+Each refinement pass runs in bands of 32 rows (``_BAND_ROWS``): a band's
+warped samples and normal products, then its box-filter sums and its
+solve, so a band's temporaries stay in cache. The output is byte for
+byte that of doing each step over the whole image: every other step is
+per-pixel arithmetic, and the box filter's sums keep numpy's order for
+``sliding_window_view(padded, size, axis).sum(axis=-1)``: down the rows,
++0.0 and then one tap after another; along a row, numpy's pairwise
+summation (``pairwise_sum`` in its add loops), which for 8 to 15 taps
+adds the first 8 as a pairwise tree and then the rest one at a time, and
+for under 8 taps adds them one after another. tests/test_flow.py keeps
+the ``sliding_window_view`` filter as the reference, so a numpy release
+that changes this order fails there.
 """
 
 from __future__ import annotations
@@ -28,6 +41,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import SizeError
 
 DET_EPS = 1e-9
+# rows per band of a dense refinement pass and of its box filter
+_BAND_ROWS = 32
 
 
 @dataclass
@@ -186,9 +201,9 @@ def polynomial_expansion(img, sigma: float = 1.5):
     return axx, ayy, axy, bx, by
 
 
-def _bilinear_taps(sx, sy):
-    """Flat gather indices and weights of bilinear sampling at (sx, sy), clamped to the grid."""
-    h, w = sx.shape
+def _bilinear_taps(sx, sy, shape):
+    """Flat gather indices and weights of bilinear sampling at (sx, sy), clamped to a grid of ``shape``."""
+    h, w = shape
     sx = np.clip(sx, 0.0, w - 1.0)
     sy = np.clip(sy, 0.0, h - 1.0)
     x0 = np.floor(sx).astype(np.intp)
@@ -206,23 +221,85 @@ def _bilinear_grid(field, taps):
     return flat[i00] * gx * gy + flat[i01] * fx * gy + flat[i10] * gx * fy + flat[i11] * fx * fy
 
 
-def _box_sum1d(img, size, axis):
-    half = size // 2
-    pad = [(0, 0), (0, 0)]
-    pad[axis] = (half, half)
-    padded = np.pad(img, pad)  # zeros
-    windows = sliding_window_view(padded, size, axis=axis)
-    return windows.sum(axis=-1)
-
-
-def _box_filter(img, size, counts):
-    """Mean over the size x size window clipped to the image bounds; ``counts`` is _box_counts."""
-    return _box_sum1d(_box_sum1d(img, size, 0), size, 1) / counts
+def _window_counts(n, size):
+    """In-bounds taps of each zero-padded size-tap window along an axis of length n."""
+    starts = np.arange(n + 2 * (size // 2) - size + 1) - size // 2
+    return (np.minimum(starts + size, n) - np.maximum(starts, 0)).astype(np.float64)
 
 
 def _box_counts(shape, size):
     """Pixels inside each clipped size x size window."""
-    return _box_sum1d(_box_sum1d(np.ones(shape), size, 0), size, 1)
+    return np.outer(_window_counts(shape[0], size), _window_counts(shape[1], size))
+
+
+def _column_sums(img, size, r0, out):
+    """Zero-padded size-tap window sums down axis 0 of ``img`` for the output
+    rows starting at r0, in numpy's order for a reduction over that axis:
+    +0.0, then one tap after another. Padding taps are skipped: adding +0.0
+    to a sum that starts at +0.0 changes no bit."""
+    h = img.shape[0]
+    out.fill(0.0)
+    for k in range(size):
+        top = r0 + k - size // 2  # input row of the first output row
+        lo, hi = max(top, 0), min(top + len(out), h)
+        if lo < hi:
+            out[lo - top : hi - top] += img[lo:hi]
+
+
+def _row_sums(p, size, out):
+    """size-tap window sums at every start of the 1D ``p`` (``len(out) ==
+    len(p) - size + 1``), in numpy's order for a last-axis reduction: under
+    8 taps, one after another; 8 to 15 taps, numpy's pairwise summation,
+    which adds the first 8 as ((t0 + t1) + (t2 + t3)) + ((t4 + t5) + (t6 +
+    t7)) and then the rest one at a time. Shifted slices share each level of
+    that tree across window starts. Wider windows are summed by numpy
+    itself. numpy adds each sum to +0.0, which changes only a -0.0, so ``p``
+    must hold none."""
+    m = len(out)
+    if size >= 16:
+        out[:] = sliding_window_view(p, size).sum(axis=-1)
+        return
+    if size < 8:
+        out[:] = p[:m]
+        for k in range(1, size):
+            out += p[k : k + m]
+        return
+    pair = p[:-1] + p[1:]
+    quad = pair[:-2] + pair[2:]
+    np.add(quad[:m], quad[4 : 4 + m], out=out)
+    for k in range(8, size):
+        out += p[k : k + m]
+
+
+def _box_bands(images, size, counts):
+    """Yield ``(rows, means)`` for each band of _BAND_ROWS output rows, where
+    ``means`` holds the mean of each image of the (k, H, W) stack ``images``
+    over the size x size window clipped to the image bounds; ``counts`` is
+    _box_counts. ``means`` is overwritten by the next band.
+
+    The window sums are bytewise those of numpy's ``sliding_window_view(...)
+    .sum(axis=-1)`` down the rows and then along the columns of the
+    zero-padded image. Each band's column sums are laid out as zero-padded
+    rows in one flat buffer, so every row-pass slice is contiguous, and a
+    band's buffers stay in cache.
+    """
+    (h_out, w_out), half = counts.shape, size // 2
+    w = images.shape[2]
+    width = w + 2 * half  # a zero-padded row
+    band = min(_BAND_ROWS, h_out)
+    cols = np.empty((band, w))
+    padded = np.zeros(band * width)
+    sums = np.empty(band * width)
+    means = np.empty((len(images), band, w_out))
+    for r0 in range(0, h_out, band):
+        r = min(band, h_out - r0)
+        flat = padded[: r * width]
+        for img, mean in zip(images, means):
+            _column_sums(img, size, r0, cols[:r])
+            flat.reshape(r, width)[:, half : half + w] = cols[:r]
+            _row_sums(flat, size, sums[: r * width - size + 1])
+            np.divide(sums[: r * width].reshape(r, width)[:, :w_out], counts[r0 : r0 + r], out=mean[:r])
+        yield slice(r0, r0 + r), means[:, :r]
 
 
 def farneback_dense(
@@ -250,32 +327,36 @@ def farneback_dense(
     valid = np.zeros((h, w), dtype=bool)
 
     counts = _box_counts((h, w), avg_window)
+    # the five box-filter inputs: normal products A'A (11, 12, 22) and A'db (1, 2)
+    normal = np.empty((5, h, w))
     xs = np.arange(w)
     ys = np.arange(h)[:, None]
+    bands = [slice(r0, min(r0 + _BAND_ROWS, h)) for r0 in range(0, h, _BAND_ROWS)]
     for _ in range(max(1, iterations)):
-        taps = _bilinear_taps(xs + du, ys + dv)
-        n11 = 0.5 * (a11_1 + _bilinear_grid(a11_2, taps))
-        n12 = 0.5 * (a12_1 + _bilinear_grid(a12_2, taps))
-        n22 = 0.5 * (a22_1 + _bilinear_grid(a22_2, taps))
-        g1 = -0.5 * (_bilinear_grid(bx2, taps) - bx1) + n11 * du + n12 * dv
-        g2 = -0.5 * (_bilinear_grid(by2, taps) - by1) + n12 * du + n22 * dv
-        del taps  # freed before the box-filter temporaries peak
+        for b in bands:
+            taps = _bilinear_taps(xs + du[b], ys[b] + dv[b], (h, w))
+            n11 = 0.5 * (a11_1[b] + _bilinear_grid(a11_2, taps))
+            n12 = 0.5 * (a12_1[b] + _bilinear_grid(a12_2, taps))
+            n22 = 0.5 * (a22_1[b] + _bilinear_grid(a22_2, taps))
+            g1 = -0.5 * (_bilinear_grid(bx2, taps) - bx1[b]) + n11 * du[b] + n12 * dv[b]
+            g2 = -0.5 * (_bilinear_grid(by2, taps) - by1[b]) + n12 * du[b] + n22 * dv[b]
+            # Least squares over the neighborhood: box-average the normal
+            # products A'A and A'db rather than the raw systems, so weak or
+            # sign-flipping pixels cannot cancel their neighbors into a
+            # near-singular average.
+            np.add(n11 * n11, n12 * n12, out=normal[0, b])
+            np.multiply(n12, n11 + n22, out=normal[1, b])
+            np.add(n12 * n12, n22 * n22, out=normal[2, b])
+            np.add(n11 * g1, n12 * g2, out=normal[3, b])
+            np.add(n12 * g1, n22 * g2, out=normal[4, b])
 
-        # Least squares over the neighborhood: box-average the normal
-        # products A'A and A'db rather than the raw systems, so weak or
-        # sign-flipping pixels cannot cancel their neighbors into a
-        # near-singular average.
-        m11 = _box_filter(n11 * n11 + n12 * n12, avg_window, counts)
-        m12 = _box_filter(n12 * (n11 + n22), avg_window, counts)
-        m22 = _box_filter(n12 * n12 + n22 * n22, avg_window, counts)
-        r1 = _box_filter(n11 * g1 + n12 * g2, avg_window, counts)
-        r2 = _box_filter(n12 * g1 + n22 * g2, avg_window, counts)
-
-        # det(A'A) = det(A)^2, so the det-of-A validity threshold squares.
-        det = m11 * m22 - m12 * m12
-        valid = np.abs(det) >= DET_EPS * DET_EPS
-        safe = np.where(valid, det, 1.0)
-        du = np.where(valid, (m22 * r1 - m12 * r2) / safe, 0.0)
-        dv = np.where(valid, (m11 * r2 - m12 * r1) / safe, 0.0)
+        # every band's inputs are written, so du and dv can be overwritten band by band
+        for b, (m11, m12, m22, r1, r2) in _box_bands(normal, avg_window, counts):
+            # det(A'A) = det(A)^2, so the det-of-A validity threshold squares.
+            det = m11 * m22 - m12 * m12
+            valid[b] = np.abs(det) >= DET_EPS * DET_EPS
+            safe = np.where(valid[b], det, 1.0)
+            du[b] = np.where(valid[b], (m22 * r1 - m12 * r2) / safe, 0.0)
+            dv[b] = np.where(valid[b], (m11 * r2 - m12 * r1) / safe, 0.0)
 
     return FlowField.dense(du, dv, valid)

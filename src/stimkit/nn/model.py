@@ -20,6 +20,8 @@ from . import ops
 from .lstm import lstm_backward, lstm_forward
 
 PROB_EPS = 1e-7
+# init_params draws every weight in float64 first; this bounds that draw at 80 MB
+MAX_PARAMETERS = 10**7
 
 
 @dataclass(frozen=True)
@@ -62,6 +64,9 @@ class ModelConfig:
                 "conv_blocks",
                 f"spatial dims {self.height}x{self.width} not divisible by pooling factor {shrink}",
             )
+        count = sum(math.prod(shape) for shape in param_shapes(self).values())
+        if count > MAX_PARAMETERS:
+            raise ConfigError("parameters", f"{count} weights, more than the {MAX_PARAMETERS} allowed")
 
     @property
     def flat_features(self) -> int:

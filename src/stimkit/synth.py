@@ -11,6 +11,9 @@ to come from the oscillation, never from camera motion.
 All randomness flows through per-clip generators derived from
 ``(seed, crc32(clip_id))``, so generation is reproducible and
 order-independent.
+
+``flow_texture`` draws the grayscale frames that the optical-flow
+baselines are measured and tested on.
 """
 
 from __future__ import annotations
@@ -256,3 +259,16 @@ def gen_dataset(
     manifest_path = out_dir / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
     return manifest_path
+
+
+def flow_texture(side: int, shift=(0.0, 0.0)) -> np.ndarray:
+    """A smooth side x side grayscale frame in [0, 1] of two sinusoid terms.
+
+    ``shift`` = (dx, dy) evaluates the same function moved by that many
+    pixels, so two frames differ by a known camera shift.
+    """
+    ys, xs = np.mgrid[0:side, 0:side].astype(np.float64)
+    xs -= shift[0]
+    ys -= shift[1]
+    img = np.sin(2 * np.pi * xs / 32) * np.cos(2 * np.pi * ys / 24) + 0.5 * np.sin(2 * np.pi * (xs + ys) / 40)
+    return (img - img.min()) / (img.max() - img.min())

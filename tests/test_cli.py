@@ -39,6 +39,12 @@ class TestSynthCommand:
         for p in sorted((d1 / "keypoints").iterdir()):
             assert p.read_bytes() == (d2 / "keypoints" / p.name).read_bytes()
 
+    def test_negative_seed_exits_2_naming_flag(self, tmp_path, capsys):
+        # numpy's SeedSequence once rejected it with a raw ValueError: exit 1
+        assert run_cli("synth", "-o", tmp_path / "d", "--subjects", 1, "--seed", -1) == 2
+        assert "--seed: must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
 
 class TestImportCommand:
     def _make_clip_dir(self, root, name, n_frames=3):
@@ -133,6 +139,12 @@ class TestTrainCommand:
         assert run_cli("train", "-c", bad) == 2
         assert "augment.zoom_range" in capsys.readouterr().err
 
+    def test_negative_seed_exits_2_naming_field(self, mini_run_config, capsys):
+        doc = json.loads(Path(mini_run_config).read_text())
+        Path(mini_run_config).write_text(json.dumps({**doc, "seed": -1}))
+        assert run_cli("train", "-c", mini_run_config) == 2
+        assert "seed: must be >= 0" in capsys.readouterr().err
+
     def test_same_config_and_seed_identical_checkpoint_bytes(self, mini_dataset, tmp_path):
         ckpts = []
         for name in ("r1", "r2"):
@@ -174,6 +186,12 @@ class TestCvCommand:
         Path(mini_run_config).write_text(json.dumps({**doc, "k": 1}))
         assert run_cli("cv", "-c", mini_run_config) == 2
         assert "cv.k: need at least 2 folds" in capsys.readouterr().err
+
+    def test_negative_seed_exits_2_naming_field(self, mini_run_config, capsys):
+        doc = json.loads(Path(mini_run_config).read_text())
+        Path(mini_run_config).write_text(json.dumps({**doc, "seed": -1}))
+        assert run_cli("cv", "-c", mini_run_config) == 2
+        assert "seed: must be >= 0" in capsys.readouterr().err
 
     def test_k_below_2_exits_2_before_reading_keypoints(self, mini_dataset, tmp_path, capsys):
         # a copy of the manifest without its keypoint directory: every clip file is missing

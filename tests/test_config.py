@@ -36,6 +36,18 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="seed"):
             load_run_config(_write(tmp_path, doc))
 
+    def test_negative_seed_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match=">= 0") as err:
+            load_run_config(_write(tmp_path, _minimal(seed=-1)))
+        assert err.value.field_path == "seed"
+
+    @pytest.mark.parametrize("field", ["manifest", "output_dir"])
+    def test_nul_in_path_rejected(self, tmp_path, field):
+        # it once escaped as a raw ValueError when the path was opened
+        with pytest.raises(ConfigError, match="NUL") as err:
+            load_run_config(_write(tmp_path, _minimal(**{field: "a\0b"})))
+        assert err.value.field_path == field
+
     def test_bad_zoom_range_names_field_path(self, tmp_path):
         doc = _minimal(augment={"zoom_range": [0.5, 2.0]})
         with pytest.raises(ConfigError) as err:
@@ -77,6 +89,7 @@ class TestRunConfig:
             ("raster", {"center_mode": 5}, "raster.center_mode", "string required"),
             ("augment", {"zoom_range": 2}, "augment.zoom_range", "pair of numbers required"),
             ("raster", {"width": 10}, "model.conv_blocks", "64x10 not divisible by pooling factor 4"),
+            ("model", {"lstm_hidden": 2000}, "model.parameters", "more than the 10000000 allowed"),
         ],
     )
     def test_spec_rule_names_field_path(self, tmp_path, section, value, path, reason):

@@ -1,12 +1,16 @@
 import colorsys
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
+from stimkit import flow
 from stimkit.errors import SizeError
-from stimkit.flow import FlowField, farneback_dense, image_gradients, lucas_kanade_grid
+from stimkit.flow import FlowField, farneback_dense, image_gradients, lucas_kanade_grid, polynomial_expansion
 from stimkit.flowviz import flow_hue_degrees, flow_to_hsv, render_arrows
+from stimkit.synth import flow_texture
 
 
 def texture(h, w, shift=(0.0, 0.0)):
@@ -240,21 +244,12 @@ class TestRenderArrows:
             render_arrows(self._sparse(np.zeros((4, 2))))
 
 
-def bench_texture(side, shift=(0.0, 0.0)):
-    """The frame texture of benchmarks/bench_backends.py (two terms, not three)."""
-    ys, xs = np.mgrid[0:side, 0:side].astype(np.float64)
-    xs -= shift[0]
-    ys -= shift[1]
-    img = np.sin(2 * np.pi * xs / 32) * np.cos(2 * np.pi * ys / 24) + 0.5 * np.sin(2 * np.pi * (xs + ys) / 40)
-    return (img - img.min()) / (img.max() - img.min())
-
-
 class TestPinnedArrows:
     def test_overlay_and_isolation_bytes_are_pinned(self):
         # Arrow images as produced with numpy 2.4.6; pins the segment and
         # dot stamping that render_arrows shares with the rasterizer.
-        prev = bench_texture(96)
-        field = lucas_kanade_grid(prev, bench_texture(96, shift=(1.0, -2.0)))
+        prev = flow_texture(96)
+        field = lucas_kanade_grid(prev, flow_texture(96, shift=(1.0, -2.0)))
         blob = render_arrows(field, background=prev).tobytes() + render_arrows(field, shape=prev.shape).tobytes()
         assert hashlib.sha256(blob).hexdigest() == "6a377ac50a4d89c558e95b04befbb0fa96e02fb1d6665e66448a766451e21e92"
 
@@ -276,8 +271,8 @@ class TestPinnedDense:
         # Dense flow as produced with numpy 2.4.6. The frames are cropped to
         # 72x96 so a height/width mix-up in the expansion, warp or box filter
         # changes the bytes, and a flat strip leaves some pixels invalid.
-        prev = bench_texture(96)[:72]
-        nxt = bench_texture(96, shift=(1.0, -2.0))[:72]
+        prev = flow_texture(96)[:72]
+        nxt = flow_texture(96, shift=(1.0, -2.0))[:72]
         prev[:, :24] = nxt[:, :24] = 0.5
         field = farneback_dense(prev, nxt)
         digests = [hashlib.sha256(a.tobytes()).hexdigest() for a in (field.vectors, field.valid, flow_to_hsv(field))]
@@ -286,3 +281,160 @@ class TestPinnedDense:
             "5c7d24a936dabee99aa9ead972f311b14b2ce2bb3d9d02fd82faac2ce6d9f0cb",
             "ba8580e37788a45e0b3ed9435b98841e7f55863386c6cc46d16c997c6cf3408e",
         ]
+
+
+# The box filter and the dense iteration as they were before row bands,
+# kept as the byte references: one sliding_window_view sum per axis, and
+# every step of an iteration over the whole image at once.
+
+
+def reference_box_sum1d(img, size, axis):
+    half = size // 2
+    pad = [(0, 0), (0, 0)]
+    pad[axis] = (half, half)
+    padded = np.pad(img, pad)  # zeros
+    windows = sliding_window_view(padded, size, axis=axis)
+    return windows.sum(axis=-1)
+
+
+def reference_box_filter(img, size, counts):
+    return reference_box_sum1d(reference_box_sum1d(img, size, 0), size, 1) / counts
+
+
+def reference_box_counts(shape, size):
+    return reference_box_sum1d(reference_box_sum1d(np.ones(shape), size, 0), size, 1)
+
+
+def reference_bilinear_taps(sx, sy):
+    h, w = sx.shape
+    sx = np.clip(sx, 0.0, w - 1.0)
+    sy = np.clip(sy, 0.0, h - 1.0)
+    x0 = np.floor(sx).astype(np.intp)
+    y0 = np.floor(sy).astype(np.intp)
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    fx = sx - x0
+    fy = sy - y0
+    return (y0 * w + x0, y0 * w + x1, y1 * w + x0, y1 * w + x1), (fx, 1 - fx, fy, 1 - fy)
+
+
+def reference_bilinear_grid(field, taps):
+    (i00, i01, i10, i11), (fx, gx, fy, gy) = taps
+    flat = field.ravel()
+    return flat[i00] * gx * gy + flat[i01] * fx * gy + flat[i10] * gx * fy + flat[i11] * fx * fy
+
+
+def reference_farneback(prev, nxt, avg_window, iterations):
+    """(du, dv, valid) of farneback_dense, one whole-image step after another."""
+    h, w = prev.shape
+    axx1, ayy1, axy1, bx1, by1 = polynomial_expansion(prev)
+    axx2, ayy2, axy2, bx2, by2 = polynomial_expansion(nxt)
+    a11_1, a12_1, a22_1 = axx1, 0.5 * axy1, ayy1
+    a11_2, a12_2, a22_2 = axx2, 0.5 * axy2, ayy2
+    du = np.zeros((h, w))
+    dv = np.zeros((h, w))
+    counts = reference_box_counts((h, w), avg_window)
+    xs = np.arange(w)
+    ys = np.arange(h)[:, None]
+    for _ in range(iterations):
+        taps = reference_bilinear_taps(xs + du, ys + dv)
+        n11 = 0.5 * (a11_1 + reference_bilinear_grid(a11_2, taps))
+        n12 = 0.5 * (a12_1 + reference_bilinear_grid(a12_2, taps))
+        n22 = 0.5 * (a22_1 + reference_bilinear_grid(a22_2, taps))
+        g1 = -0.5 * (reference_bilinear_grid(bx2, taps) - bx1) + n11 * du + n12 * dv
+        g2 = -0.5 * (reference_bilinear_grid(by2, taps) - by1) + n12 * du + n22 * dv
+        m11 = reference_box_filter(n11 * n11 + n12 * n12, avg_window, counts)
+        m12 = reference_box_filter(n12 * (n11 + n22), avg_window, counts)
+        m22 = reference_box_filter(n12 * n12 + n22 * n22, avg_window, counts)
+        r1 = reference_box_filter(n11 * g1 + n12 * g2, avg_window, counts)
+        r2 = reference_box_filter(n12 * g1 + n22 * g2, avg_window, counts)
+        det = m11 * m22 - m12 * m12
+        valid = np.abs(det) >= flow.DET_EPS * flow.DET_EPS
+        safe = np.where(valid, det, 1.0)
+        du = np.where(valid, (m22 * r1 - m12 * r2) / safe, 0.0)
+        dv = np.where(valid, (m11 * r2 - m12 * r1) / safe, 0.0)
+    return du, dv, valid
+
+
+# 33, 257 and 72 rows leave a partial last band of 32 rows; 16 rows is under one band
+BAND_SHAPES = [(16, 16), (33, 47), (257, 31), (72, 96)]
+BOX_WIDTHS = list(range(1, 32))
+
+
+def signed_zero_image(shape, seed):
+    """Mixed magnitudes, a run of -0.0 entries and scattered ones."""
+    rng = np.random.default_rng(seed)
+    img = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+    img[rng.random(shape) < 0.2] = -0.0
+    img[: shape[0] // 3, : shape[1] // 3] = -0.0
+    return img
+
+
+class TestBoxFilterBytes:
+    """The banded box filter against the sliding_window_view sums, byte for byte.
+
+    numpy's reduction order is an implementation detail; a numpy upgrade
+    that changes it fails here.
+    """
+
+    @pytest.mark.parametrize("size", BOX_WIDTHS)
+    def test_column_pass_matches_axis0_sum(self, size):
+        for n, shape in enumerate(BAND_SHAPES):
+            img = signed_zero_image(shape, n)
+            ref = reference_box_sum1d(img, size, 0)
+            got = np.empty_like(ref)
+            for r0 in range(0, len(ref), flow._BAND_ROWS):
+                flow._column_sums(img, size, r0, got[r0 : r0 + flow._BAND_ROWS])
+            assert got.tobytes() == ref.tobytes(), shape
+
+    @pytest.mark.parametrize("size", BOX_WIDTHS)
+    def test_row_pass_matches_axis1_sum(self, size):
+        for n, shape in enumerate(BAND_SHAPES):
+            img = signed_zero_image(shape, n) + 0.0  # the row pass is only given sums free of -0.0
+            ref = reference_box_sum1d(img, size, 1)
+            padded = np.pad(img, [(0, 0), (size // 2, size // 2)])
+            sums = np.empty(padded.size)
+            flow._row_sums(padded.ravel(), size, sums[: padded.size - size + 1])
+            got = sums.reshape(padded.shape)[:, : ref.shape[1]]
+            assert got.tobytes() == ref.tobytes(), shape
+
+    @pytest.mark.parametrize("size", BOX_WIDTHS)
+    def test_banded_means_match_box_filter(self, size):
+        for n, shape in enumerate(BAND_SHAPES):
+            images = np.stack([signed_zero_image(shape, n), signed_zero_image(shape, n + 10)])
+            counts = flow._box_counts(shape, size)
+            assert counts.tobytes() == reference_box_counts(shape, size).tobytes()
+            got = np.empty(images.shape[:1] + counts.shape)
+            for rows, means in flow._box_bands(images, size, counts):
+                got[:, rows] = means
+            for img, mean in zip(images, got):
+                assert mean.tobytes() == reference_box_filter(img, size, counts).tobytes(), shape
+
+
+class TestDenseBytes:
+    @pytest.mark.parametrize("iterations", [1, 3])
+    @pytest.mark.parametrize("avg_window", [1, 3, 15, 21])
+    @pytest.mark.parametrize("shape", BAND_SHAPES)
+    def test_banded_iteration_matches_whole_image_steps(self, shape, avg_window, iterations):
+        h, w = shape
+        prev = flow_texture(max(shape))[:h, :w]
+        nxt = flow_texture(max(shape), shift=(1.5, -0.5))[:h, :w]
+        prev[:, : w // 4] = nxt[:, : w // 4] = 0.5  # a flat strip: invalid pixels and zero products
+        u, v, valid = farneback_dense(prev, nxt, avg_window=avg_window, iterations=iterations).grids()
+        ref_u, ref_v, ref_valid = reference_farneback(prev, nxt, avg_window, iterations)
+        assert u.tobytes() == ref_u.tobytes()
+        assert v.tobytes() == ref_v.tobytes()
+        assert valid.tobytes() == ref_valid.tobytes()
+
+    def test_tracemalloc_peak_at_640x480_is_bounded(self):
+        # the whole-image iteration peaked at 96.4 MiB; one gather from a stacked
+        # (5, H*W) copy of the second frame's fields would add ~40 MiB
+        prev = flow_texture(640)[:480]
+        nxt = flow_texture(640, shift=(0.7, -1.1))[:480]
+        tracemalloc.start()
+        try:
+            farneback_dense(prev, nxt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 90 * 2**20

@@ -1,25 +1,31 @@
-"""Fuzz the file readers with arbitrary bytes and with mutated valid files.
+"""Fuzz the file readers with arbitrary bytes and with mutated valid files,
+and the run-config parser with mutated documents.
 
 Whatever the bytes, a reader raises nothing but a ``StimkitError``, and
 the CLI command that reads the file exits 0, 2, 3 or 4 (never 1, an
-escaped exception).
+escaped exception). A run config that the parser accepts also builds
+its fold seeds, model weights and training generator.
 """
 
 import contextlib
 import io
 import json
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stimkit import imageio
 from stimkit.cli import main
+from stimkit.config import parse_run_config
 from stimkit.data import WindowParams
 from stimkit.errors import StimkitError
+from stimkit.evaluate import _fold_seeds
 from stimkit.nn.checkpoint import ModelCheckpoint, load_checkpoint, save_checkpoint
-from stimkit.nn.model import ConvBlock, ModelConfig, init_params
+from stimkit.nn.model import ConvBlock, ModelConfig, init_params, param_shapes
 from stimkit.pose import load_clip_frames, load_manifest
 from stimkit.raster import RasterSpec
 
@@ -142,3 +148,101 @@ def test_checkpoint_reader_raises_only_stimkit_errors(seeds, data):
     path.write_bytes(blob)
     read_quietly(load_checkpoint, path)
     assert run_cli("predict", "-m", path, "-k", seeds / "clip.json") in EXIT_CODES
+
+
+# A valid cv/train run config, small enough that building its model is cheap.
+RUN_DOC = {
+    "manifest": "manifest.json",
+    "output_dir": "out",
+    "seed": 1,
+    "k": 3,
+    "window": {"T": 2, "stride": 1, "hop": 1, "confidence_threshold": 0.1},
+    "raster": {"width": 16, "height": 16, "point_radius": 2.0, "center_mode": "none"},
+    "model": {"conv_blocks": [{"filters": 2, "kernel": 3}], "frame_embedding": 4, "lstm_hidden": 2},
+    "train": {"learning_rate": 0.001, "batch_size": 2, "epochs": 1},
+    "augment": {"rotation_range": [-10.0, 10.0], "zoom_range": [1.0, 1.5]},
+    "holdout_subjects": ["s01"],
+}
+# the most weights an accepted model may have (stimkit.nn.model.MAX_PARAMETERS)
+BUILDABLE_WEIGHTS = 10**7
+# numbers of the right JSON kind but out of range, huge or not finite
+NUMBERS = st.one_of(
+    st.sampled_from([-1, -(2**63), 2**63, 2**64, 10**30, 1e300, -1e300, 0.5, -0.0]),
+    st.integers(-3, 40),
+    st.floats(),
+)
+# wrong JSON kinds, nulls and nested junk
+JUNK = st.one_of(
+    NUMBERS,
+    st.none(),
+    st.booleans(),
+    st.text(max_size=4),
+    st.lists(st.one_of(st.none(), st.integers(-2, 4), st.text(max_size=2)), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.one_of(st.none(), st.integers(-2, 4)), max_size=2),
+)
+
+
+def _paths(doc, prefix=()):
+    """Every path into ``doc``, the root included, as a tuple of keys and indices."""
+    yield prefix
+    children = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in children:
+        yield from _paths(value, prefix + (key,))
+
+
+PATHS = st.sampled_from(list(_paths(RUN_DOC)))
+# (action, path, value): a number or junk in place of the value at path, the key dropped,
+# or an unknown key added beside it
+EDITS = st.lists(
+    st.one_of(
+        st.tuples(st.just("set"), PATHS, NUMBERS),
+        st.tuples(st.just("set"), PATHS, JUNK),
+        st.tuples(st.just("drop"), PATHS, st.none()),
+        st.tuples(st.just("add"), PATHS, st.tuples(st.text(min_size=1, max_size=4), JUNK)),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+def _edited(edits):
+    doc = json.loads(json.dumps(RUN_DOC))
+    for action, path, value in edits:
+        if not path:
+            doc = value if action == "set" else doc
+            continue
+        try:
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            if action == "set":
+                parent[path[-1]] = value
+            elif action == "drop":
+                del parent[path[-1]]
+            else:
+                parent[value[0]] = value[1]
+        except (KeyError, IndexError, TypeError):
+            pass  # an earlier edit removed or replaced the path
+    return doc
+
+
+@settings(max_examples=300)
+@example(edits=[("set", ("seed",), -1)])
+@example(edits=[("set", ("model", "lstm_hidden"), 2**64)])
+@example(edits=[("set", ("model", "conv_blocks", 0, "filters"), 1e300)])
+@example(edits=[("set", ("raster", "width"), 2**64)])
+@given(edits=EDITS)
+def test_run_config_parser_raises_only_stimkit_errors(tmp_path_factory, edits):
+    try:
+        cfg = parse_run_config(_edited(edits), tmp_path_factory.getbasetemp())
+    except StimkitError:
+        return
+    # an accepted config must also build everything that seeds the run, for cv and for train;
+    # its model's size is checked first, so a huge one fails here without being drawn
+    assert sum(math.prod(shape) for shape in param_shapes(cfg.model).values()) <= BUILDABLE_WEIGHTS
+    for fold in range(2):
+        model_seed, train_seed = _fold_seeds(cfg.seed, fold)
+        init_params(replace(cfg.model, seed=model_seed))
+        np.random.Generator(np.random.PCG64(train_seed))
+    init_params(cfg.model)
+    np.random.Generator(np.random.PCG64(cfg.train.seed))
