@@ -167,6 +167,9 @@ def backward_batch(params, config: ModelConfig, cache, dp):
     """Gradients of forward_batch with respect to every parameter.
 
     ``dp`` is dLoss/dp per batch element; returns a dict keyed like params.
+    The cache is used up: each conv block's entry (its columns, pooled
+    output and argmax) is popped once that block's gradient is taken,
+    which lowers a training step's peak memory.
     """
     (x_shape, frames_shape, conv_caches, pooled_shape, flat, emb_z, h_last, lstm_caches, out_z, p) = cache
     batch = x_shape[0]
@@ -185,7 +188,7 @@ def backward_batch(params, config: ModelConfig, cache, dp):
     )
     dcur = dflat.reshape(pooled_shape)
     for n in range(len(config.conv_blocks) - 1, -1, -1):
-        cur_in, cols, a_shape, pooled, idx = conv_caches[n]
+        cur_in, cols, a_shape, pooled, idx = conv_caches.pop()
         # the pool gradient reaches only each block's argmax, where the
         # pre-activation is > 0 exactly when the pooled max is: so the ReLU
         # gradient is taken on the quarter-size pooled array

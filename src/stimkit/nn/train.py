@@ -70,7 +70,7 @@ def train(
             batch_loss = float(losses.sum())
             loss_sum += batch_loss
             grads = backward_batch(params, model_config, cache, dp / len(batch_idx))
-            del cache  # free this step's columns and pooled outputs before the next forward
+            del cache  # free the rest of this step's cache before the next forward
             t += 1
             adam_step(params, grads, state, t, train_config)
             grad_norm = math.sqrt(sum(float(np.square(g, dtype=np.float64).sum()) for g in grads.values()))

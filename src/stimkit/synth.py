@@ -99,12 +99,17 @@ class MotionParams:
         norm = math.hypot(*self.axis)
         if abs(norm - 1.0) > 1e-6:
             raise ValidationError(f"axis must be a unit vector, got {self.axis}")
-        if self.camera_drift_sigma < 0:
-            raise ValidationError("camera_drift_sigma must be >= 0")
+        _check_drift(self.camera_drift_sigma)
 
     @property
     def label(self) -> str:
         return "positive" if self.class_name == "headbanging" else "negative"
+
+
+def _check_drift(sigma: float) -> None:
+    # NaN would pass as no drift (it fails `> 0`) and inf would write NaN coordinates
+    if not 0 <= sigma < math.inf:
+        raise ValidationError(f"camera_drift_sigma must be finite and >= 0, got {sigma}")
 
 
 def clip_rng(seed: int, clip_id: str) -> np.random.Generator:
@@ -159,24 +164,38 @@ def gen_clip(
     template = HEAD_TEMPLATE * profile.head_scale + np.asarray(profile.base_position)
     axis = np.asarray(params.axis)
     amplitude_px = params.amplitude * FRAME_HEIGHT
+    drift, sigma = params.camera_drift_sigma, profile.keypoint_jitter_sigma
 
-    frames = []
-    camera = np.zeros(2)
+    # The draws stay per frame and in this order (camera step, jitter,
+    # dropout, confidence): the generator's stream, and so every written
+    # byte, depends on it. Everything else is computed for all frames at once.
+    steps = np.zeros((n_frames, 2))
+    jitter = np.empty((n_frames, 6, 2)) if sigma > 0 else None
+    dropout_draws = np.empty((n_frames, 6))
+    conf = np.empty((n_frames, 6))
     for t in range(n_frames):
-        if t > 0 and params.camera_drift_sigma > 0:
-            camera = camera + rng.normal(0.0, params.camera_drift_sigma, size=2)
-        osc = amplitude_px * math.sin(2.0 * math.pi * params.frequency * t / fps)
-        pts = template + osc * axis + camera
-        if profile.keypoint_jitter_sigma > 0:
-            pts = pts + rng.normal(0.0, profile.keypoint_jitter_sigma, size=(6, 2))
-        dropped = rng.random(6) < profile.detection_dropout_prob
-        conf = rng.uniform(0.6, 1.0, size=6)
+        if t > 0 and drift > 0:
+            steps[t] = rng.normal(0.0, drift, size=2)
+        if jitter is not None:
+            jitter[t] = rng.normal(0.0, sigma, size=(6, 2))
+        dropout_draws[t] = rng.random(6)
+        conf[t] = rng.uniform(0.6, 1.0, size=6)
 
-        kps = np.zeros((N_BODY_PARTS, 3))
-        for slot, idx in enumerate(HEAD_INDICES):
-            if not dropped[slot]:
-                kps[idx] = (pts[slot, 0], pts[slot, 1], conf[slot])
-        frames.append(PoseFrame(t, kps))
+    # cumsum adds the steps one frame after another, as a running sum would
+    camera = np.cumsum(steps, axis=0)
+    # math.sin as the per-frame loop had it: np.sin's last bit may differ on other builds
+    osc = np.array([amplitude_px * math.sin(2.0 * math.pi * params.frequency * t / fps) for t in range(n_frames)])
+    pts = template + (osc[:, None] * axis)[:, None, :] + camera[:, None, :]
+    if jitter is not None:
+        pts = pts + jitter
+
+    head = np.empty((n_frames, 6, 3))
+    head[:, :, :2] = pts
+    head[:, :, 2] = conf
+    head[dropout_draws < profile.detection_dropout_prob] = 0.0
+    kps = np.zeros((n_frames, N_BODY_PARTS, 3))
+    kps[:, HEAD_INDICES] = head
+    frames = [PoseFrame(t, kps[t]) for t in range(n_frames)]
 
     record = ClipRecord(
         clip_id=clip_id,
@@ -190,9 +209,9 @@ def gen_clip(
 
 
 def _frame_document(frame: PoseFrame) -> dict:
-    flat = []
-    for x, y, c in frame.keypoints:
-        flat.extend((round(float(x), 3), round(float(y), 3), round(float(c), 3)))
+    # most values are absent parts' zeros, which round() would return
+    # unchanged; Python's round on the float, not np.round, fixes the bytes
+    flat = [round(v, 3) if v else v for v in frame.keypoints.ravel().tolist()]
     return {"people": [{"pose_keypoints_2d": flat}] if frame.keypoints[:, 2].any() else []}
 
 
@@ -215,11 +234,12 @@ def gen_dataset(
     the rest negative (stable). Frequency, amplitude, and clip length are
     drawn per clip; camera drift applies equally to both classes.
     """
-    out_dir = Path(out_dir)
-    kp_dir = out_dir / "keypoints"
-    kp_dir.mkdir(parents=True, exist_ok=True)
-
+    if clips_per_subject < 1:
+        raise ValidationError(f"clips_per_subject must be >= 1, got {clips_per_subject}")
+    _check_drift(camera_drift_sigma)
     profiles = gen_profiles(n_subjects, clip_rng(seed, "profiles"))
+    out_dir = Path(out_dir)
+    (out_dir / "keypoints").mkdir(parents=True, exist_ok=True)
     n_positive = clips_per_subject // 2 + clips_per_subject % 2
 
     manifest_clips = []

@@ -45,6 +45,20 @@ class TestSynthCommand:
         assert "--seed: must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize("clips", [0, -2])
+    def test_clips_per_subject_below_one_exits_2_naming_field(self, tmp_path, capsys, clips):
+        # it once exited 0 and wrote a manifest with no clips
+        assert run_cli("synth", "-o", tmp_path / "d", "--clips-per-subject", clips, "--seed", 1) == 2
+        assert f"clips_per_subject must be >= 1, got {clips}" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("drift", ["-1", "nan", "inf"])
+    def test_bad_drift_exits_2_and_writes_nothing(self, tmp_path, capsys, drift):
+        # -1 once left d/keypoints behind; nan wrote drift-free clips and inf NaN coordinates
+        assert run_cli("synth", "-o", tmp_path / "d", "--drift", drift, "--seed", 1) == 2
+        assert "camera_drift_sigma must be finite and >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
 
 class TestImportCommand:
     def _make_clip_dir(self, root, name, n_frames=3):

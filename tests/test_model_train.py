@@ -151,8 +151,8 @@ def _assert_backward_matches_reference(params, config, x, y):
     p, cache = forward_batch(params, config, x)
     _, dp = bce_loss(p, y)
     dp = dp / len(y)
-    got = backward_batch(params, config, cache, dp)
-    want = _reference_backward_batch(params, config, cache, dp)
+    want = _reference_backward_batch(params, config, cache, dp)  # leaves the cache whole
+    got = backward_batch(params, config, cache, dp)  # uses it up
     assert got.keys() == want.keys() == params.keys()
     for name in params:
         assert got[name].dtype == want[name].dtype == params[name].dtype, name
@@ -182,6 +182,35 @@ class TestBackwardBatch:
         x = np.where(rng.random((6, cfg.T, cfg.height, cfg.width, 1)) < 0.3, rng.random(1), 0.0)
         y = np.array([0, 1, 1, 0, 1, 0], dtype=np.float64)
         _assert_backward_matches_reference(init_params(cfg, np.float64), cfg, x, y)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_pops_each_block_once_its_gradient_is_taken(self, monkeypatch, dtype):
+        cfg = ModelConfig(T=2, height=16, width=16, channels=1, conv_blocks=(ConvBlock(4), ConvBlock(6)),
+                          frame_embedding=8, lstm_hidden=4, seed=3)
+        rng = np.random.default_rng(7)
+        x = np.where(rng.random((6, cfg.T, cfg.height, cfg.width, 1)) < 0.3, 1.0, 0.0).astype(dtype)
+        y = np.array([0, 1, 1, 0, 1, 0], dtype=dtype)
+        params = init_params(cfg, dtype)
+        p, cache = forward_batch(params, cfg, x)
+        _, dp = bce_loss(p, y)
+        want = _reference_backward_batch(params, cfg, cache, dp)
+
+        col_refs = [weakref.ref(entry[1]) for entry in cache[2]]
+        real = ops.conv2d_backward
+        dead_at_call = []
+
+        def conv2d_backward(*args, **kwargs):
+            dead_at_call.append([ref() is None for ref in col_refs])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ops, "conv2d_backward", conv2d_backward)
+        got = backward_batch(params, cfg, cache, dp)
+        assert cache[2] == []
+        # block 1's columns are gone by the time block 0's gradient is taken
+        assert dead_at_call == [[False, False], [False, True]]
+        assert got.keys() == want.keys()
+        for name in want:
+            assert got[name].tobytes() == want[name].tobytes(), name
 
 
 class TestBceLoss:

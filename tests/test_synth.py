@@ -6,12 +6,26 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from stimkit.cli import main
 from stimkit.errors import SizeError, ValidationError
-from stimkit.pose import center_sequence, filter_head, load_manifest, sample_windows
+from stimkit.pose import (
+    HEAD_INDICES,
+    N_BODY_PARTS,
+    ClipRecord,
+    PoseFrame,
+    center_sequence,
+    filter_head,
+    load_manifest,
+    sample_windows,
+)
 from stimkit.synth import (
+    CLIP_LENGTH_CHOICES,
+    FPS,
     FRAME_HEIGHT,
+    HEAD_TEMPLATE,
     MotionParams,
     SubjectProfile,
+    _frame_document,
     clip_rng,
     gen_clip,
     gen_dataset,
@@ -29,6 +43,14 @@ def _quiet_profile(**over):
     )
     fields.update(over)
     return SubjectProfile(**fields)
+
+
+def _tree_digest(root):
+    hasher = hashlib.sha256()
+    for p in sorted(Path(root).rglob("*.json")):
+        hasher.update(p.relative_to(root).as_posix().encode())
+        hasher.update(p.read_bytes())
+    return hasher.hexdigest()
 
 
 class TestGenProfiles:
@@ -191,14 +213,7 @@ class TestGenDataset:
         gen_dataset(d1, n_subjects=3, clips_per_subject=2, seed=9)
         gen_dataset(d2, n_subjects=3, clips_per_subject=2, seed=9)
 
-        def digest(root):
-            hasher = hashlib.sha256()
-            for p in sorted(Path(root).rglob("*.json")):
-                hasher.update(p.relative_to(root).as_posix().encode())
-                hasher.update(p.read_bytes())
-            return hasher.hexdigest()
-
-        assert digest(d1) == digest(d2)
+        assert _tree_digest(d1) == _tree_digest(d2)
 
     def test_manifest_loads_and_windows_build(self, mini_dataset):
         from stimkit.data import build_dataset
@@ -207,3 +222,90 @@ class TestGenDataset:
         ds = build_dataset(manifest)
         assert len(ds.windows) > 0
         assert {w.label for w in ds.windows} == {"positive", "negative"}
+
+
+def _reference_gen_clip(profile, params, n_frames, fps, rng, clip_id):
+    # gen_clip as a per-frame loop that fills one (25, 3) array per frame:
+    # the generator the array version must match byte for byte
+    template = HEAD_TEMPLATE * profile.head_scale + np.asarray(profile.base_position)
+    axis = np.asarray(params.axis)
+    amplitude_px = params.amplitude * FRAME_HEIGHT
+    frames = []
+    camera = np.zeros(2)
+    for t in range(n_frames):
+        if t > 0 and params.camera_drift_sigma > 0:
+            camera = camera + rng.normal(0.0, params.camera_drift_sigma, size=2)
+        osc = amplitude_px * math.sin(2.0 * math.pi * params.frequency * t / fps)
+        pts = template + osc * axis + camera
+        if profile.keypoint_jitter_sigma > 0:
+            pts = pts + rng.normal(0.0, profile.keypoint_jitter_sigma, size=(6, 2))
+        dropped = rng.random(6) < profile.detection_dropout_prob
+        conf = rng.uniform(0.6, 1.0, size=6)
+        kps = np.zeros((N_BODY_PARTS, 3))
+        for slot, idx in enumerate(HEAD_INDICES):
+            if not dropped[slot]:
+                kps[idx] = (pts[slot, 0], pts[slot, 1], conf[slot])
+        frames.append(PoseFrame(t, kps))
+    record = ClipRecord(clip_id, profile.subject_id, params.label, fps, "", (0, n_frames - 1))
+    return frames, record
+
+
+def _reference_frame_document(frame):
+    flat = []
+    for x, y, c in frame.keypoints:
+        flat.extend((round(float(x), 3), round(float(y), 3), round(float(c), 3)))
+    return {"people": [{"pose_keypoints_2d": flat}] if frame.keypoints[:, 2].any() else []}
+
+
+_CLIP_CASES = {
+    "default": ({}, {}),
+    "no_jitter": ({"keypoint_jitter_sigma": 0.0}, {}),
+    "no_drift": ({}, {"camera_drift_sigma": 0.0}),
+    "no_jitter_no_drift": ({"keypoint_jitter_sigma": 0.0}, {"camera_drift_sigma": 0.0}),
+    "high_dropout": ({"detection_dropout_prob": 0.45}, {}),
+    "stable": ({}, {"class_name": "stable"}),
+    "diagonal_axis": ({}, {"axis": (0.6, 0.8), "frequency": 2.9}),
+}
+
+
+class TestGenClipBytes:
+    """The array gen_clip and the documents equal the per-frame references byte for byte."""
+
+    @pytest.mark.parametrize("n_frames", sorted({35, *CLIP_LENGTH_CHOICES}))
+    @pytest.mark.parametrize("case", sorted(_CLIP_CASES))
+    def test_frames_documents_and_draws_match_reference(self, case, n_frames):
+        profile_over, params_over = _CLIP_CASES[case]
+        profile = replace(gen_profiles(1, clip_rng(4, "profiles"))[0], **profile_over)
+        params = MotionParams(**{"class_name": "headbanging", "frequency": 1.7, "amplitude": 0.12,
+                                 "camera_drift_sigma": 1.5, **params_over})
+        rng, ref_rng = clip_rng(4, case), clip_rng(4, case)
+        frames, record = gen_clip(profile, params, n_frames, FPS, rng, "c")
+        want_frames, want_record = _reference_gen_clip(profile, params, n_frames, FPS, ref_rng, "c")
+        assert record == want_record
+        assert rng.bit_generator.state == ref_rng.bit_generator.state  # the same draws were taken
+        assert [f.frame_index for f in frames] == list(range(n_frames))
+        for got, want in zip(frames, want_frames, strict=True):
+            assert got.keypoints.shape == (N_BODY_PARTS, 3)
+            assert got.keypoints.tobytes() == want.keypoints.tobytes()
+            # repr, not ==: json writes 0.0 and -0.0 differently
+            assert repr(_frame_document(got)) == repr(_reference_frame_document(want))
+        if case == "high_dropout":
+            assert any((f.keypoints[list(HEAD_INDICES), 2] == 0).any() for f in frames)
+
+    def test_document_keeps_signed_zeros_and_python_rounding(self):
+        rng = np.random.default_rng(0)
+        kps = rng.normal(0.0, 1e-3, size=(N_BODY_PARTS, 3)) * rng.integers(0, 2, size=(N_BODY_PARTS, 3))
+        kps[0] = (-0.0, 0.0, -1e-4)  # -1e-4 rounds to -0.0
+        kps[1] = (0.0005, 2.675, 1.0005)  # halfway in decimal, not in binary
+        kps[2] = (1e300, -5e-324, 123.4565)
+        frame = PoseFrame(0, kps)
+        doc = _frame_document(frame)
+        assert repr(doc) == repr(_reference_frame_document(frame))
+        assert repr(doc["people"][0]["pose_keypoints_2d"][:3]) == "[-0.0, 0.0, -0.0]"
+        empty = PoseFrame.empty(3)
+        assert _frame_document(empty) == _reference_frame_document(empty) == {"people": []}
+
+    def test_default_synth_tree_is_pinned(self, tmp_path):
+        # the digest of what the per-frame generator wrote for `stimkit synth --seed 1`
+        assert main(["synth", "-o", str(tmp_path), "--seed", "1"]) == 0
+        assert _tree_digest(tmp_path) == "0e20b2b3c6b99219720a05e9ff2f67d1b8009b550c6bbb794ac33416f824c0ce"
