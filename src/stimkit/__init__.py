@@ -8,7 +8,3 @@ dense polynomial-expansion flow) are included for comparison rendering.
 """
 
 __version__ = "0.1.0"
-
-from .backend import active_backend
-
-__all__ = ["active_backend", "__version__"]

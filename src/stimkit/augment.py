@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, ValidationError
 from .pose import KeypointSequence
-from .raster import RasterClip, RasterSpec, render_frames
+from .raster import RasterClip, render_frames
 
 
 @dataclass(frozen=True)
@@ -89,19 +89,18 @@ def augment_coords(seq: KeypointSequence, spec: AugmentSpec, rng: np.random.Gene
 def make_training_augmenter(spec: AugmentSpec):
     """Augmenter for the trainer: RasterClip -> freshly augmented RasterClip.
 
-    Requires clips rasterized from keypoint windows (``clip.source`` set);
-    the window's coords go through :func:`augment_coords` and are
-    re-rendered with the clip's own raster geometry, so augmentation
-    happens in exact coordinate space.
+    Requires clips rasterized from keypoint windows (``clip.source`` and
+    ``clip.spec`` set); the window's coords go through
+    :func:`augment_coords` and are re-rendered with the clip's own raster
+    geometry, so augmentation happens in exact coordinate space.
     """
 
     def augment(clip: RasterClip, rng: np.random.Generator) -> RasterClip:
         seq = clip.source
-        if seq is None:
-            raise ValidationError("cannot augment a raster clip without its keypoint source")
-        raster_spec = clip.spec if clip.spec is not None else RasterSpec()
+        if seq is None or clip.spec is None:
+            raise ValidationError("cannot augment a raster clip without its keypoint source and raster spec")
         coords = augment_coords(seq, spec, rng)
-        frames = render_frames(coords, seq.present, seq.frame_size, raster_spec)
-        return RasterClip(frames=frames, label=clip.label, source=seq, spec=raster_spec)
+        frames = render_frames(coords, seq.present, seq.frame_size, clip.spec)
+        return RasterClip(frames=frames, label=clip.label, source=seq, spec=clip.spec)
 
     return augment

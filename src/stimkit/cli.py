@@ -66,6 +66,11 @@ def _write_json(path: Path, obj) -> None:
 
 
 def cmd_import(args) -> int:
+    if not (np.isfinite(args.fps) and args.fps > 0):
+        raise ConfigError("--fps", f"must be finite and > 0, got {args.fps}")
+    for flag, value in (("--frame-width", args.frame_width), ("--frame-height", args.frame_height)):
+        if value < 0:
+            raise ConfigError(flag, f"must be >= 0 (0 infers it), got {value}")
     src = Path(args.openpose_dir)
     if not src.is_dir():
         raise _UsageError(f"{src}: not a directory")

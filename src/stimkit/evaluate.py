@@ -174,15 +174,15 @@ def subject_disjoint_folds(records, k: int = 3, seed: int = 0, weights: Optional
     return FoldPlan(k=k, assignments=assignments, seed=seed)
 
 
-def confusion(preds, labels, threshold: float = 0.5) -> ConfusionMatrix:
-    """Count outcomes; probability exactly at threshold counts negative."""
+def confusion(preds, labels) -> ConfusionMatrix:
+    """Count outcomes, each probability thresholded by :func:`classify`."""
     preds = list(preds)
     labels = list(labels)
     if len(preds) != len(labels):
         raise ConfigError("confusion", f"{len(preds)} predictions vs {len(labels)} labels")
     tp = fp = fn = tn = 0
     for p, y in zip(preds, labels):
-        predicted = 1 if p > threshold else 0
+        predicted = classify(p)
         if predicted and y:
             tp += 1
         elif predicted and not y:

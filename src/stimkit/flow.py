@@ -23,11 +23,10 @@ byte that of doing each step over the whole image: every other step is
 per-pixel arithmetic, and the box filter's sums keep numpy's order for
 ``sliding_window_view(padded, size, axis).sum(axis=-1)``: down the rows,
 +0.0 and then one tap after another; along a row, numpy's pairwise
-summation (``pairwise_sum`` in its add loops), which for 8 to 15 taps
-adds the first 8 as a pairwise tree and then the rest one at a time, and
-for under 8 taps adds them one after another. tests/test_flow.py keeps
-the ``sliding_window_view`` filter as the reference, so a numpy release
-that changes this order fails there.
+summation (``pairwise_sum`` in its add loops), which for the 15-tap
+window adds the first 8 as a pairwise tree and then the rest one at a
+time. tests/test_flow.py keeps the ``sliding_window_view`` filter as the
+reference, so a numpy release that changes this order fails there.
 """
 
 from __future__ import annotations
@@ -41,6 +40,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import SizeError
 
 DET_EPS = 1e-9
+LK_WINDOW = 15  # odd side of the LK summation window
+LK_MIN_EIGEN = 1e-4  # smallest eigenvalue of a trusted LK system
+EXPANSION_SIGMA = 1.5  # Gaussian scale of the polynomial fit
+AVG_WINDOW = 15  # side of the dense box average; _row_sums takes 8 to 15 taps
+ITERATIONS = 3  # dense refinement passes
 # rows per band of a dense refinement pass and of its box filter
 _BAND_ROWS = 32
 
@@ -122,11 +126,11 @@ def _window_sums(field, ys, xs, half, h, w):
     return sat[y1 + 1, x1 + 1] - sat[y0, x1 + 1] - sat[y1 + 1, x0] + sat[y0, x0]
 
 
-def lucas_kanade_grid(prev, nxt, spacing: int = 10, window: int = 15, min_eigen: float = 1e-4) -> FlowField:
+def lucas_kanade_grid(prev, nxt, spacing: int = 10) -> FlowField:
     """Sparse flow on a uniform lattice spaced ``spacing`` pixels apart."""
     prev, nxt = _check_pair(prev, nxt)
-    if spacing < 1 or window < 3 or window % 2 == 0:
-        raise SizeError(f"need spacing >= 1 and odd window >= 3, got {spacing}, {window}")
+    if spacing < 1:
+        raise SizeError(f"need spacing >= 1, got {spacing}")
     h, w = prev.shape
     gx_ys = np.arange(0, h, spacing)
     gx_xs = np.arange(0, w, spacing)
@@ -135,7 +139,7 @@ def lucas_kanade_grid(prev, nxt, spacing: int = 10, window: int = 15, min_eigen:
     avg = 0.5 * (prev + nxt)
     ix, iy = image_gradients(avg)
     it = nxt - prev
-    half = window // 2
+    half = LK_WINDOW // 2
 
     sxx = _window_sums(ix * ix, ys, xs, half, h, w)
     sxy = _window_sums(ix * iy, ys, xs, half, h, w)
@@ -146,7 +150,7 @@ def lucas_kanade_grid(prev, nxt, spacing: int = 10, window: int = 15, min_eigen:
     det = sxx * syy - sxy * sxy
     # rounding can push the symmetric discriminant negative
     lam_min = tr - np.sqrt(np.maximum(tr * tr - det, 0.0))
-    valid = lam_min >= min_eigen
+    valid = lam_min >= LK_MIN_EIGEN
     safe_det = np.where(valid, det, 1.0)
     u = np.where(valid, -(syy * sxt - sxy * syt) / safe_det, 0.0)
     v = np.where(valid, -(sxx * syt - sxy * sxt) / safe_det, 0.0)
@@ -162,14 +166,15 @@ def _correlate1d(img, kernel, axis):
     return windows @ kernel
 
 
-def polynomial_expansion(img, sigma: float = 1.5):
+def polynomial_expansion(img):
     """Quadratic fit coefficients per pixel: returns (axx, ayy, axy, bx, by).
 
     The local model is f(x, y) ~ c + bx*x + by*y + axx*x^2 + ayy*y^2 +
     axy*x*y in offsets from each pixel, fit under a separable Gaussian
-    weight of scale sigma.
+    weight of scale EXPANSION_SIGMA.
     """
     img = _check_image(img)
+    sigma = EXPANSION_SIGMA
     half = max(1, int(round(2.0 * sigma)))
     xs = np.arange(-half, half + 1, dtype=np.float64)
     g = np.exp(-(xs**2) / (2.0 * sigma * sigma))
@@ -248,22 +253,13 @@ def _column_sums(img, size, r0, out):
 
 def _row_sums(p, size, out):
     """size-tap window sums at every start of the 1D ``p`` (``len(out) ==
-    len(p) - size + 1``), in numpy's order for a last-axis reduction: under
-    8 taps, one after another; 8 to 15 taps, numpy's pairwise summation,
-    which adds the first 8 as ((t0 + t1) + (t2 + t3)) + ((t4 + t5) + (t6 +
-    t7)) and then the rest one at a time. Shifted slices share each level of
-    that tree across window starts. Wider windows are summed by numpy
-    itself. numpy adds each sum to +0.0, which changes only a -0.0, so ``p``
-    must hold none."""
+    len(p) - size + 1``), for 8 to 15 taps, in numpy's order for a last-axis
+    reduction: its pairwise summation, which adds the first 8 as ((t0 + t1)
+    + (t2 + t3)) + ((t4 + t5) + (t6 + t7)) and then the rest one at a time.
+    Shifted slices share each level of that tree across window starts.
+    numpy adds each sum to +0.0, which changes only a -0.0, so ``p`` must
+    hold none."""
     m = len(out)
-    if size >= 16:
-        out[:] = sliding_window_view(p, size).sum(axis=-1)
-        return
-    if size < 8:
-        out[:] = p[:m]
-        for k in range(1, size):
-            out += p[k : k + m]
-        return
     pair = p[:-1] + p[1:]
     quad = pair[:-2] + pair[2:]
     np.add(quad[:m], quad[4 : 4 + m], out=out)
@@ -302,23 +298,15 @@ def _box_bands(images, size, counts):
         yield slice(r0, r0 + r), means[:, :r]
 
 
-def farneback_dense(
-    prev,
-    nxt,
-    sigma_expansion: float = 1.5,
-    avg_window: int = 15,
-    iterations: int = 3,
-) -> FlowField:
+def farneback_dense(prev, nxt) -> FlowField:
     """Dense two-frame flow from per-pixel quadratic expansions."""
     prev, nxt = _check_pair(prev, nxt)
     if prev.shape[0] < 16 or prev.shape[1] < 16:
         raise SizeError(f"farneback needs at least 16x16 images, got {prev.shape}")
-    if avg_window < 1 or avg_window % 2 == 0:
-        raise SizeError(f"avg_window must be odd and >= 1, got {avg_window}")
     h, w = prev.shape
 
-    axx1, ayy1, axy1, bx1, by1 = polynomial_expansion(prev, sigma_expansion)
-    axx2, ayy2, axy2, bx2, by2 = polynomial_expansion(nxt, sigma_expansion)
+    axx1, ayy1, axy1, bx1, by1 = polynomial_expansion(prev)
+    axx2, ayy2, axy2, bx2, by2 = polynomial_expansion(nxt)
     a11_1, a12_1, a22_1 = axx1, 0.5 * axy1, ayy1
     a11_2, a12_2, a22_2 = axx2, 0.5 * axy2, ayy2
 
@@ -326,13 +314,13 @@ def farneback_dense(
     dv = np.zeros((h, w))
     valid = np.zeros((h, w), dtype=bool)
 
-    counts = _box_counts((h, w), avg_window)
+    counts = _box_counts((h, w), AVG_WINDOW)
     # the five box-filter inputs: normal products A'A (11, 12, 22) and A'db (1, 2)
     normal = np.empty((5, h, w))
     xs = np.arange(w)
     ys = np.arange(h)[:, None]
     bands = [slice(r0, min(r0 + _BAND_ROWS, h)) for r0 in range(0, h, _BAND_ROWS)]
-    for _ in range(max(1, iterations)):
+    for _ in range(ITERATIONS):
         for b in bands:
             taps = _bilinear_taps(xs + du[b], ys[b] + dv[b], (h, w))
             n11 = 0.5 * (a11_1[b] + _bilinear_grid(a11_2, taps))
@@ -351,7 +339,7 @@ def farneback_dense(
             np.add(n12 * g1, n22 * g2, out=normal[4, b])
 
         # every band's inputs are written, so du and dv can be overwritten band by band
-        for b, (m11, m12, m22, r1, r2) in _box_bands(normal, avg_window, counts):
+        for b, (m11, m12, m22, r1, r2) in _box_bands(normal, AVG_WINDOW, counts):
             # det(A'A) = det(A)^2, so the det-of-A validity threshold squares.
             det = m11 * m22 - m12 * m12
             valid[b] = np.abs(det) >= DET_EPS * DET_EPS

@@ -15,7 +15,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ..errors import ConfigError, SizeError
-from ..spec import build_spec
 from . import ops
 from .lstm import lstm_backward, lstm_forward
 
@@ -75,10 +74,6 @@ class ModelConfig:
 
     def to_dict(self):
         return asdict(self)
-
-    @staticmethod
-    def from_dict(d: dict) -> "ModelConfig":
-        return build_spec(ModelConfig, d, "model")
 
 
 def _glorot(rng, shape, fan_in, fan_out, dtype):
@@ -197,12 +192,3 @@ def backward_batch(params, config: ModelConfig, cache, dp):
             cur_in, params[f"conv{n}_w"], dz, need_dx=(n > 0), cols=cols
         )
     return grads
-
-
-def forward(params, config: ModelConfig, clip_frames) -> float:
-    """Probability for one window of shape (T, H, W) or (T, H, W, C)."""
-    x = np.asarray(clip_frames)
-    if x.ndim == 3:
-        x = x[:, :, :, None]
-    p, _ = forward_batch(params, config, x[None].astype(params["out_w"].dtype, copy=False), need_cache=False)
-    return float(p[0])

@@ -185,14 +185,12 @@ def sigmoid(x):
 
 
 def dense_forward(x, w, b, activation="none"):
-    """Affine map plus activation; x is (N, n), w (n, m), b (m)."""
+    """Affine map plus activation ("relu" or "none"); x is (N, n), w (n, m), b (m)."""
     if x.shape[-1] != w.shape[0] or b.shape[0] != w.shape[1]:
         raise SizeError(f"dense shape mismatch: x{x.shape} w{w.shape} b{b.shape}")
     z = x @ w + b
     if activation == "relu":
         return relu(z), z
-    if activation == "sigmoid":
-        return sigmoid(z), z
     if activation == "none":
         return z, z
     raise SizeError(f"unknown activation {activation!r}")
@@ -200,13 +198,7 @@ def dense_forward(x, w, b, activation="none"):
 
 def dense_backward(x, w, z, dy, activation="none"):
     """Gradients of dense_forward: returns (dx, dw, db)."""
-    if activation == "relu":
-        dz = relu_backward(z, dy)
-    elif activation == "sigmoid":
-        s = sigmoid(z)
-        dz = dy * s * (1 - s)
-    else:
-        dz = dy
+    dz = relu_backward(z, dy) if activation == "relu" else dy
     dx = dz @ w.T
     dw = x.T @ dz
     db = dz.sum(axis=0)

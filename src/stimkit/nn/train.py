@@ -20,7 +20,6 @@ def train(
     train_set: list,
     train_config: TrainConfig,
     augmenter=None,
-    dtype=np.float32,
     allow_single_class: bool = False,
 ):
     """Fit the classifier on a list of RasterClips.
@@ -42,7 +41,7 @@ def train(
     if labels != {0, 1} and not allow_single_class:
         raise ConfigError("train_set", f"need both classes present, got labels {sorted(labels)}")
 
-    params = init_params(model_config, dtype)
+    params = init_params(model_config)
     state = adam_init(params)
     rng = np.random.Generator(np.random.PCG64(train_config.seed))
     n = len(train_set)
@@ -62,8 +61,8 @@ def train(
                     clip = augmenter(clip, rng)
                 xs.append(clip.frames)
                 ys.append(clip.label)
-            x = np.stack(xs).astype(dtype, copy=False)[:, :, :, :, None]
-            y = np.asarray(ys, dtype=dtype)
+            x = np.stack(xs).astype(np.float32, copy=False)[:, :, :, :, None]
+            y = np.asarray(ys, dtype=np.float32)
 
             p, cache = forward_batch(params, model_config, x)
             losses, dp = bce_loss(p, y)
@@ -86,7 +85,7 @@ def train(
 
     checkpoint = ModelCheckpoint(
         config=model_config,
-        parameters={k: v.astype(np.float32) for k, v in params.items()},
+        parameters=params,
         training_metadata={
             "epochs_run": train_config.epochs,
             "final_loss": history[-1] if history else None,
@@ -97,10 +96,10 @@ def train(
 
 
 def predict(checkpoint: ModelCheckpoint, clip_frames) -> float:
-    """Probability that a window shows the positive class."""
-    from .model import forward
-
-    return forward(checkpoint.parameters, checkpoint.config, np.asarray(clip_frames, dtype=np.float32))
+    """Probability that a (T, H, W) window shows the positive class."""
+    x = np.asarray(clip_frames, dtype=np.float32)[None, ..., None]
+    p, _ = forward_batch(checkpoint.parameters, checkpoint.config, x, need_cache=False)
+    return float(p[0])
 
 
 def classify(p: float) -> int:

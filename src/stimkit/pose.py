@@ -287,6 +287,7 @@ def load_clip_frames(path, frame_range: Optional[tuple[int, int]] = None) -> lis
 
 _MANIFEST_CLIP_FIELDS = ("id", "subject", "label", "fps", "keypoints", "start_frame", "end_frame")
 _MANIFEST_NUMBERS = (("fps", 0.0), ("start_frame", 0), ("end_frame", 0))  # field, default of its JSON kind
+_MANIFEST_HEADER = ("version", "frame_width", "frame_height")  # integers
 
 
 def load_manifest(path) -> Manifest:
@@ -298,10 +299,14 @@ def load_manifest(path) -> Manifest:
         raise SchemaError(f"{path}: malformed JSON at byte {e.offset}: {e.reason}") from e
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: manifest must be a JSON object")
-    if doc.get("version") != 1:
-        raise SchemaError(f"{path}: field 'version': expected 1, got {doc.get('version')!r}")
-    for dim in ("frame_width", "frame_height"):
-        if not isinstance(doc.get(dim), int) or doc[dim] <= 0:
+    try:
+        version, width, height = (json_value(doc.get(f), 0, f) for f in _MANIFEST_HEADER)
+    except ConfigError as e:
+        raise SchemaError(f"{path}: field '{e.field_path}': {e.reason}") from e
+    if version != 1:
+        raise SchemaError(f"{path}: field 'version': expected 1, got {doc['version']!r}")
+    for dim, value in (("frame_width", width), ("frame_height", height)):
+        if value <= 0:
             raise SchemaError(f"{path}: field '{dim}': positive integer required")
     if "clips" not in doc or not isinstance(doc["clips"], list):
         raise SchemaError(f"{path}: field 'clips': array required")
@@ -332,12 +337,7 @@ def load_manifest(path) -> Manifest:
                 frame_range=(start, end),
             )
         )
-    return Manifest(
-        frame_width=doc["frame_width"],
-        frame_height=doc["frame_height"],
-        clips=tuple(records),
-        base_dir=path.parent,
-    )
+    return Manifest(frame_width=width, frame_height=height, clips=tuple(records), base_dir=path.parent)
 
 
 def filter_head(frame: PoseFrame, confidence_threshold: float = DEFAULT_CONFIDENCE_THRESHOLD) -> HeadPose:

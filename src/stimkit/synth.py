@@ -142,22 +142,19 @@ def gen_clip(
     profile: SubjectProfile,
     params: MotionParams,
     n_frames: int,
-    fps: float = FPS,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
     clip_id: str | None = None,
 ) -> tuple[list[PoseFrame], ClipRecord]:
     """Generate one clip's pose frames plus its manifest record.
 
     The head template sits at the subject's base position; positive clips
-    add ``A * sin(2*pi*f*t/fps)`` along the motion axis to the whole
+    add ``A * sin(2*pi*f*t/FPS)`` along the motion axis to the whole
     cluster. The camera random walk translates every keypoint of a frame
     by the same offset. The record's keypoint_source is left empty until
     the clip is written to disk.
     """
     if n_frames < 35:
         raise SizeError(f"n_frames must be >= 35 (one full window), got {n_frames}")
-    if rng is None:
-        rng = np.random.default_rng(0)
     if clip_id is None:
         clip_id = f"{profile.subject_id}_clip"
 
@@ -184,7 +181,7 @@ def gen_clip(
     # cumsum adds the steps one frame after another, as a running sum would
     camera = np.cumsum(steps, axis=0)
     # math.sin as the per-frame loop had it: np.sin's last bit may differ on other builds
-    osc = np.array([amplitude_px * math.sin(2.0 * math.pi * params.frequency * t / fps) for t in range(n_frames)])
+    osc = np.array([amplitude_px * math.sin(2.0 * math.pi * params.frequency * t / FPS) for t in range(n_frames)])
     pts = template + (osc[:, None] * axis)[:, None, :] + camera[:, None, :]
     if jitter is not None:
         pts = pts + jitter
@@ -201,7 +198,7 @@ def gen_clip(
         clip_id=clip_id,
         subject_id=profile.subject_id,
         label=params.label,
-        fps=fps,
+        fps=FPS,
         keypoint_source="",
         frame_range=(0, n_frames - 1),
     )
@@ -255,7 +252,7 @@ def gen_dataset(
                 camera_drift_sigma=camera_drift_sigma,
             )
             n_frames = int(rng.choice(CLIP_LENGTH_CHOICES))
-            frames, record = gen_clip(profile, params, n_frames, FPS, rng, clip_id)
+            frames, record = gen_clip(profile, params, n_frames, rng, clip_id)
             rel_path = f"keypoints/{clip_id}.json"
             write_clip(frames, out_dir / rel_path)
             manifest_clips.append(

@@ -160,6 +160,12 @@ class TestSequenceAugmentation:
         with pytest.raises(ValidationError, match="keypoint source"):
             make_training_augmenter(AugmentSpec())(clip, np.random.default_rng(0))
 
+    def test_augmenter_requires_raster_spec(self):
+        # a clip without its spec was once re-rendered at the default RasterSpec
+        clip = replace(rasterize(_window(), RasterSpec(32, 32)), spec=None)
+        with pytest.raises(ValidationError, match="raster spec"):
+            make_training_augmenter(AugmentSpec())(clip, np.random.default_rng(0))
+
     def test_per_frame_mode_draws_independently(self):
         seq = _window(osc=0.0)
         spec = AugmentSpec(mode="per_frame")

@@ -1,4 +1,3 @@
-import importlib
 import json
 from pathlib import Path
 
@@ -98,6 +97,18 @@ class TestImportCommand:
         src = tmp_path / "empty"
         src.mkdir()
         assert run_cli("import", src, "-o", tmp_path / "out") == 2
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--fps", "nan"), ("--fps", "0"), ("--fps", "-1"), ("--frame-width", "-5"), ("--frame-height", "-5")],
+    )
+    def test_bad_flag_exits_2_before_the_output_dir_is_made(self, tmp_path, capsys, flag, value):
+        # each once exited 0, writing a manifest that load_manifest rejects
+        src = tmp_path / "src"
+        self._make_clip_dir(src, "clip_a")
+        assert run_cli("import", src, "-o", tmp_path / "out", flag, value) == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestFlowvizCommand:
@@ -404,12 +415,12 @@ class TestExitCodes:
         # an infinite gradient on the last step of the last epoch once let train exit 0,
         # writing a checkpoint of NaN parameters that predict rejects
         from stimkit.data import build_dataset
+        from stimkit.nn import train as train_module
         from stimkit.pose import load_manifest
 
         doc = json.loads(Path(mini_run_config).read_text())
         windows = len(build_dataset(load_manifest(doc["manifest"])).windows)
         steps_per_epoch = -(-windows // doc["train"]["batch_size"])
-        train_module = importlib.import_module("stimkit.nn.train")  # the package re-exports train()
         real = train_module.backward_batch
         calls = []
 

@@ -1,10 +1,11 @@
 """Fuzz the file readers with arbitrary bytes and with mutated valid files,
-and the run-config parser with mutated documents.
+and the run-config parser and the manifest loader with mutated documents.
 
 Whatever the bytes, a reader raises nothing but a ``StimkitError``, and
 the CLI command that reads the file exits 0, 2, 3 or 4 (never 1, an
 escaped exception). A run config that the parser accepts also builds
-its fold seeds, model weights and training generator.
+its fold seeds, model weights and training generator; a manifest that
+loads has a positive integer frame size and positive finite frame rates.
 """
 
 import contextlib
@@ -190,23 +191,24 @@ def _paths(doc, prefix=()):
         yield from _paths(value, prefix + (key,))
 
 
-PATHS = st.sampled_from(list(_paths(RUN_DOC)))
-# (action, path, value): a number or junk in place of the value at path, the key dropped,
-# or an unknown key added beside it
-EDITS = st.lists(
-    st.one_of(
-        st.tuples(st.just("set"), PATHS, NUMBERS),
-        st.tuples(st.just("set"), PATHS, JUNK),
-        st.tuples(st.just("drop"), PATHS, st.none()),
-        st.tuples(st.just("add"), PATHS, st.tuples(st.text(min_size=1, max_size=4), JUNK)),
-    ),
-    min_size=1,
-    max_size=3,
-)
+def _edits(doc):
+    """1-3 edits of ``doc``, each (action, path, value): a number or junk in place of
+    the value at path, the key dropped, or an unknown key added beside it."""
+    paths = st.sampled_from(list(_paths(doc)))
+    return st.lists(
+        st.one_of(
+            st.tuples(st.just("set"), paths, NUMBERS),
+            st.tuples(st.just("set"), paths, JUNK),
+            st.tuples(st.just("drop"), paths, st.none()),
+            st.tuples(st.just("add"), paths, st.tuples(st.text(min_size=1, max_size=4), JUNK)),
+        ),
+        min_size=1,
+        max_size=3,
+    )
 
 
-def _edited(edits):
-    doc = json.loads(json.dumps(RUN_DOC))
+def _edited(edits, base=RUN_DOC):
+    doc = json.loads(json.dumps(base))
     for action, path, value in edits:
         if not path:
             doc = value if action == "set" else doc
@@ -231,7 +233,7 @@ def _edited(edits):
 @example(edits=[("set", ("model", "lstm_hidden"), 2**64)])
 @example(edits=[("set", ("model", "conv_blocks", 0, "filters"), 1e300)])
 @example(edits=[("set", ("raster", "width"), 2**64)])
-@given(edits=EDITS)
+@given(edits=_edits(RUN_DOC))
 def test_run_config_parser_raises_only_stimkit_errors(tmp_path_factory, edits):
     try:
         cfg = parse_run_config(_edited(edits), tmp_path_factory.getbasetemp())
@@ -246,3 +248,32 @@ def test_run_config_parser_raises_only_stimkit_errors(tmp_path_factory, edits):
         np.random.Generator(np.random.PCG64(train_seed))
     init_params(cfg.model)
     np.random.Generator(np.random.PCG64(cfg.train.seed))
+
+
+# A valid manifest; load_manifest checks its clip records without reading their keypoints.
+MANIFEST_DOC = {
+    "version": 1,
+    "frame_width": 640,
+    "frame_height": 480,
+    "clips": [
+        {"id": "a", "subject": "s01", "label": "positive", "fps": 30.0, "keypoints": "a.json",
+         "start_frame": 0, "end_frame": 74},
+        {"id": "b", "subject": "s02", "label": "negative", "fps": 25, "keypoints": "b.json",
+         "start_frame": 5, "end_frame": 60},
+    ],
+}
+
+
+@settings(max_examples=300)
+@example(edits=[("set", ("frame_height",), True)])
+@given(edits=_edits(MANIFEST_DOC))
+def test_manifest_loader_raises_only_stimkit_errors(tmp_path_factory, edits):
+    path = tmp_path_factory.getbasetemp() / "edited_manifest.json"
+    path.write_text(json.dumps(_edited(edits, MANIFEST_DOC)))
+    try:
+        manifest = load_manifest(path)
+    except StimkitError:
+        return
+    assert type(manifest.frame_width) is int and type(manifest.frame_height) is int
+    assert manifest.frame_width > 0 and manifest.frame_height > 0
+    assert all(math.isfinite(clip.fps) and clip.fps > 0 for clip in manifest.clips)

@@ -1,4 +1,3 @@
-import importlib
 import weakref
 
 import numpy as np
@@ -10,13 +9,13 @@ from stimkit.augment import AugmentSpec, make_training_augmenter
 from stimkit.data import build_dataset
 from stimkit.errors import ConfigError, NumericError, SizeError
 from stimkit.nn import ops
+from stimkit.nn import train as train_module
 from stimkit.nn.gradcheck import micro_config
 from stimkit.nn.lstm import lstm_backward
 from stimkit.nn.model import (
     ConvBlock,
     ModelConfig,
     backward_batch,
-    forward,
     forward_batch,
     init_params,
     parameter_count,
@@ -25,8 +24,15 @@ from stimkit.nn.optim import TrainConfig, adam_init, adam_step, bce_loss
 from stimkit.nn.train import classify, predict, train
 from stimkit.pose import load_manifest
 from stimkit.raster import RasterClip, RasterSpec, rasterize
+from stimkit.spec import build_spec
 
 from test_nn_ops import _reference_maxpool2_backward
+
+
+def forward(params, config, clip_frames):
+    """Probability for one (T, H, W) window, through forward_batch's scoring path."""
+    x = np.asarray(clip_frames, dtype=params["out_w"].dtype)[None, ..., None]
+    return float(forward_batch(params, config, x, need_cache=False)[0][0])
 
 
 def _micro_clip(rng, T=2, size=8):
@@ -74,7 +80,7 @@ class TestModelConfig:
 
     def test_roundtrip_through_dict(self):
         cfg = ModelConfig(T=3, conv_blocks=(ConvBlock(4),), frame_embedding=8, lstm_hidden=4, seed=9)
-        assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+        assert build_spec(ModelConfig, cfg.to_dict(), "model") == cfg
 
 
 class TestForward:
@@ -105,7 +111,7 @@ class TestForward:
             p_infer, no_cache = forward_batch(params, cfg, window[None], need_cache=False)
             assert cache is not None and no_cache is None
             assert p_infer.tobytes() == p_train.tobytes()
-            assert np.float64(forward(params, cfg, window)).tobytes() == np.float64(p_train[0]).tobytes()
+            assert np.float64(forward(params, cfg, window[..., 0])).tobytes() == np.float64(p_train[0]).tobytes()
 
     def test_wrong_shape_rejected(self):
         cfg = micro_config()
@@ -313,7 +319,6 @@ class TestTrain:
     def test_infinite_gradient_on_the_last_step_raises(self, monkeypatch):
         # 20 clips in batches of 8: steps 0-2 of each epoch. An infinite gradient on the very
         # last step once returned NaN parameters, because only the epoch's mean loss was checked.
-        train_module = importlib.import_module("stimkit.nn.train")  # the package re-exports train()
         calls = []
 
         def backward_batch(*args):
@@ -330,7 +335,6 @@ class TestTrain:
 
     def test_previous_step_cache_is_freed_before_the_next_forward(self, monkeypatch):
         # two steps' columns and pooled outputs alive at once doubled the training peak
-        train_module = importlib.import_module("stimkit.nn.train")
         real = train_module.forward_batch
         cached = []
 

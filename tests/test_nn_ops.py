@@ -325,11 +325,7 @@ class TestDense:
         y, _ = ops.dense_forward(x, np.eye(5), np.zeros(5), "none")
         assert np.allclose(y, x, atol=1e-12)
 
-    def test_sigmoid_at_zero_is_half(self):
-        y, _ = ops.dense_forward(np.zeros((1, 3)), np.zeros((3, 2)), np.zeros(2), "sigmoid")
-        assert np.allclose(y, 0.5)
-
-    @pytest.mark.parametrize("activation", ["none", "relu", "sigmoid"])
+    @pytest.mark.parametrize("activation", ["none", "relu"])
     def test_gradients_match_finite_differences(self, activation):
         rng = np.random.default_rng(4)
         x = rng.standard_normal((3, 5))

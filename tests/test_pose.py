@@ -124,6 +124,35 @@ class TestLoadManifest:
         with pytest.raises(SchemaError, match="version"):
             load_manifest(p)
 
+    @pytest.mark.parametrize("field", ["version", "frame_width", "frame_height"])
+    @pytest.mark.parametrize("value", [True, False, "1", None, 1.5, float("nan")])
+    def test_header_number_of_wrong_kind_names_the_field(self, tmp_path, field, value):
+        # "frame_height": true once loaded as a frame 1 pixel high, and "version": true as 1
+        doc = self._doc([self._clip("a")])
+        doc[field] = value
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=f"field '{field}'"):
+            load_manifest(p)
+
+    @pytest.mark.parametrize("field", ["frame_width", "frame_height"])
+    @pytest.mark.parametrize("value", [0, -640])
+    def test_frame_size_must_be_positive(self, tmp_path, field, value):
+        doc = self._doc([self._clip("a")])
+        doc[field] = value
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=f"field '{field}'"):
+            load_manifest(p)
+
+    def test_integral_floats_load_as_ints(self, tmp_path):
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps({**self._doc([self._clip("a")]), "version": 1.0, "frame_width": 640.0,
+                                 "frame_height": 480.0}))
+        manifest = load_manifest(p)
+        assert manifest.frame_size == (640, 480)
+        assert type(manifest.frame_width) is int and type(manifest.frame_height) is int
+
 
 class TestFilterHead:
     def test_full_frame_gives_six_points_five_edges(self):

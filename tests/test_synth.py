@@ -279,7 +279,7 @@ class TestGenClipBytes:
         params = MotionParams(**{"class_name": "headbanging", "frequency": 1.7, "amplitude": 0.12,
                                  "camera_drift_sigma": 1.5, **params_over})
         rng, ref_rng = clip_rng(4, case), clip_rng(4, case)
-        frames, record = gen_clip(profile, params, n_frames, FPS, rng, "c")
+        frames, record = gen_clip(profile, params, n_frames, rng, "c")
         want_frames, want_record = _reference_gen_clip(profile, params, n_frames, FPS, ref_rng, "c")
         assert record == want_record
         assert rng.bit_generator.state == ref_rng.bit_generator.state  # the same draws were taken
