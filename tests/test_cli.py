@@ -100,7 +100,15 @@ class TestImportCommand:
 
     @pytest.mark.parametrize(
         "flag,value",
-        [("--fps", "nan"), ("--fps", "0"), ("--fps", "-1"), ("--frame-width", "-5"), ("--frame-height", "-5")],
+        [
+            ("--fps", "nan"),
+            ("--fps", "inf"),
+            ("--fps", "-inf"),
+            ("--fps", "0"),
+            ("--fps", "-1"),
+            ("--frame-width", "-5"),
+            ("--frame-height", "-5"),
+        ],
     )
     def test_bad_flag_exits_2_before_the_output_dir_is_made(self, tmp_path, capsys, flag, value):
         # each once exited 0, writing a manifest that load_manifest rejects

@@ -14,6 +14,7 @@ from stimkit.evaluate import (
 )
 from stimkit.nn.model import ConvBlock, ModelConfig
 from stimkit.nn.optim import TrainConfig
+from stimkit.nn.train import classify
 from stimkit.pose import ClipRecord, load_manifest
 from stimkit.raster import RasterSpec
 
@@ -86,6 +87,23 @@ class TestConfusion:
     def test_exact_threshold_counts_negative(self):
         cm = confusion([0.5], [1])
         assert cm.fn == 1 and cm.tp == 0
+
+    @pytest.mark.parametrize(
+        "p,positive",
+        [
+            (0.0, False),
+            (0.4999999, False),
+            (0.5, False),
+            (float(np.nextafter(0.5, 1.0)), True),
+            (np.float32(0.5), False),
+            (np.float32(np.nextafter(np.float32(0.5), np.float32(1.0))), True),
+        ],
+    )
+    def test_counts_each_probability_as_classify_labels_it(self, p, positive):
+        # one 0.5 rule for confusion, predict and the CSV, float32 model outputs included
+        assert classify(p) == int(positive)
+        cm = confusion([p], [1])
+        assert (cm.tp, cm.fn) == ((1, 0) if positive else (0, 1))
 
     def test_total_matches_input_count(self):
         preds = [0.1, 0.6, 0.5, 0.9, 0.3]

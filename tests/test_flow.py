@@ -90,6 +90,69 @@ class TestLucasKanade:
         with pytest.raises(SizeError):
             lucas_kanade_grid(np.zeros((20, 20)), np.zeros((20, 24)))
 
+    @pytest.mark.parametrize("spacing", [0, -1])
+    def test_spacing_below_one_rejected(self, spacing):
+        with pytest.raises(SizeError, match="spacing"):
+            lucas_kanade_grid(np.zeros((20, 20)), np.zeros((20, 20)), spacing=spacing)
+
+    @pytest.mark.parametrize("spacing", [1, 2, 4, 7, 10])
+    @pytest.mark.parametrize("shape", [(20, 24), (33, 47), (48, 64)])
+    def test_matches_direct_window_solve(self, shape, spacing):
+        # summed-area windows against each clipped window summed and solved directly
+        h, w = shape
+        prev = flow_texture(max(shape))[:h, :w]
+        nxt = flow_texture(max(shape), shift=(1.5, -0.5))[:h, :w]
+        prev[:, : w // 2] = nxt[:, : w // 2] = 0.5  # a flat half: untrusted windows
+        got = lucas_kanade_grid(prev, nxt, spacing=spacing)
+        ref_points, ref_vectors, ref_valid = reference_lucas_kanade(prev, nxt, spacing)
+        assert got.points.tolist() == ref_points
+        assert got.valid.tolist() == ref_valid
+        assert ref_valid.count(False) and ref_valid.count(True)
+        assert np.allclose(got.vectors, ref_vectors, rtol=1e-9, atol=1e-12)
+
+
+def reference_lucas_kanade(prev, nxt, spacing):
+    """(points, vectors, valid) of lucas_kanade_grid, one lattice point at a time."""
+    h, w = prev.shape
+    iy, ix = np.gradient(0.5 * (prev + nxt))
+    it = nxt - prev
+    half = flow.LK_WINDOW // 2
+    points, vectors, valid = [], [], []
+    for y in range(0, h, spacing):
+        for x in range(0, w, spacing):
+            win = (slice(max(y - half, 0), y + half + 1), slice(max(x - half, 0), x + half + 1))
+            gx, gy, gt = ix[win].ravel(), iy[win].ravel(), it[win].ravel()
+            g = np.array([[gx @ gx, gx @ gy], [gx @ gy, gy @ gy]])
+            ok = bool(np.linalg.eigvalsh(g)[0] >= flow.LK_MIN_EIGEN)
+            points.append([float(x), float(y)])
+            vectors.append(np.linalg.solve(g, -np.array([gx @ gt, gy @ gt])) if ok else np.zeros(2))
+            valid.append(ok)
+    return points, np.array(vectors), valid
+
+
+class TestPolynomialExpansion:
+    @pytest.mark.parametrize(
+        "c,bx,by,axx,ayy,axy",
+        [
+            (0.5, 0.0, 0.0, 0.0, 0.0, 0.0),
+            (0.0, 0.25, -0.5, 0.0, 0.0, 0.0),
+            (1.0, 0.0, 0.0, 0.01, 0.0, 0.0),
+            (0.0, 0.0, 0.0, 0.0, -0.02, 0.0),
+            (0.0, 0.0, 0.0, 0.0, 0.0, 0.015),
+            (0.3, -0.1, 0.2, 0.004, -0.003, 0.002),
+        ],
+    )
+    def test_exact_quadratic_coefficients_away_from_the_border(self, c, bx, by, axx, ayy, axy):
+        ys, xs = np.mgrid[0:24, 0:30].astype(np.float64)
+        img = c + bx * xs + by * ys + axx * xs**2 + ayy * ys**2 + axy * xs * ys
+        got = polynomial_expansion(img)
+        # in offsets from (x, y) the linear terms pick up the quadratic ones
+        want = (axx, ayy, axy, bx + 2 * axx * xs + axy * ys, by + 2 * ayy * ys + axy * xs)
+        half = int(round(2.0 * flow.EXPANSION_SIGMA))  # reflect padding reaches no deeper
+        inner = (slice(half, -half), slice(half, -half))
+        for g, wnt in zip(got, want):
+            assert np.allclose(g[inner], np.broadcast_to(wnt, img.shape)[inner], rtol=1e-9, atol=1e-12)
+
 
 class TestFarneback:
     def test_identical_textured_frames_zero_and_valid(self):
@@ -356,8 +419,9 @@ def reference_farneback(prev, nxt, avg_window, iterations):
     return du, dv, valid
 
 
-# 33, 257 and 72 rows leave a partial last band of 32 rows; 16 rows is under one band
-BAND_SHAPES = [(16, 16), (33, 47), (257, 31), (72, 96)]
+# 33, 257 and 72 rows leave a partial last band of 32 rows; 16 rows is under one band;
+# 64 rows are two whole bands
+BAND_SHAPES = [(16, 16), (33, 47), (257, 31), (72, 96), (64, 40)]
 BOX_WIDTHS = list(range(1, 32))
 ROW_PASS_WIDTHS = list(range(8, 16))  # the widths _row_sums takes
 
@@ -419,6 +483,21 @@ class TestDenseBytes:
         prev = flow_texture(max(shape))[:h, :w]
         nxt = flow_texture(max(shape), shift=(1.5, -0.5))[:h, :w]
         prev[:, : w // 4] = nxt[:, : w // 4] = 0.5  # a flat strip: invalid pixels and zero products
+        u, v, valid = farneback_dense(prev, nxt).grids()
+        ref_u, ref_v, ref_valid = reference_farneback(prev, nxt, avg_window=15, iterations=3)
+        assert u.tobytes() == ref_u.tobytes()
+        assert v.tobytes() == ref_v.tobytes()
+        assert valid.tobytes() == ref_valid.tobytes()
+
+    @pytest.mark.parametrize(
+        "shift", [(0.0, 0.0), (-4.0, 3.0), (7.5, 6.25)], ids=["still", "whole-pixel", "past-the-border"]
+    )
+    @pytest.mark.parametrize("shape", BAND_SHAPES)
+    def test_banded_iteration_matches_at_other_shifts(self, shape, shift):
+        # no motion, a whole-pixel motion, and one that samples past the border
+        h, w = shape
+        prev = flow_texture(max(shape))[:h, :w]
+        nxt = flow_texture(max(shape), shift=shift)[:h, :w]
         u, v, valid = farneback_dense(prev, nxt).grids()
         ref_u, ref_v, ref_valid = reference_farneback(prev, nxt, avg_window=15, iterations=3)
         assert u.tobytes() == ref_u.tobytes()
