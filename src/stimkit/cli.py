@@ -9,7 +9,9 @@ and seeds reproduce identical bytes.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
+import platform
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -47,8 +49,42 @@ EXIT_NUMERIC = 3
 EXIT_IO = 4
 
 
+# glibc mallopt parameters, and the values the CLI gives them
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 32 << 20  # glibc's ceiling for its dynamic threshold; above every per-step array
+_TRIM_THRESHOLD = 256 << 20
+
+_malloc_tuned = False
+
+
 class _UsageError(StimkitError):
     pass
+
+
+def _keep_freed_memory() -> None:
+    """Keep memory that numpy frees in this process's heap, once per process.
+
+    By default glibc serves multi-MB arrays with mmap and gives freed heap
+    tops back to the OS, so every call faults the same temporaries in again
+    as fresh zeroed pages. Raised thresholds let the next window, step or
+    call reuse them. Process-wide and glibc-only; only the CLI entry sets
+    it, so importing stimkit leaves the caller's allocator alone.
+    """
+    global _malloc_tuned
+    if _malloc_tuned:
+        return
+    _malloc_tuned = True
+    if platform.libc_ver()[0] != "glibc":
+        return
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
 
 
 def _atomic_write_text(path: Path, text: str) -> None:
@@ -126,6 +162,8 @@ def cmd_import(args) -> int:
 def cmd_flowviz(args) -> int:
     if len(args.frames) < 2:
         raise _UsageError("flowviz needs at least 2 frames")
+    if not np.isfinite(args.scale):
+        raise ConfigError("--scale", f"must be finite, got {args.scale}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     images = [imageio.to_gray01(imageio.read_image(p)) for p in args.frames]
@@ -359,6 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    _keep_freed_memory()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

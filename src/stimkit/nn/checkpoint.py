@@ -117,7 +117,7 @@ def load_checkpoint(path) -> ModelCheckpoint:
             f"{path}: corrupt checkpoint (parameters {sorted(map(str, table))} do not match "
             f"the config's {sorted(expected)})"
         )
-    payload = blob[12 + hlen :]
+    payload = memoryview(blob)[12 + hlen :]  # no copy; each parameter is copied once below
     params = {}
     for name, (shape, start, nbytes) in table.items():
         want = expected[name]

@@ -1,14 +1,17 @@
 import json
+import platform
+import resource
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from stimkit import imageio
+from stimkit import cli, imageio
 from stimkit.cli import main
 from stimkit.nn.checkpoint import ModelCheckpoint, save_checkpoint
 from stimkit.nn.gradcheck import micro_config
 from stimkit.nn.model import init_params
+from stimkit.synth import flow_texture
 
 
 def run_cli(*argv):
@@ -154,6 +157,55 @@ class TestFlowvizCommand:
         a = tmp_path / "a.png"
         _texture_png(a)
         assert run_cli("flowviz", a, "-o", tmp_path / "viz") == 2
+
+    @pytest.mark.parametrize("scale", ["nan", "inf", "-inf"])
+    def test_non_finite_scale_exits_2_before_the_output_dir_is_made(self, tmp_path, capsys, scale):
+        # each once exited 0, drawing arrow panels with every segment dropped
+        a, b = tmp_path / "a.png", tmp_path / "b.png"
+        _texture_png(a)
+        _texture_png(b, shift=(1.0, 0.0))
+        assert run_cli("flowviz", a, b, "-o", tmp_path / "viz", f"--scale={scale}") == 2
+        assert "--scale" in capsys.readouterr().err
+        assert not (tmp_path / "viz").exists()
+
+    @pytest.mark.parametrize("scale", ["0", "-1"])
+    def test_zero_and_negative_scale_are_accepted(self, tmp_path, scale):
+        a, b = tmp_path / "a.png", tmp_path / "b.png"
+        _texture_png(a)
+        _texture_png(b, shift=(1.0, 0.0))
+        assert run_cli("flowviz", a, b, "-o", tmp_path / "viz", f"--scale={scale}") == 0
+        assert (tmp_path / "viz" / "lk_isolated_000.png").exists()
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the CLI tunes only glibc's malloc")
+class TestMallocThresholds:
+    def _dense_argv(self, tmp_path):
+        # 256x256 float64 temporaries are 512 KiB, above glibc's default 128 KiB mmap threshold
+        a, b = tmp_path / "a.png", tmp_path / "b.png"
+        imageio.write_png(a, (flow_texture(256) * 255).astype(np.uint8))
+        imageio.write_png(b, (flow_texture(256, shift=(1.0, 0.5)) * 255).astype(np.uint8))
+        return ("flowviz", a, b, "--method", "dense", "-o", tmp_path / "viz")
+
+    def test_repeated_dense_calls_fault_in_no_fresh_pages(self, tmp_path):
+        argv = self._dense_argv(tmp_path)
+        assert run_cli(*argv) == 0
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        assert run_cli(*argv) == 0
+        assert run_cli(*argv) == 0
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults < 100, f"{faults} minor page faults in two repeated dense calls"
+
+    def test_a_libc_that_cannot_be_loaded_is_skipped(self, tmp_path, monkeypatch):
+        loads = []
+
+        def no_libc(name):
+            loads.append(name)
+            raise OSError(f"{name}: cannot open shared object file")
+
+        monkeypatch.setattr(cli, "_malloc_tuned", False)
+        monkeypatch.setattr(cli.ctypes, "CDLL", no_libc)
+        assert run_cli(*self._dense_argv(tmp_path)) == 0
+        assert loads == ["libc.so.6"]
 
 
 class TestTrainCommand:
