@@ -120,17 +120,17 @@ def cmd_import(args) -> int:
     max_x = max_y = 0.0
     for clip_dir in clip_dirs:
         frames = load_clip_frames(clip_dir)
-        if not frames:
+        if not len(frames):
             print(f"{clip_dir.name}: 0 frames, skipped", file=sys.stderr)
             continue
         docs = []
         for f in frames:
-            flat = [float(v) for v in f.keypoints.reshape(-1)]
+            flat = f.ravel().tolist()
             docs.append({"people": [{"pose_keypoints_2d": flat}] if any(flat) else []})
-            pts = f.keypoints[f.keypoints[:, 2] > 0]
-            if len(pts):
-                max_x = max(max_x, float(pts[:, 0].max()))
-                max_y = max(max_y, float(pts[:, 1].max()))
+        pts = frames[frames[:, :, 2] > 0]
+        if len(pts):
+            max_x = max(max_x, float(pts[:, 0].max()))
+            max_y = max(max_y, float(pts[:, 1].max()))
         rel = f"keypoints/{clip_dir.name}.json"
         _atomic_write_text(out / rel, json.dumps(docs, sort_keys=True, separators=(",", ":")) + "\n")
         records.append(
@@ -164,6 +164,8 @@ def cmd_flowviz(args) -> int:
         raise _UsageError("flowviz needs at least 2 frames")
     if not np.isfinite(args.scale):
         raise ConfigError("--scale", f"must be finite, got {args.scale}")
+    if args.spacing < 1:
+        raise ConfigError("--spacing", f"must be >= 1, got {args.spacing}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     images = [imageio.to_gray01(imageio.read_image(p)) for p in args.frames]

@@ -55,7 +55,8 @@ def clip_windows(source, params: WindowParams, frame_range=None, **ids) -> list[
     """Load one keypoint source, keep its head points and slice it into windows carrying ``ids``."""
     frames = load_clip_frames(source, frame_range)
     heads = [filter_head(f, params.confidence_threshold) for f in frames]
-    return sample_windows(heads, T=params.T, stride=params.stride, hop=params.hop, **ids)
+    first = frame_range[0] if frame_range else 0
+    return sample_windows(heads, T=params.T, stride=params.stride, hop=params.hop, first_frame=first, **ids)
 
 
 def build_dataset(manifest: Manifest, params: WindowParams = WindowParams()) -> WindowDataset:

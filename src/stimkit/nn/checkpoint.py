@@ -35,7 +35,6 @@ FORMAT_VERSION = 1
 class ModelCheckpoint:
     config: ModelConfig
     parameters: dict[str, np.ndarray]
-    format_version: int = FORMAT_VERSION
     training_metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -56,7 +55,7 @@ def save_checkpoint(checkpoint: ModelCheckpoint, path) -> None:
         offset += len(blob)
         blobs.append(blob)
     header = {
-        "format_version": checkpoint.format_version,
+        "format_version": FORMAT_VERSION,
         "config": checkpoint.config.to_dict(),
         "training_metadata": checkpoint.training_metadata,
         "parameters": table,
@@ -142,6 +141,5 @@ def load_checkpoint(path) -> ModelCheckpoint:
     return ModelCheckpoint(
         config=config,
         parameters=params,
-        format_version=header["format_version"],
         training_metadata=header["training_metadata"],
     )

@@ -1,8 +1,10 @@
 """Keypoint ingestion and head-region feature extraction.
 
 The pipeline consumes 25-landmark body keypoints (the common "BODY_25"
-layout emitted by pose estimators), keeps only the six head-region parts
-(a :class:`HeadPose` per frame), slices clips into fixed-length temporal
+layout emitted by pose estimators): a clip loads as one ``(n, 25, 3)``
+array of x, y, confidence rows, where frame i is row i. It keeps only the
+six head-region parts (a :class:`HeadPose` of ``(6, 2)`` coordinates and
+``(6,)`` presence per frame), slices clips into fixed-length temporal
 windows sampled every few frames (a :class:`KeypointSequence` of stacked
 ``(T, 6, 2)``/``(T, 6)`` arrays), and optionally re-centers each window on
 its mean head position (:func:`center_coords`) so that frame-global camera
@@ -19,7 +21,7 @@ import logging
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -59,46 +61,15 @@ MIN_VALID_FRACTION = 0.7
 MIN_POINTS_PER_FRAME = 2
 
 
-@dataclass
-class PoseFrame:
-    """All 25 body keypoints of one frame; absent detections are (0,0,0)."""
-
-    frame_index: int
-    keypoints: np.ndarray  # (25, 3) float64 rows of x, y, confidence
-
-    def __post_init__(self):
-        self.keypoints = np.asarray(self.keypoints, dtype=np.float64)
-        if self.keypoints.shape != (N_BODY_PARTS, 3):
-            raise KeypointFormatError(
-                f"frame {self.frame_index}: expected (25, 3) keypoints, got {self.keypoints.shape}"
-            )
-
-    @staticmethod
-    def empty(frame_index: int) -> "PoseFrame":
-        return PoseFrame(frame_index, np.zeros((N_BODY_PARTS, 3)))
-
-
-@dataclass
-class HeadPose:
+class HeadPose(NamedTuple):
     """The six head keypoints of one frame, with presence flags.
 
     ``coords`` rows follow :data:`HEAD_LABELS` order. A part is present when
     its detection confidence met the threshold; absent rows are zeros.
     """
 
-    frame_index: int
     coords: np.ndarray  # (6, 2) float64
     present: np.ndarray  # (6,) bool
-    confidence: np.ndarray  # (6,) float64
-
-    def __post_init__(self):
-        self.coords = np.asarray(self.coords, dtype=np.float64).reshape(6, 2)
-        self.present = np.asarray(self.present, dtype=bool).reshape(6)
-        self.confidence = np.asarray(self.confidence, dtype=np.float64).reshape(6)
-
-    @property
-    def valid(self) -> bool:
-        return int(self.present.sum()) >= MIN_POINTS_PER_FRAME
 
 
 @dataclass(frozen=True)
@@ -118,12 +89,10 @@ class ClipRecord:
         if self.fps <= 0:
             raise ValidationError(f"clip {self.clip_id!r}: fps must be > 0, got {self.fps}")
         start, end = self.frame_range
+        if start < 0:
+            raise ValidationError(f"clip {self.clip_id!r}: start_frame must be >= 0, got {start}")
         if start > end:
             raise ValidationError(f"clip {self.clip_id!r}: start_frame {start} > end_frame {end}")
-
-    @property
-    def n_frames(self) -> int:
-        return self.frame_range[1] - self.frame_range[0] + 1
 
 
 @dataclass(frozen=True)
@@ -157,7 +126,6 @@ class KeypointSequence:
     label: str
     coords: np.ndarray  # (T, 6, 2) float64
     present: np.ndarray  # (T, 6) bool
-    confidence: np.ndarray  # (T, 6) float64
     stride: int
     origin_frame: int
     frame_size: tuple[float, float]  # (width, height) of the source frame, in pixels
@@ -165,12 +133,11 @@ class KeypointSequence:
     def __post_init__(self):
         self.coords = np.asarray(self.coords, dtype=np.float64)
         self.present = np.asarray(self.present, dtype=bool)
-        self.confidence = np.asarray(self.confidence, dtype=np.float64)
         T = self.coords.shape[:1]
-        if (self.coords.shape, self.present.shape, self.confidence.shape) != (T + (6, 2), T + (6,), T + (6,)):
+        if (self.coords.shape, self.present.shape) != (T + (6, 2), T + (6,)):
             raise ValidationError(
-                f"clip {self.clip_id!r}: window arrays must be (T, 6, 2), (T, 6), (T, 6); got "
-                f"{self.coords.shape}, {self.present.shape}, {self.confidence.shape}"
+                f"clip {self.clip_id!r}: window arrays must be (T, 6, 2), (T, 6); got "
+                f"{self.coords.shape}, {self.present.shape}"
             )
 
     @property
@@ -183,9 +150,7 @@ class KeypointSequence:
         return self.origin_frame + self.stride * np.arange(self.T)
 
     def copy(self) -> "KeypointSequence":
-        return replace(
-            self, coords=self.coords.copy(), present=self.present.copy(), confidence=self.confidence.copy()
-        )
+        return replace(self, coords=self.coords.copy(), present=self.present.copy())
 
     def frame_centroids(self) -> np.ndarray:
         """(T, 2) per-frame centroid over present points; NaN rows if empty."""
@@ -198,15 +163,15 @@ def _head_confidence_sum(flat: np.ndarray) -> float:
     return float(sum(flat[3 * i + 2] for i in HEAD_INDICES))
 
 
-def parse_pose_document(doc: dict, frame_index: int, source: str = "<memory>") -> PoseFrame:
-    """Build a PoseFrame from one decoded per-frame JSON document."""
+def parse_pose_document(doc: dict, frame_index: int, source: str = "<memory>") -> np.ndarray:
+    """The (25, 3) keypoints of one decoded per-frame JSON document; ``frame_index`` names it in errors."""
     if not isinstance(doc, dict) or "people" not in doc:
         raise KeypointFormatError(f"{source}: frame {frame_index}: missing 'people' array")
     people = doc["people"]
     if not isinstance(people, list):
         raise KeypointFormatError(f"{source}: frame {frame_index}: 'people' is not an array")
     if len(people) == 0:
-        return PoseFrame.empty(frame_index)
+        return np.zeros((N_BODY_PARTS, 3))
 
     best = None
     best_score = -1.0
@@ -238,11 +203,11 @@ def parse_pose_document(doc: dict, frame_index: int, source: str = "<memory>") -
 
     kps = best.reshape(N_BODY_PARTS, 3).copy()
     np.clip(kps[:, 2], 0.0, 1.0, out=kps[:, 2])
-    return PoseFrame(frame_index, kps)
+    return kps
 
 
-def import_openpose_frame(raw_json: bytes, frame_index: int = 0, source: str = "<memory>") -> PoseFrame:
-    """Parse one per-frame keypoint JSON blob.
+def import_openpose_frame(raw_json: bytes, frame_index: int = 0, source: str = "<memory>") -> np.ndarray:
+    """Parse one per-frame keypoint JSON blob into its (25, 3) keypoints.
 
     When several people are present, the one with the largest summed head
     confidence wins; an empty ``people`` array yields an all-absent frame.
@@ -260,29 +225,28 @@ def _decode_json(raw: bytes, source: str):
         raise KeypointParseError(source, e.start, f"not UTF-8 text ({e.reason})") from e
 
 
-def load_clip_frames(path, frame_range: Optional[tuple[int, int]] = None) -> list[PoseFrame]:
-    """Load a clip's pose frames from a directory or a consolidated file.
+def load_clip_frames(path, frame_range: Optional[tuple[int, int]] = None) -> np.ndarray:
+    """Load a clip's keypoints, one (25, 3) row per frame, from a directory or a consolidated file.
 
     A directory is read as per-frame JSON files in lexicographic order;
     a single file must hold a JSON array of per-frame documents in frame
-    order. ``frame_range`` (inclusive) selects a slice by frame index.
+    order. Frame i is the i-th file or document; ``frame_range``
+    (inclusive, start >= 0) selects the rows ``start..end``.
     """
     path = Path(path)
-    frames: list[PoseFrame] = []
     if path.is_dir():
         files = sorted(p for p in path.iterdir() if p.suffix == ".json")
-        for i, p in enumerate(files):
-            frames.append(import_openpose_frame(p.read_bytes(), i, str(p)))
+        frames = [import_openpose_frame(p.read_bytes(), i, str(p)) for i, p in enumerate(files)]
     else:
         docs = _decode_json(path.read_bytes(), str(path))
         if not isinstance(docs, list):
             raise KeypointFormatError(f"{path}: consolidated keypoint file must be a JSON array")
-        for i, doc in enumerate(docs):
-            frames.append(parse_pose_document(doc, i, str(path)))
+        frames = [parse_pose_document(doc, i, str(path)) for i, doc in enumerate(docs)]
+    kps = np.array(frames, dtype=np.float64).reshape(-1, N_BODY_PARTS, 3)
     if frame_range is not None:
         start, end = frame_range
-        frames = [f for f in frames if start <= f.frame_index <= end]
-    return frames
+        kps = kps[start : end + 1]
+    return kps
 
 
 _MANIFEST_CLIP_FIELDS = ("id", "subject", "label", "fps", "keypoints", "start_frame", "end_frame")
@@ -340,18 +304,12 @@ def load_manifest(path) -> Manifest:
     return Manifest(frame_width=width, frame_height=height, clips=tuple(records), base_dir=path.parent)
 
 
-def filter_head(frame: PoseFrame, confidence_threshold: float = DEFAULT_CONFIDENCE_THRESHOLD) -> HeadPose:
-    """Reduce a full-body frame to its head-region keypoints."""
-    coords = np.zeros((6, 2))
-    conf = np.zeros(6)
-    present = np.zeros(6, dtype=bool)
-    for slot, idx in enumerate(HEAD_INDICES):
-        x, y, c = frame.keypoints[idx]
-        if c >= confidence_threshold and c > 0:
-            coords[slot] = (x, y)
-            conf[slot] = c
-            present[slot] = True
-    return HeadPose(frame.frame_index, coords, present, conf)
+def filter_head(frame: np.ndarray, confidence_threshold: float = DEFAULT_CONFIDENCE_THRESHOLD) -> HeadPose:
+    """Reduce one frame's (25, 3) keypoints to its head-region keypoints."""
+    head = frame[HEAD_INDICES, :]
+    confidence = head[:, 2]
+    present = (confidence >= confidence_threshold) & (confidence > 0)
+    return HeadPose(np.where(present[:, None], head[:, :2], 0.0), present)
 
 
 def sample_windows(
@@ -364,12 +322,14 @@ def sample_windows(
     label: str = "negative",
     *,
     frame_size: tuple[float, float],
+    first_frame: int = 0,
 ) -> list[KeypointSequence]:
     """Slice a clip's head poses into overlapping T-frame windows of a ``frame_size`` source frame.
 
-    Window k takes list positions ``k*hop + j*stride`` for j in [0, T).
-    Windows that would run past the clip are not emitted; windows with
-    fewer than 70% valid frames are dropped (and logged).
+    Window k takes list positions ``k*hop + j*stride`` for j in [0, T);
+    ``frames[0]`` is source frame ``first_frame``. Windows that would run
+    past the clip are not emitted; windows with fewer than 70% valid
+    frames are dropped (and logged).
     """
     span = (T - 1) * stride + 1
     n = len(frames)
@@ -378,7 +338,6 @@ def sample_windows(
         return []
     coords = np.stack([f.coords for f in frames])
     present = np.stack([f.present for f in frames])
-    confidence = np.stack([f.confidence for f in frames])
     valid = present.sum(axis=1) >= MIN_POINTS_PER_FRAME
     min_valid = math.ceil(MIN_VALID_FRACTION * T)
     offsets = stride * np.arange(T)
@@ -394,9 +353,8 @@ def sample_windows(
                     label=label,
                     coords=coords[picks],
                     present=present[picks],
-                    confidence=confidence[picks],
                     stride=stride,
-                    origin_frame=frames[start].frame_index,
+                    origin_frame=first_frame + start,
                     frame_size=frame_size,
                 )
             )

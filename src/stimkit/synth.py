@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SizeError, ValidationError
-from .pose import HEAD_INDICES, N_BODY_PARTS, ClipRecord, PoseFrame
+from .pose import HEAD_INDICES, N_BODY_PARTS, ClipRecord
 
 FRAME_WIDTH = 640
 FRAME_HEIGHT = 480
@@ -144,8 +144,8 @@ def gen_clip(
     n_frames: int,
     rng: np.random.Generator,
     clip_id: str | None = None,
-) -> tuple[list[PoseFrame], ClipRecord]:
-    """Generate one clip's pose frames plus its manifest record.
+) -> tuple[np.ndarray, ClipRecord]:
+    """Generate one clip's (n_frames, 25, 3) keypoints plus its manifest record.
 
     The head template sits at the subject's base position; positive clips
     add ``A * sin(2*pi*f*t/FPS)`` along the motion axis to the whole
@@ -192,7 +192,6 @@ def gen_clip(
     head[dropout_draws < profile.detection_dropout_prob] = 0.0
     kps = np.zeros((n_frames, N_BODY_PARTS, 3))
     kps[:, HEAD_INDICES] = head
-    frames = [PoseFrame(t, kps[t]) for t in range(n_frames)]
 
     record = ClipRecord(
         clip_id=clip_id,
@@ -202,18 +201,18 @@ def gen_clip(
         keypoint_source="",
         frame_range=(0, n_frames - 1),
     )
-    return frames, record
+    return kps, record
 
 
-def _frame_document(frame: PoseFrame) -> dict:
+def _frame_document(frame: np.ndarray) -> dict:
     # most values are absent parts' zeros, which round() would return
     # unchanged; Python's round on the float, not np.round, fixes the bytes
-    flat = [round(v, 3) if v else v for v in frame.keypoints.ravel().tolist()]
-    return {"people": [{"pose_keypoints_2d": flat}] if frame.keypoints[:, 2].any() else []}
+    flat = [round(v, 3) if v else v for v in frame.ravel().tolist()]
+    return {"people": [{"pose_keypoints_2d": flat}] if frame[:, 2].any() else []}
 
 
-def write_clip(frames: list[PoseFrame], path: Path) -> None:
-    """Write frames as a consolidated keypoint JSON array."""
+def write_clip(frames: np.ndarray, path: Path) -> None:
+    """Write (n, 25, 3) keypoints as a consolidated keypoint JSON array, one document per frame."""
     docs = [_frame_document(f) for f in frames]
     path.write_text(json.dumps(docs, sort_keys=True, separators=(",", ":")) + "\n")
 

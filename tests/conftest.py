@@ -77,7 +77,6 @@ def window_fixture(coords_per_frame, frame_size=(640, 480), label="positive", st
         label=label,
         coords=coords,
         present=present,
-        confidence=np.where(present, 0.9, 0.0),
         stride=stride,
         origin_frame=0,
         frame_size=frame_size,

@@ -139,7 +139,7 @@ class TestSequenceAugmentation:
         assert out.label == clip.label
         assert out.source is seq
         assert (out.source.subject_id, out.source.clip_id, out.source.origin_frame) == ("subj", "fixture", 0)
-        for name in ("coords", "present", "confidence"):
+        for name in ("coords", "present"):
             assert np.array_equal(getattr(seq, name), getattr(before, name))
 
     def test_training_augmenter_matches_public_ops(self):

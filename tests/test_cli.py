@@ -114,10 +114,11 @@ class TestImportCommand:
         ],
     )
     def test_bad_flag_exits_2_before_the_output_dir_is_made(self, tmp_path, capsys, flag, value):
-        # each once exited 0, writing a manifest that load_manifest rejects
+        # each once exited 0, writing a manifest that load_manifest rejects; "--fps=-inf" and not
+        # "--fps -inf", which argparse rejects as a missing value before cmd_import checks it
         src = tmp_path / "src"
         self._make_clip_dir(src, "clip_a")
-        assert run_cli("import", src, "-o", tmp_path / "out", flag, value) == 2
+        assert run_cli("import", src, "-o", tmp_path / "out", f"{flag}={value}") == 2
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
@@ -175,6 +176,24 @@ class TestFlowvizCommand:
         _texture_png(b, shift=(1.0, 0.0))
         assert run_cli("flowviz", a, b, "-o", tmp_path / "viz", f"--scale={scale}") == 0
         assert (tmp_path / "viz" / "lk_isolated_000.png").exists()
+
+    @pytest.mark.parametrize("method", ["lk", "dense"])
+    @pytest.mark.parametrize("spacing", ["0", "-3"])
+    def test_spacing_below_one_exits_2_before_the_output_dir_is_made(self, tmp_path, capsys, spacing, method):
+        # lk once exited 2 only after making the output directory; dense exited 0, ignoring it
+        a, b = tmp_path / "a.png", tmp_path / "b.png"
+        _texture_png(a)
+        _texture_png(b, shift=(1.0, 0.0))
+        assert run_cli("flowviz", a, b, "--method", method, "-o", tmp_path / "viz", f"--spacing={spacing}") == 2
+        assert "--spacing" in capsys.readouterr().err
+        assert not (tmp_path / "viz").exists()
+
+    def test_spacing_one_is_accepted(self, tmp_path):
+        a, b = tmp_path / "a.png", tmp_path / "b.png"
+        _texture_png(a, size=16)
+        _texture_png(b, shift=(1.0, 0.0), size=16)
+        assert run_cli("flowviz", a, b, "-o", tmp_path / "viz", "--spacing=1", "--dump-flow") == 0
+        assert len(json.loads((tmp_path / "viz" / "flow_lk_000.json").read_text())["points"]) == 16 * 16
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the CLI tunes only glibc's malloc")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from stimkit.data import WindowParams, clip_windows
 from stimkit.errors import (
     ConflictError,
     InvalidSequenceError,
@@ -18,8 +19,8 @@ from stimkit.errors import (
 from stimkit.pose import (
     HEAD_INDICES,
     HEAD_LABELS,
+    MIN_POINTS_PER_FRAME,
     KeypointSequence,
-    PoseFrame,
     center_sequence,
     filter_head,
     import_openpose_frame,
@@ -34,22 +35,23 @@ class TestImportOpenposeFrame:
     def test_75_number_flat_array_maps_triples_to_slots(self):
         kps = [(1.0 * i, 2.0 * i, 0.5) for i in range(25)]
         frame = import_openpose_frame(make_pose_frame_json(kps), frame_index=4)
-        assert frame.frame_index == 4
+        assert frame.shape == (25, 3)
         for i in range(25):
-            assert frame.keypoints[i, 0] == 1.0 * i
-            assert frame.keypoints[i, 1] == 2.0 * i
-            assert frame.keypoints[i, 2] == 0.5
+            assert frame[i, 0] == 1.0 * i
+            assert frame[i, 1] == 2.0 * i
+            assert frame[i, 2] == 0.5
 
     def test_empty_people_gives_all_absent(self):
         frame = import_openpose_frame(b'{"people": []}', frame_index=0)
-        assert np.all(frame.keypoints == 0)
+        assert frame.shape == (25, 3)
+        assert np.all(frame == 0)
 
     def test_two_people_picks_higher_head_confidence(self):
         person_a = full_body_frame(confidence=0.3)
         person_b = full_body_frame(confidence=0.8, base=(300.0, 10.0))
         raw = make_pose_frame_json(person_a, extra_people=[person_b])
         frame = import_openpose_frame(raw)
-        assert frame.keypoints[0, 0] == 300.0  # person B's nose
+        assert frame[0, 0] == 300.0  # person B's nose
 
     def test_malformed_json_names_source_and_offset(self):
         with pytest.raises(KeypointParseError) as err:
@@ -71,7 +73,7 @@ class TestImportOpenposeFrame:
         kps = [(123.4375 + i, 86.0625 - i, 0.7109375) for i in range(25)]
         frame = import_openpose_frame(make_pose_frame_json(kps))
         flat = [v for kp in kps for v in kp]
-        assert frame.keypoints.reshape(-1).tolist() == flat
+        assert frame.reshape(-1).tolist() == flat
 
 
 class TestLoadManifest:
@@ -108,6 +110,14 @@ class TestLoadManifest:
         p = tmp_path / "m.json"
         p.write_text(json.dumps(self._doc([self._clip("a", start_frame=10, end_frame=3)])))
         with pytest.raises(ValidationError, match="start_frame"):
+            load_manifest(p)
+
+    @pytest.mark.parametrize("start,end", [(-3, 74), (-5, -1)])
+    def test_negative_start_frame_is_validation_error(self, tmp_path, start, end):
+        # (-3, 74) once loaded as frames 0..74 and (-5, -1) as an empty clip
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps(self._doc([self._clip("a", start_frame=start, end_frame=end)])))
+        with pytest.raises(ValidationError, match=f"clip 'a': start_frame must be >= 0, got {start}"):
             load_manifest(p)
 
     def test_missing_field_names_field_and_record(self, tmp_path):
@@ -159,7 +169,6 @@ class TestFilterHead:
         frame = import_openpose_frame(make_pose_frame_json(full_body_frame()))
         head = filter_head(frame)
         assert head.present.all()
-        assert head.valid
 
     def test_low_confidence_part_absent_and_edge_dropped(self):
         kps = full_body_frame()
@@ -172,7 +181,7 @@ class TestFilterHead:
         kps = [(0.0, 0.0, 0.0)] * 25
         kps[0] = (50.0, 60.0, 0.9)  # nose only
         head = filter_head(import_openpose_frame(make_pose_frame_json(kps)))
-        assert not head.valid
+        # sample_windows counts such a frame as invalid (TestSampleWindows::test_frame_valid_from_min_points)
         assert int(head.present.sum()) == 1
 
     def test_threshold_boundary_keeps_at_threshold(self):
@@ -195,23 +204,22 @@ class TestFilterHead:
         )
     )
     def test_labels_always_within_head_set(self, triples):
-        frame = PoseFrame(0, np.array(triples))
-        head = filter_head(frame)
+        head = filter_head(np.array(triples))
         # slot i is head part HEAD_INDICES[i], present exactly when its confidence meets the threshold
         confidence = np.array(triples)[list(HEAD_INDICES), 2]
         assert head.present.tolist() == [bool(c >= 0.1 and c > 0) for c in confidence]
         assert (head.coords[~head.present] == 0).all()
 
 
-def _heads(n, drop=()):
-    """n valid head poses at frame indices 0..n-1; indices in drop are empty."""
+def _heads(n, drop=(), points=6):
+    """n head poses of ``points`` present parts each at frame indices 0..n-1; indices in drop are empty."""
     frames = []
     for t in range(n):
         kps = [(0.0, 0.0, 0.0)] * 25
         if t not in drop:
-            for idx in HEAD_INDICES:
+            for idx in HEAD_INDICES[:points]:
                 kps[idx] = (100.0 + idx, 50.0 + idx, 0.9)
-        frames.append(filter_head(PoseFrame(t, np.array(kps))))
+        frames.append(filter_head(np.array(kps)))
     return frames
 
 
@@ -241,11 +249,61 @@ class TestSampleWindows:
         wins = sample_windows(_heads(31, drop={5, 10}), clip_id="c", frame_size=(640, 480))
         assert len(wins) == 1
 
+    @pytest.mark.parametrize("points,kept", [(1, 0), (2, 1)])
+    def test_frame_valid_from_min_points(self, points, kept):
+        # a frame counts toward the 70% rule only with >= MIN_POINTS_PER_FRAME present parts
+        assert MIN_POINTS_PER_FRAME == 2
+        wins = sample_windows(_heads(31, points=points), clip_id="c", frame_size=(640, 480))
+        assert len(wins) == kept
+
+    def test_first_frame_offsets_origins(self):
+        wins = sample_windows(_heads(70), clip_id="c", frame_size=(640, 480), first_frame=12)
+        assert [w.origin_frame for w in wins] == [12, 27, 42]
+        assert wins[0].frame_indices.tolist() == [12, 17, 22, 27, 32, 37, 42]
+
     def test_origin_spacing_is_exactly_stride(self):
         for w in sample_windows(_heads(90), clip_id="c", frame_size=(640, 480)):
             diffs = np.diff(w.frame_indices)
             assert np.all(diffs == w.stride)
             assert w.frame_indices[-1] <= 89
+
+
+def _frame_doc(t):
+    """The document of frame t: every head part present, the nose's x = 100 + t."""
+    flat = [0.0] * 75
+    for n, idx in enumerate(HEAD_INDICES):
+        flat[3 * idx : 3 * idx + 3] = [100.0 + t + n, 50.0 + n, 0.9]
+    return {"people": [{"pose_keypoints_2d": flat}]}
+
+
+class TestClipWindows:
+    N = 100
+
+    @pytest.fixture(scope="class")
+    def sources(self, tmp_path_factory):
+        """The same N frames as a per-frame directory and as a consolidated file."""
+        root = tmp_path_factory.mktemp("clip_sources")
+        docs = [_frame_doc(t) for t in range(self.N)]
+        (root / "frames").mkdir()
+        for t, doc in enumerate(docs):
+            (root / "frames" / f"frame_{t:06d}.json").write_text(json.dumps(doc))
+        (root / "clip.json").write_text(json.dumps(docs))
+        return root / "frames", root / "clip.json"
+
+    @pytest.mark.parametrize("frame_range", [(0, N - 1), (5, 60), (50, 1000)])
+    def test_directory_and_file_give_the_same_windows_at_range_start(self, sources, frame_range):
+        params = WindowParams()
+        ids = dict(clip_id="c", subject_id="s", label="positive", frame_size=(640, 480))
+        directory, file = (clip_windows(src, params, frame_range, **ids) for src in sources)
+        start, end = frame_range
+        n = min(end, self.N - 1) - start + 1
+        assert len(directory) == (n - params.span) // params.hop + 1
+        assert [w.origin_frame for w in directory] == [start + k * params.hop for k in range(len(directory))]
+        for a, b in zip(directory, file, strict=True):
+            assert (a.origin_frame, a.stride, a.clip_id) == (b.origin_frame, b.stride, b.clip_id)
+            assert np.array_equal(a.coords, b.coords) and np.array_equal(a.present, b.present)
+            # the nose's x names the source frame each window row came from
+            assert (a.coords[:, 0, 0] - 100.0).tolist() == a.frame_indices.tolist()
 
 
 class TestKeypointSequence:
@@ -258,7 +316,7 @@ class TestKeypointSequence:
     def test_frame_size_is_required(self):
         # no window is drawn without the source frame geometry it came from
         seq = window_fixture([[(1.0, 2.0)]] * 7)
-        arrays = dict(coords=seq.coords, present=seq.present, confidence=seq.confidence)
+        arrays = dict(coords=seq.coords, present=seq.present)
         with pytest.raises(TypeError, match="frame_size"):
             KeypointSequence("c", "s", "negative", stride=5, origin_frame=0, **arrays)
         with pytest.raises(TypeError, match="frame_size"):

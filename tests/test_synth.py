@@ -12,7 +12,6 @@ from stimkit.pose import (
     HEAD_INDICES,
     N_BODY_PARTS,
     ClipRecord,
-    PoseFrame,
     center_sequence,
     filter_head,
     load_manifest,
@@ -76,9 +75,9 @@ class TestGenClip:
         frames, record = gen_clip(
             _quiet_profile(), MotionParams("stable"), 40, rng=clip_rng(0, "x")
         )
-        ref = frames[0].keypoints[:, :2]
+        ref = frames[0, :, :2]
         for f in frames[1:]:
-            assert np.array_equal(f.keypoints[:, :2], ref)
+            assert np.array_equal(f[:, :2], ref)
         assert record.label == "negative"
         assert record.frame_range == (0, 39)
 
@@ -88,7 +87,7 @@ class TestGenClip:
         # quarter period is at t=4, and sin is exactly 0 at t=0 and t=15.
         params = MotionParams("headbanging", frequency=2.0, amplitude=0.1)
         frames, _ = gen_clip(_quiet_profile(), params, 40, rng=clip_rng(0, "x"))
-        nose_y = np.array([f.keypoints[0, 1] for f in frames])
+        nose_y = frames[:, 0, 1]
         dy = nose_y - nose_y[0]
         amp = 0.1 * FRAME_HEIGHT
         assert dy[0] == 0.0
@@ -101,7 +100,7 @@ class TestGenClip:
         params = MotionParams("stable", camera_drift_sigma=2.0)
         frames, _ = gen_clip(_quiet_profile(), params, 40, rng=clip_rng(0, "x"))
         for f in frames[1:]:
-            deltas = f.keypoints[:, :2] - frames[0].keypoints[:, :2]
+            deltas = f[:, :2] - frames[0, :, :2]
             head = deltas[[0, 1, 15, 16, 17, 18]]
             assert np.allclose(head, head[0], atol=1e-9)
 
@@ -116,7 +115,7 @@ class TestGenClip:
     def test_dropout_hides_keypoints(self):
         profile = _quiet_profile(detection_dropout_prob=0.4)
         frames, _ = gen_clip(profile, MotionParams("stable"), 60, rng=clip_rng(0, "x"))
-        confidences = np.array([f.keypoints[[0, 1, 15, 16, 17, 18], 2] for f in frames])
+        confidences = frames[:, [0, 1, 15, 16, 17, 18], 2]
         assert (confidences == 0).any()
         assert (confidences > 0).any()
 
@@ -245,16 +244,16 @@ def _reference_gen_clip(profile, params, n_frames, fps, rng, clip_id):
         for slot, idx in enumerate(HEAD_INDICES):
             if not dropped[slot]:
                 kps[idx] = (pts[slot, 0], pts[slot, 1], conf[slot])
-        frames.append(PoseFrame(t, kps))
+        frames.append(kps)
     record = ClipRecord(clip_id, profile.subject_id, params.label, fps, "", (0, n_frames - 1))
     return frames, record
 
 
 def _reference_frame_document(frame):
     flat = []
-    for x, y, c in frame.keypoints:
+    for x, y, c in frame:
         flat.extend((round(float(x), 3), round(float(y), 3), round(float(c), 3)))
-    return {"people": [{"pose_keypoints_2d": flat}] if frame.keypoints[:, 2].any() else []}
+    return {"people": [{"pose_keypoints_2d": flat}] if frame[:, 2].any() else []}
 
 
 _CLIP_CASES = {
@@ -283,14 +282,13 @@ class TestGenClipBytes:
         want_frames, want_record = _reference_gen_clip(profile, params, n_frames, FPS, ref_rng, "c")
         assert record == want_record
         assert rng.bit_generator.state == ref_rng.bit_generator.state  # the same draws were taken
-        assert [f.frame_index for f in frames] == list(range(n_frames))
+        assert frames.shape == (n_frames, N_BODY_PARTS, 3)  # row t is frame t
         for got, want in zip(frames, want_frames, strict=True):
-            assert got.keypoints.shape == (N_BODY_PARTS, 3)
-            assert got.keypoints.tobytes() == want.keypoints.tobytes()
+            assert got.tobytes() == want.tobytes()
             # repr, not ==: json writes 0.0 and -0.0 differently
             assert repr(_frame_document(got)) == repr(_reference_frame_document(want))
         if case == "high_dropout":
-            assert any((f.keypoints[list(HEAD_INDICES), 2] == 0).any() for f in frames)
+            assert (frames[:, HEAD_INDICES, 2] == 0).any()
 
     def test_document_keeps_signed_zeros_and_python_rounding(self):
         rng = np.random.default_rng(0)
@@ -298,11 +296,10 @@ class TestGenClipBytes:
         kps[0] = (-0.0, 0.0, -1e-4)  # -1e-4 rounds to -0.0
         kps[1] = (0.0005, 2.675, 1.0005)  # halfway in decimal, not in binary
         kps[2] = (1e300, -5e-324, 123.4565)
-        frame = PoseFrame(0, kps)
-        doc = _frame_document(frame)
-        assert repr(doc) == repr(_reference_frame_document(frame))
+        doc = _frame_document(kps)
+        assert repr(doc) == repr(_reference_frame_document(kps))
         assert repr(doc["people"][0]["pose_keypoints_2d"][:3]) == "[-0.0, 0.0, -0.0]"
-        empty = PoseFrame.empty(3)
+        empty = np.zeros((N_BODY_PARTS, 3))
         assert _frame_document(empty) == _reference_frame_document(empty) == {"people": []}
 
     def test_default_synth_tree_is_pinned(self, tmp_path):
