@@ -215,7 +215,6 @@ def cmd_train(args) -> int:
     for s in cfg.holdout_subjects:
         if s not in known:
             raise ConfigError("holdout_subjects", f"unknown subject {s!r}")
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
 
     holdout = set(cfg.holdout_subjects)
     train_windows = [w for w in dataset.windows if w.subject_id not in holdout]
@@ -223,6 +222,8 @@ def cmd_train(args) -> int:
         raise ConfigError("holdout_subjects", "holdout leaves no training windows")
     checkpoint, history = fit(train_windows, cfg.model, cfg.train, cfg.augment, cfg.raster, cfg.window)
 
+    # made only now, so a run that fails above leaves no directory behind
+    cfg.output_dir.mkdir(parents=True, exist_ok=True)
     ckpt_path = cfg.output_dir / "checkpoint.ckpt"
     save_checkpoint(checkpoint, ckpt_path)
     summary = {"epoch_mean_loss": history, "windows": len(train_windows), "seed": cfg.seed}

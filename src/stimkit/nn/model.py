@@ -5,6 +5,27 @@ extractor (one parameter set regardless of sequence length), the per-frame
 embeddings run through an LSTM in time order, and the final hidden state
 drives a single sigmoid unit. Probabilities are clipped to
 [1e-7, 1 - 1e-7] so downstream log-losses stay finite.
+
+The first conv block sees a skeleton raster that is almost all zeros.
+Far from a lit pixel its conv output is exactly the bias, so each 2x2
+pool block whose k x k reach holds no nonzero pixel pools the constant
+``max(b, 0)`` with argmax 0. That block therefore runs only on the
+touched pool blocks: for each it gathers the tile of the zero-padded
+input under the pool block's reach (4 x 4 for a 3 x 3 kernel), and the
+(M, 4, 4, Cin) batch of tiles goes through ``im2col``, the conv, ReLU
+and the pool of each tile's inner 2x2; every untouched pooled cell is
+filled with ``max(b, 0)``. The tile's conv output at the inner 2x2 sees
+the same patch as the full-frame conv there, so the forward gives the
+same bytes. Backward routes the pooled gradient through the tiles for
+the weight gradient (untouched patches are all zero and add nothing)
+and sums the pooled-space gradient for the bias, since each pooled
+gradient reaches exactly one position. Both regroup their sums, so
+``conv0_w`` and ``conv0_b`` differ from the full-frame gradients in
+the last bits (the numeric contract in docs/formats.md). A tile costs
+four times the conv work of its pool block, so when more than
+``TILE_MAX_TOUCHED`` of the pool blocks are touched the block runs the
+full-frame path instead. Every block makes one call of each conv and
+pool op per forward and per backward on either path.
 """
 
 from __future__ import annotations
@@ -13,6 +34,7 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import ConfigError, SizeError
 from . import ops
@@ -21,6 +43,9 @@ from .lstm import lstm_backward, lstm_forward
 PROB_EPS = 1e-7
 # init_params draws every weight in float64 first; this bounds that draw at 80 MB
 MAX_PARAMETERS = 10**7
+# the first conv block runs on tiles while at most this share of its pool
+# blocks is touched; above it the full-frame lowering is faster
+TILE_MAX_TOUCHED = 0.2
 
 
 @dataclass(frozen=True)
@@ -119,6 +144,79 @@ def parameter_count(params: dict[str, np.ndarray]) -> int:
     return int(sum(p.size for p in params.values()))
 
 
+def _block_forward(x, w, b, need_cache):
+    """Conv, ReLU and 2x2 pool over whole frames; returns (pooled, cache entry)."""
+    # the weight gradient reuses these columns, so the training cache keeps
+    # them; without a cache the conv lowers its input a few frames at a time
+    cols = ops.im2col(x, w.shape[0]) if need_cache else None
+    a = ops.conv2d_forward(x, w, b, cols=cols)
+    np.maximum(a, 0, out=a)  # ReLU without a second full-size array
+    pooled, idx = ops.maxpool2_forward(a, need_argmax=need_cache)
+    return pooled, (x, cols, None, pooled, idx)
+
+
+def _block_backward(w, entry, dcur, need_dx):
+    """(dx, dw, db) of a block that ran over whole frames."""
+    x, cols, _, pooled, idx = entry
+    # the pool gradient reaches only each block's argmax, where the
+    # pre-activation is > 0 exactly when the pooled max is: so the ReLU
+    # gradient is taken on the quarter-size pooled array
+    dz = ops.maxpool2_backward(x.shape[:3] + (w.shape[3],), idx, ops.relu_backward(pooled, dcur))
+    return ops.conv2d_backward(x, w, dz, need_dx=need_dx, cols=cols)
+
+
+def _touched_blocks(x, k):
+    """(N, H/2, W/2) mask of the 2x2 pool blocks with a nonzero pixel of x within a k x k patch's reach."""
+    half = k // 2
+    lit = np.pad((x != 0).any(axis=3), ((0, 0), (half, half), (half, half)))
+    h, w = x.shape[1:3]
+    # pool block (i, j) reaches padded rows 2i .. 2i + 2*half + 1, and columns alike
+    rows = lit[:, 0:h:2].copy()
+    for d in range(1, 2 + 2 * half):
+        rows |= lit[:, d : d + h : 2]
+    touched = rows[:, :, 0:w:2].copy()
+    for d in range(1, 2 + 2 * half):
+        touched |= rows[:, :, d : d + w : 2]
+    return touched
+
+
+def _tile_block_forward(x, w, b, touched, need_cache):
+    """The block on the padded tiles under the touched pool blocks; returns (pooled, cache entry)."""
+    half = w.shape[0] // 2
+    side = 2 + 2 * half
+    sites = np.nonzero(touched)
+    n, i, j = sites
+    xp = np.pad(x, ((0, 0), (half, half), (half, half), (0, 0)))
+    # (N, ., ., Cin, side, side) view; the index copies out one tile per site
+    tiles = sliding_window_view(xp, (side, side), axis=(1, 2))[n, 2 * i, 2 * j]
+    tiles = np.ascontiguousarray(tiles.transpose(0, 2, 3, 1))
+    cols = ops.im2col(tiles, w.shape[0])
+    a = ops.conv2d_forward(tiles, w, b, cols=cols)
+    np.maximum(a, 0, out=a)
+    inner, idx = ops.maxpool2_forward(a[:, half : half + 2, half : half + 2], need_argmax=need_cache)
+    pooled = np.empty(touched.shape + (w.shape[3],), dtype=x.dtype)
+    pooled[...] = np.maximum(b, 0)  # the conv of an all-zero patch is the bias
+    pooled[sites] = inner[:, 0, 0]
+    return pooled, (tiles, cols if need_cache else None, sites, pooled, idx)
+
+
+def _tile_block_backward(w, entry, dcur):
+    """(dw, db) of a block that ran on tiles."""
+    tiles, cols, sites, pooled, idx = entry
+    dpooled = ops.relu_backward(pooled, dcur)
+    # each pooled gradient reaches one pre-activation, whose bias gradient it
+    # is; einsum sums over the leading axes about 4x faster than ndarray.sum
+    db = np.einsum("nijc->c", dpooled)
+    half = w.shape[0] // 2
+    m, cout = len(tiles), w.shape[3]
+    dz = np.zeros(tiles.shape[:3] + (cout,), dtype=dpooled.dtype)
+    dz[:, half : half + 2, half : half + 2] = ops.maxpool2_backward(
+        (m, 2, 2, cout), idx, dpooled[sites][:, None, None]
+    )
+    _, dw, _ = ops.conv2d_backward(tiles, w, dz, need_dx=False, cols=cols)
+    return dw, db
+
+
 def forward_batch(params, config: ModelConfig, x, need_cache: bool = True):
     """Classify a batch of windows.
 
@@ -135,14 +233,14 @@ def forward_batch(params, config: ModelConfig, x, need_cache: bool = True):
     conv_caches = []
     cur = frames
     for n, block in enumerate(config.conv_blocks):
-        # the weight gradient reuses these columns, so the training cache keeps
-        # them; without a cache the conv lowers its input a few frames at a time
-        cols = ops.im2col(cur, block.kernel) if need_cache else None
-        a = ops.conv2d_forward(cur, params[f"conv{n}_w"], params[f"conv{n}_b"], cols=cols)
-        np.maximum(a, 0, out=a)  # ReLU without a second full-size array
-        pooled, idx = ops.maxpool2_forward(a, need_argmax=need_cache)
+        w, b = params[f"conv{n}_w"], params[f"conv{n}_b"]
+        touched = _touched_blocks(cur, block.kernel) if n == 0 else None
+        if touched is not None and np.count_nonzero(touched) <= TILE_MAX_TOUCHED * touched.size:
+            pooled, entry = _tile_block_forward(cur, w, b, touched, need_cache)
+        else:
+            pooled, entry = _block_forward(cur, w, b, need_cache)
         if need_cache:
-            conv_caches.append((cur, cols, a.shape, pooled, idx))
+            conv_caches.append(entry)
         cur = pooled
 
     flat = cur.reshape(batch * config.T, -1)
@@ -183,12 +281,13 @@ def backward_batch(params, config: ModelConfig, cache, dp):
     )
     dcur = dflat.reshape(pooled_shape)
     for n in range(len(config.conv_blocks) - 1, -1, -1):
-        cur_in, cols, a_shape, pooled, idx = conv_caches.pop()
-        # the pool gradient reaches only each block's argmax, where the
-        # pre-activation is > 0 exactly when the pooled max is: so the ReLU
-        # gradient is taken on the quarter-size pooled array
-        dz = ops.maxpool2_backward(a_shape, idx, ops.relu_backward(pooled, dcur))
-        dcur, grads[f"conv{n}_w"], grads[f"conv{n}_b"] = ops.conv2d_backward(
-            cur_in, params[f"conv{n}_w"], dz, need_dx=(n > 0), cols=cols
-        )
+        # each block's backward runs in its own call, so no array of the
+        # block above outlives it here
+        entry = conv_caches.pop()
+        w = params[f"conv{n}_w"]
+        if entry[2] is None:  # no tile sites: the block ran on whole frames
+            dcur, dw, db = _block_backward(w, entry, dcur, need_dx=(n > 0))
+        else:
+            dw, db = _tile_block_backward(w, entry, dcur)
+        grads[f"conv{n}_w"], grads[f"conv{n}_b"] = dw, db
     return grads

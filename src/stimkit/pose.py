@@ -291,16 +291,19 @@ def load_manifest(path) -> Manifest:
         if clip_id in seen:
             raise ConflictError(f"{path}: duplicate clip id {clip_id!r}")
         seen.add(clip_id)
-        records.append(
-            ClipRecord(
-                clip_id=clip_id,
-                subject_id=str(entry["subject"]),
-                label=str(entry["label"]),
-                fps=fps,
-                keypoint_source=str(entry["keypoints"]),
-                frame_range=(start, end),
+        try:
+            records.append(
+                ClipRecord(
+                    clip_id=clip_id,
+                    subject_id=str(entry["subject"]),
+                    label=str(entry["label"]),
+                    fps=fps,
+                    keypoint_source=str(entry["keypoints"]),
+                    frame_range=(start, end),
+                )
             )
-        )
+        except ValidationError as e:
+            raise ValidationError(f"{path}: clip record {n}: {e}") from e
     return Manifest(frame_width=width, frame_height=height, clips=tuple(records), base_dir=path.parent)
 
 

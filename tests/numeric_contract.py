@@ -1,0 +1,42 @@
+"""The closeness half of the numeric contract (docs/formats.md, "Numeric contract").
+
+A kernel that adds in another order than the kernel it replaces keeps
+the old kernel in the tests as a reference and is checked against it
+here. The bound is normwise: every element of the result lies within
+``TOLERANCE_EPS`` machine epsilons of the reference's largest
+magnitude. A sum that is only regrouped moves by a few epsilons of its
+terms' scale; a wrong term, a skipped block or a lost sign moves it by
+far more.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+# 100 * 2**-23 ~ 1.2e-5 of the largest element in float32, ~2.2e-14 in float64
+TOLERANCE_EPS = 100
+
+
+def contract_error(got, want) -> float:
+    """max |got - want| in epsilons of want's dtype, relative to max |want|."""
+    got, want = np.asarray(got), np.asarray(want)
+    scale = float(np.max(np.abs(want), initial=0.0))
+    diff = float(np.max(np.abs(got.astype(np.float64) - want.astype(np.float64)), initial=0.0))
+    if diff == 0.0:
+        return 0.0
+    return diff / (np.finfo(want.dtype).eps * scale) if scale > 0 else float("inf")
+
+
+def assert_float32_close(got, want, name: str = ""):
+    """``got`` matches the reference ``want`` within the contract's tolerance.
+
+    Shape and dtype must be equal; non-finite values must not appear.
+    The tolerance is in epsilons of the dtype, so a float64 result is held
+    to the same relative rounding budget as a float32 one.
+    """
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape, f"{name}: shape {got.shape} != {want.shape}"
+    assert got.dtype == want.dtype, f"{name}: dtype {got.dtype} != {want.dtype}"
+    assert np.all(np.isfinite(got)) and np.all(np.isfinite(want)), f"{name}: non-finite values"
+    err = contract_error(got, want)
+    assert err <= TOLERANCE_EPS, f"{name}: off by {err:.1f} eps of its largest element (bound {TOLERANCE_EPS})"

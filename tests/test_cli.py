@@ -490,6 +490,18 @@ class TestExitCodes:
         monkeypatch.setattr(evaluate, "train", diverge)
         assert run_cli("train", "-c", mini_run_config) == 3
 
+    def test_divergence_leaves_no_output_dir(self, mini_run_config, tmp_path, monkeypatch, capsys):
+        from stimkit import evaluate
+        from stimkit.errors import NumericError
+
+        def diverge(*args, **kwargs):
+            raise NumericError("training diverged: epoch 0 mean loss nan")
+
+        monkeypatch.setattr(evaluate, "train", diverge)
+        assert run_cli("train", "-c", mini_run_config) == 3
+        assert "training diverged" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_divergence_on_the_last_step_exits_3(self, mini_run_config, tmp_path, monkeypatch, capsys):
         # an infinite gradient on the last step of the last epoch once let train exit 0,
         # writing a checkpoint of NaN parameters that predict rejects
@@ -546,6 +558,8 @@ def _people(person):
         ("manifest", _manifest({**_CLIP, "fps": None}), 2),
         ("manifest", _manifest({**_CLIP, "start_frame": "x"}), 2),
         ("manifest", _manifest({**_CLIP, "start_frame": None}), 2),
+        ("manifest", _manifest({**_CLIP, "start_frame": -3}), 2),
+        ("manifest", _manifest({**_CLIP, "label": "UNSET"}), 2),
         ("keypoints", _people(5), 2),
         ("keypoints", _people({"pose_keypoints_2d": ["x"] * 75}), 2),
         ("keypoints", _people({"pose_keypoints_2d": [[0.0, 0.0, 0.0]] * 25}), 2),
@@ -554,6 +568,7 @@ def _people(person):
         ("image", imageio._PNG_SIG + b"\x00\x00\x00\x0dIHDR\x00\x00\x00\x10", 4),
     ],
     ids=["manifest_array", "clip_not_object", "fps_string", "fps_null", "start_string", "start_null",
+         "start_negative", "label_unset",
          "person_not_object", "keypoints_non_numeric", "keypoints_nested",
          "ppm_header_xx", "ppm_short_payload", "png_truncated"],
 )
@@ -573,6 +588,15 @@ def test_malformed_reader_input_exits_with_contract_code(tmp_path, capsys, reade
 
 
 class TestTrainHoldout:
+    def test_holdout_of_every_subject_exits_2_before_the_output_dir_is_made(self, mini_dataset, tmp_path, capsys):
+        subjects = sorted({c["subject"] for c in json.loads(Path(mini_dataset).read_text())["clips"]})
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"manifest": str(mini_dataset), "output_dir": str(tmp_path / "out"), "seed": 2,
+                                    "holdout_subjects": subjects}))
+        assert run_cli("train", "-c", path) == 2
+        assert "holdout leaves no training windows" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_holdout_subjects_excluded_and_scored(self, mini_dataset, tmp_path):
         cfg = {
             "manifest": str(mini_dataset),

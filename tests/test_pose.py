@@ -120,6 +120,18 @@ class TestLoadManifest:
         with pytest.raises(ValidationError, match=f"clip 'a': start_frame must be >= 0, got {start}"):
             load_manifest(p)
 
+    @pytest.mark.parametrize("field, value, reason", [
+        ("start_frame", -3, "start_frame must be >= 0, got -3"),
+        ("label", "UNSET", "label must be positive|negative, got 'UNSET'"),
+        ("fps", -1, "fps must be > 0, got -1.0"),
+    ])
+    def test_record_errors_name_the_file_and_record(self, tmp_path, field, value, reason):
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps(self._doc([self._clip("a"), self._clip("b", **{field: value})])))
+        with pytest.raises(ValidationError) as info:
+            load_manifest(p)
+        assert str(info.value) == f"{p}: clip record 1: clip 'b': {reason}"
+
     def test_missing_field_names_field_and_record(self, tmp_path):
         clip = self._clip("a")
         del clip["fps"]

@@ -1,0 +1,287 @@
+"""The first conv block's tile path against the full-frame block it replaces.
+
+``reference_block`` and ``reference_block_grads`` are block 0 as every
+frame ran it before the tile path: im2col, conv, ReLU and pool over whole
+frames, and the pool and conv backward over the full-size gradient. The
+forward must give the same bytes; ``conv0_w`` and ``conv0_b`` regroup
+their sums and are held to the numeric contract instead.
+"""
+
+import numpy as np
+import pytest
+
+from stimkit.nn import model, ops
+from stimkit.nn.gradcheck import analytic_grads, finite_difference_grads, max_relative_error, micro_config
+from stimkit.nn.model import ModelConfig, backward_batch, forward_batch, init_params
+from stimkit.nn.optim import bce_loss
+
+from numeric_contract import assert_float32_close
+
+DTYPES = [np.float32, np.float64]
+
+
+def reference_block(x, w, b, need_cache=True):
+    """Block 0 over whole frames: (pooled, cols, a_shape, idx); the scoring path lowers without columns."""
+    cols = ops.im2col(x, w.shape[0]) if need_cache else None
+    a = ops.conv2d_forward(x, w, b, cols=cols)
+    np.maximum(a, 0, out=a)
+    pooled, idx = ops.maxpool2_forward(a, need_argmax=need_cache)
+    return pooled, cols, a.shape, idx
+
+
+def reference_block_grads(x, w, b, dcur):
+    pooled, cols, a_shape, idx = reference_block(x, w, b)
+    dz = ops.maxpool2_backward(a_shape, idx, ops.relu_backward(pooled, dcur))
+    _, dw, db = ops.conv2d_backward(x, w, dz, need_dx=False, cols=cols)
+    return dw, db
+
+
+def block_params(rng, dtype, cin=1, cout=16):
+    w = (rng.normal(size=(3, 3, cin, cout)) * 0.3).astype(dtype)
+    # both signs: a positive bias lights every untouched cell, a negative one none
+    b = (rng.normal(size=cout) * 0.1).astype(dtype)
+    return w, b
+
+
+def sparse_frames(rng, frames, dtype, size=64, max_points=40, binary=True):
+    x = np.zeros((frames, size, size, 1), dtype=dtype)
+    for f in range(frames):
+        k = int(rng.integers(0, max_points))
+        rows, cols = rng.integers(0, size, (2, k))
+        x[f, rows, cols, 0] = 1.0 if binary else rng.uniform(0.1, 1.0, k)
+    return x
+
+
+def tile_forward(x, w, b, need_cache=True):
+    touched = model._touched_blocks(x, w.shape[0])
+    assert np.count_nonzero(touched) <= model.TILE_MAX_TOUCHED * touched.size, "input does not take the tile path"
+    return model._tile_block_forward(x, w, b, touched, need_cache)
+
+
+def assert_forward_matches(x, w, b):
+    for need_cache in (True, False):
+        got, _ = tile_forward(x, w, b, need_cache)
+        want = reference_block(x, w, b, need_cache)[0]
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), f"need_cache={need_cache}"
+
+
+def assert_grads_match(x, w, b, rng):
+    _, entry = tile_forward(x, w, b)
+    dcur = rng.normal(size=(x.shape[0], x.shape[1] // 2, x.shape[2] // 2, w.shape[3])).astype(x.dtype)
+    dw, db = model._tile_block_backward(w, entry, dcur)
+    want_dw, want_db = reference_block_grads(x, w, b, dcur)
+    assert_float32_close(dw, want_dw, "conv0_w")
+    assert_float32_close(db, want_db, "conv0_b")
+
+
+class TestTouchedBlocks:
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_matches_a_brute_force_reach(self, k):
+        rng = np.random.default_rng(k)
+        x = sparse_frames(rng, 4, np.float32, size=16, max_points=6)
+        half = k // 2
+        lit = np.pad(x[..., 0] != 0, ((0, 0), (half, half), (half, half)))
+        want = np.zeros((4, 8, 8), dtype=bool)
+        for n in range(4):
+            for i in range(8):
+                for j in range(8):
+                    want[n, i, j] = lit[n, 2 * i : 2 * i + 2 + 2 * half, 2 * j : 2 * j + 2 + 2 * half].any()
+        assert np.array_equal(model._touched_blocks(x, k), want)
+
+    def test_any_nonzero_channel_lights_a_pixel(self):
+        x = np.zeros((1, 8, 8, 3), dtype=np.float32)
+        x[0, 4, 4, 2] = -0.5
+        touched = model._touched_blocks(x, 3)
+        assert touched.sum() == 4 and touched[0, 1:3, 1:3].all()
+
+
+class TestTileForward:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("frames", [7, 56], ids=["B1", "B8"])
+    @pytest.mark.parametrize("binary", [True, False], ids=["binary", "graded"])
+    def test_bytes_match_the_full_frame_block_on_random_masks(self, dtype, frames, binary):
+        rng = np.random.default_rng(frames + binary)
+        for _ in range(12):
+            w, b = block_params(rng, dtype)
+            assert_forward_matches(sparse_frames(rng, frames, dtype, binary=binary), w, b)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_blank_window_has_no_tiles(self, dtype):
+        rng = np.random.default_rng(1)
+        w, b = block_params(rng, dtype)
+        x = np.zeros((7, 64, 64, 1), dtype=dtype)
+        pooled, (tiles, cols, sites, _, idx) = tile_forward(x, w, b)
+        assert tiles.shape == (0, 4, 4, 1) and cols.shape == (0, 9) and idx.shape == (0, 1, 1, 16)
+        assert all(len(s) == 0 for s in sites)
+        assert np.array_equal(pooled, np.broadcast_to(np.maximum(b, 0), pooled.shape))
+        assert_forward_matches(x, w, b)
+        assert_grads_match(x, w, b, rng)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_lit_pixels_on_every_border_and_corner(self, dtype):
+        rng = np.random.default_rng(2)
+        x = np.zeros((2, 64, 64, 1), dtype=dtype)
+        for r, c in ((0, 0), (0, 63), (63, 0), (63, 63)):
+            x[0, r, c, 0] = 1.0
+        edge = rng.integers(1, 63, 4)
+        x[1, 0, edge[0]] = x[1, 63, edge[1]] = x[1, edge[2], 0] = x[1, edge[3], 63] = 1.0
+        x[1, 0, 1] = x[1, 1, 0] = 0.5  # two pixels next to one corner
+        w, b = block_params(rng, dtype)
+        assert_forward_matches(x, w, b)
+        assert_grads_match(x, w, b, rng)
+
+    def test_other_kernel_sizes_and_channels(self):
+        rng = np.random.default_rng(3)
+        for k, cin in ((1, 1), (5, 1), (3, 2)):
+            x = np.repeat(sparse_frames(rng, 3, np.float64, size=32, max_points=3), cin, axis=3)
+            w = rng.normal(size=(k, k, cin, 4))
+            b = rng.normal(size=4) * 0.1
+            assert_forward_matches(x, w, b)
+            assert_grads_match(x, w, b, rng)
+
+
+class TestTileGradients:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("frames", [7, 56], ids=["B1", "B8"])
+    def test_weight_and_bias_gradients_within_the_contract(self, dtype, frames):
+        rng = np.random.default_rng(frames)
+        for _ in range(6):
+            w, b = block_params(rng, dtype)
+            assert_grads_match(sparse_frames(rng, frames, dtype), w, b, rng)
+
+
+def _tiny_config():
+    return ModelConfig(T=7, height=32, width=32, frame_embedding=16, lstm_hidden=8, seed=4)
+
+
+def _spy_paths(monkeypatch):
+    taken = []
+    for name in ("_tile_block_forward", "_block_forward"):
+        real = getattr(model, name)
+
+        def spy(*args, real=real, name=name):
+            taken.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(model, name, spy)
+    return taken
+
+
+class TestForwardBatch:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_fallback_fraction_splits_the_paths_with_the_same_bytes(self, monkeypatch, dtype):
+        # light one pixel at a time until the touched share crosses the fraction
+        cfg = _tiny_config()
+        params = init_params(cfg, dtype)
+        params["conv0_b"][:] = np.linspace(-0.1, 0.1, len(params["conv0_b"]))
+        rng = np.random.default_rng(5)
+        x = np.zeros((1, cfg.T, cfg.height, cfg.width, 1), dtype=dtype)
+        frames = x.reshape(cfg.T, cfg.height, cfg.width, 1)
+        limit = model.TILE_MAX_TOUCHED * cfg.T * (cfg.height // 2) * (cfg.width // 2)
+        below = None
+        while True:
+            t, r, c = rng.integers(0, (cfg.T, cfg.height, cfg.width))
+            trial = frames.copy()
+            trial[t, r, c, 0] = 1.0
+            count = np.count_nonzero(model._touched_blocks(trial, 3))
+            if count > limit:
+                above = trial[None]
+                break
+            frames[...] = trial
+            below = x.copy()
+        taken = _spy_paths(monkeypatch)
+        got = [forward_batch(params, cfg, window)[0] for window in (below, above)]
+        assert taken == ["_tile_block_forward", "_block_forward", "_block_forward", "_block_forward"]
+        monkeypatch.setattr(model, "TILE_MAX_TOUCHED", -1.0)  # every block on whole frames
+        for p, window in zip(got, (below, above)):
+            assert p.tobytes() == forward_batch(params, cfg, window)[0].tobytes()
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("batch", [1, 8])
+    def test_only_the_first_block_gradients_move(self, monkeypatch, dtype, batch):
+        cfg = _tiny_config()
+        params = init_params(cfg, dtype)
+        params["conv0_b"][:] = np.linspace(-0.1, 0.1, len(params["conv0_b"]))
+        rng = np.random.default_rng(batch)
+        x = sparse_frames(rng, batch * cfg.T, dtype, size=32, max_points=10).reshape(batch, cfg.T, 32, 32, 1)
+        y = (np.arange(batch) % 2).astype(dtype)
+        taken = _spy_paths(monkeypatch)
+        got = analytic_grads(params, cfg, x, y)
+        assert taken[0] == "_tile_block_forward"
+        monkeypatch.setattr(model, "TILE_MAX_TOUCHED", -1.0)
+        want = analytic_grads(params, cfg, x, y)
+        for name in want:
+            if name in ("conv0_w", "conv0_b"):
+                assert_float32_close(got[name], want[name], name)
+            else:
+                assert got[name].tobytes() == want[name].tobytes(), name
+
+    @pytest.mark.parametrize("lit, path", [(0.005, "_tile_block_forward"), (0.5, "_block_forward")])
+    def test_one_call_of_each_conv_and_pool_op_per_block(self, monkeypatch, lit, path):
+        cfg = _tiny_config()
+        params = init_params(cfg)
+        rng = np.random.default_rng(6)
+        x = (rng.random((2, cfg.T, 32, 32, 1)) < lit).astype(np.float32)
+        calls = {}
+        for name in ("conv2d_forward", "maxpool2_forward", "conv2d_backward", "maxpool2_backward"):
+            real = getattr(ops, name)
+
+            def counted(*args, real=real, name=name, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(ops, name, counted)
+        taken = _spy_paths(monkeypatch)
+        p, cache = forward_batch(params, cfg, x)
+        forward_batch(params, cfg, x, need_cache=False)
+        assert taken == [path, "_block_forward"] * 2
+        _, dp = bce_loss(p, np.array([0.0, 1.0], dtype=np.float32))
+        backward_batch(params, cfg, cache, dp)
+        blocks = len(cfg.conv_blocks)
+        assert calls == {"conv2d_forward": 2 * blocks, "maxpool2_forward": 2 * blocks,
+                         "conv2d_backward": blocks, "maxpool2_backward": blocks}
+
+
+class TestSparseGradCheck:
+    """Finite differences on a sparse binary clip, which the tile path takes.
+
+    The dense ``rng.random`` clip of the other grad checks lights every
+    block, so it never reaches this path. The conv biases are nonzero
+    (one of each sign): at a zero bias every untouched cell sits on the
+    ReLU's kink, where a central difference is undefined.
+    """
+
+    @staticmethod
+    def _setup():
+        cfg = micro_config(seed=3)
+        params = init_params(cfg, np.float64)
+        params["conv0_b"][:] = [0.2, -0.1, 0.05, 0.3]
+        clip = np.zeros((2, 8, 8))
+        clip[0, 0, 0] = clip[0, 0, 1] = 1.0  # by the top-left corner
+        clip[1, 7, 7] = 1.0  # the bottom-right corner
+        x = clip[None, :, :, :, None]
+        touched = model._touched_blocks(x[0], 3)
+        assert 0 < np.count_nonzero(touched) <= model.TILE_MAX_TOUCHED * touched.size
+        return cfg, params, x, np.array([1.0])
+
+    def test_passes_below_1e4(self):
+        cfg, params, x, y = self._setup()
+        err, per_param = max_relative_error(analytic_grads(params, cfg, x, y),
+                                            finite_difference_grads(params, cfg, x, y))
+        assert err < 1e-4, per_param
+
+    def test_fails_when_the_bias_gradient_skips_untouched_blocks(self, monkeypatch):
+        cfg, params, x, y = self._setup()
+        real = model._tile_block_backward
+
+        def touched_only(w, entry, dcur):
+            dw, _ = real(w, entry, dcur)
+            _, _, sites, pooled, _ = entry
+            return dw, ops.relu_backward(pooled, dcur)[sites].sum(axis=0)
+
+        monkeypatch.setattr(model, "_tile_block_backward", touched_only)
+        _, per_param = max_relative_error(analytic_grads(params, cfg, x, y),
+                                            finite_difference_grads(params, cfg, x, y))
+        assert per_param["conv0_b"] > 0.1
+        assert per_param["conv0_w"] < 1e-4
