@@ -263,7 +263,6 @@ def cmd_cv(args) -> int:
         raster_spec=cfg.raster,
     )
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    _atomic_write_text(cfg.output_dir / "report.json", report.to_json())
     rows = report.prediction_rows()
     _atomic_write_text(
         cfg.output_dir / "predictions.csv",
@@ -271,6 +270,8 @@ def cmd_cv(args) -> int:
     )
     for fr in report.per_fold:
         save_checkpoint(fr.checkpoint, cfg.output_dir / f"fold_{fr.fold}.ckpt")
+    # last, so a report is never left beside missing checkpoints
+    _atomic_write_text(cfg.output_dir / "report.json", report.to_json())
 
     print(f"{'fold':<5} {'test subjects':<30} {'tp':>3} {'fp':>3} {'fn':>3} {'tn':>3} "
           f"{'precision':>9} {'recall':>7} {'f1':>7}")

@@ -11,21 +11,21 @@ Far from a lit pixel its conv output is exactly the bias, so each 2x2
 pool block whose k x k reach holds no nonzero pixel pools the constant
 ``max(b, 0)`` with argmax 0. That block therefore runs only on the
 touched pool blocks: for each it gathers the tile of the zero-padded
-input under the pool block's reach (4 x 4 for a 3 x 3 kernel), and the
-(M, 4, 4, Cin) batch of tiles goes through ``im2col``, the conv, ReLU
-and the pool of each tile's inner 2x2; every untouched pooled cell is
-filled with ``max(b, 0)``. The tile's conv output at the inner 2x2 sees
-the same patch as the full-frame conv there, so the forward gives the
-same bytes. Backward routes the pooled gradient through the tiles for
-the weight gradient (untouched patches are all zero and add nothing)
-and sums the pooled-space gradient for the bias, since each pooled
-gradient reaches exactly one position. Both regroup their sums, so
-``conv0_w`` and ``conv0_b`` differ from the full-frame gradients in
-the last bits (the numeric contract in docs/formats.md). A tile costs
-four times the conv work of its pool block, so when more than
-``TILE_MAX_TOUCHED`` of the pool blocks are touched the block runs the
-full-frame path instead. Every block makes one call of each conv and
-pool op per forward and per backward on either path.
+input under the pool block's reach (4 x 4 for a 3 x 3 kernel) and
+lowers the tile's valid k x k windows, which are the patches of the
+four positions the pool reads. The conv, ReLU and pool run on that
+(M, 2, 2, Cout) batch, and every untouched pooled cell is filled with
+``max(b, 0)``. Each of those patches is the one the full-frame conv
+sees at that position, so the forward gives the same bytes. Backward
+routes the pooled gradient through the same columns for the weight
+gradient (untouched patches are all zero and add nothing) and sums
+the pooled-space gradient for the bias, since each pooled gradient
+reaches exactly one position. Both regroup their sums, so ``conv0_w``
+and ``conv0_b`` differ from the full-frame gradients in the last bits
+(the numeric contract in docs/formats.md). The block takes this path
+at every density: a fully lit frame lowers one patch per position, as
+the full-frame conv does, plus the gather of its tiles. Every block
+makes one call of each conv and pool op per forward and per backward.
 """
 
 from __future__ import annotations
@@ -43,9 +43,6 @@ from .lstm import lstm_backward, lstm_forward
 PROB_EPS = 1e-7
 # init_params draws every weight in float64 first; this bounds that draw at 80 MB
 MAX_PARAMETERS = 10**7
-# the first conv block runs on tiles while at most this share of its pool
-# blocks is touched; above it the full-frame lowering is faster
-TILE_MAX_TOUCHED = 0.2
 
 
 @dataclass(frozen=True)
@@ -152,17 +149,17 @@ def _block_forward(x, w, b, need_cache):
     a = ops.conv2d_forward(x, w, b, cols=cols)
     np.maximum(a, 0, out=a)  # ReLU without a second full-size array
     pooled, idx = ops.maxpool2_forward(a, need_argmax=need_cache)
-    return pooled, (x, cols, None, pooled, idx)
+    return pooled, (x, cols, pooled, idx)
 
 
-def _block_backward(w, entry, dcur, need_dx):
+def _block_backward(w, entry, dcur):
     """(dx, dw, db) of a block that ran over whole frames."""
-    x, cols, _, pooled, idx = entry
+    x, cols, pooled, idx = entry
     # the pool gradient reaches only each block's argmax, where the
     # pre-activation is > 0 exactly when the pooled max is: so the ReLU
     # gradient is taken on the quarter-size pooled array
     dz = ops.maxpool2_backward(x.shape[:3] + (w.shape[3],), idx, ops.relu_backward(pooled, dcur))
-    return ops.conv2d_backward(x, w, dz, need_dx=need_dx, cols=cols)
+    return ops.conv2d_backward(x, w, dz, cols=cols)
 
 
 def _touched_blocks(x, k):
@@ -182,38 +179,37 @@ def _touched_blocks(x, k):
 
 def _tile_block_forward(x, w, b, touched, need_cache):
     """The block on the padded tiles under the touched pool blocks; returns (pooled, cache entry)."""
-    half = w.shape[0] // 2
+    k = w.shape[0]
+    half = k // 2
     side = 2 + 2 * half
     sites = np.nonzero(touched)
     n, i, j = sites
     xp = np.pad(x, ((0, 0), (half, half), (half, half), (0, 0)))
     # (N, ., ., Cin, side, side) view; the index copies out one tile per site
     tiles = sliding_window_view(xp, (side, side), axis=(1, 2))[n, 2 * i, 2 * j]
-    tiles = np.ascontiguousarray(tiles.transpose(0, 2, 3, 1))
-    cols = ops.im2col(tiles, w.shape[0])
-    a = ops.conv2d_forward(tiles, w, b, cols=cols)
+    # a tile's valid k x k windows are the patches of its inner 2x2, rows
+    # over (site, row, column) and columns over (di, dj, cin) as in im2col
+    patches = sliding_window_view(tiles, (k, k), axis=(2, 3))
+    cols = patches.transpose(0, 2, 3, 4, 5, 1).reshape(-1, k * k * x.shape[3])
+    inner = tiles[:, :, half : half + 2, half : half + 2].transpose(0, 2, 3, 1)
+    a = ops.conv2d_forward(inner, w, b, cols=cols)
     np.maximum(a, 0, out=a)
-    inner, idx = ops.maxpool2_forward(a[:, half : half + 2, half : half + 2], need_argmax=need_cache)
+    tile_pooled, idx = ops.maxpool2_forward(a, need_argmax=need_cache)
     pooled = np.empty(touched.shape + (w.shape[3],), dtype=x.dtype)
     pooled[...] = np.maximum(b, 0)  # the conv of an all-zero patch is the bias
-    pooled[sites] = inner[:, 0, 0]
-    return pooled, (tiles, cols if need_cache else None, sites, pooled, idx)
+    pooled[sites] = tile_pooled[:, 0, 0]
+    return pooled, (inner, cols if need_cache else None, sites, pooled, idx)
 
 
 def _tile_block_backward(w, entry, dcur):
     """(dw, db) of a block that ran on tiles."""
-    tiles, cols, sites, pooled, idx = entry
+    inner, cols, sites, pooled, idx = entry
     dpooled = ops.relu_backward(pooled, dcur)
     # each pooled gradient reaches one pre-activation, whose bias gradient it
     # is; einsum sums over the leading axes about 4x faster than ndarray.sum
     db = np.einsum("nijc->c", dpooled)
-    half = w.shape[0] // 2
-    m, cout = len(tiles), w.shape[3]
-    dz = np.zeros(tiles.shape[:3] + (cout,), dtype=dpooled.dtype)
-    dz[:, half : half + 2, half : half + 2] = ops.maxpool2_backward(
-        (m, 2, 2, cout), idx, dpooled[sites][:, None, None]
-    )
-    _, dw, _ = ops.conv2d_backward(tiles, w, dz, need_dx=False, cols=cols)
+    dz = ops.maxpool2_backward(inner.shape[:3] + (w.shape[3],), idx, dpooled[sites][:, None, None])
+    _, dw, _ = ops.conv2d_backward(inner, w, dz, need_dx=False, cols=cols)
     return dw, db
 
 
@@ -234,9 +230,8 @@ def forward_batch(params, config: ModelConfig, x, need_cache: bool = True):
     cur = frames
     for n, block in enumerate(config.conv_blocks):
         w, b = params[f"conv{n}_w"], params[f"conv{n}_b"]
-        touched = _touched_blocks(cur, block.kernel) if n == 0 else None
-        if touched is not None and np.count_nonzero(touched) <= TILE_MAX_TOUCHED * touched.size:
-            pooled, entry = _tile_block_forward(cur, w, b, touched, need_cache)
+        if n == 0:
+            pooled, entry = _tile_block_forward(cur, w, b, _touched_blocks(cur, block.kernel), need_cache)
         else:
             pooled, entry = _block_forward(cur, w, b, need_cache)
         if need_cache:
@@ -285,9 +280,9 @@ def backward_batch(params, config: ModelConfig, cache, dp):
         # block above outlives it here
         entry = conv_caches.pop()
         w = params[f"conv{n}_w"]
-        if entry[2] is None:  # no tile sites: the block ran on whole frames
-            dcur, dw, db = _block_backward(w, entry, dcur, need_dx=(n > 0))
-        else:
+        if n == 0:
             dw, db = _tile_block_backward(w, entry, dcur)
+        else:
+            dcur, dw, db = _block_backward(w, entry, dcur)
         grads[f"conv{n}_w"], grads[f"conv{n}_b"] = dw, db
     return grads

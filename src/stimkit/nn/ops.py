@@ -18,10 +18,8 @@ kernel as the whole. They do at every shape the model runs: a frame is
 a multiple of 4 rows (both sides are even, as pooling follows) and a
 chunk is far above OpenBLAS's small-product kernels. A chunk with an
 odd row count, or one small enough for those kernels while the whole
-is not, can round differently in the last bit. Single-channel columns
-are built with one plane copy per kernel tap; wider inputs go through
-a sliding-window view, which is faster once a patch row holds whole
-channel vectors.
+is not, can round differently in the last bit. Columns are copied out
+of a sliding-window view of the padded input.
 
 2x2 max pooling reads the four strided views ``x[:, i::2, j::2]`` of
 the input and folds them with ``np.maximum``; no block copy is made.
@@ -63,13 +61,6 @@ def im2col(x, k):
     """
     n, h, w, cin = x.shape
     xp = _pad_same(x, k // 2)
-    if cin == 1:
-        # a patch row is k*k scalars: k*k plane copies beat one 6-D strided copy
-        cols = np.empty((n, h, w, k, k), dtype=x.dtype)
-        for di in range(k):
-            for dj in range(k):
-                cols[:, :, :, di, dj] = xp[:, di : di + h, dj : dj + w, 0]
-        return cols.reshape(n * h * w, k * k)
     # (N, H, W, Cin, k, k) view over the padded image
     patches = sliding_window_view(xp, (k, k), axis=(1, 2))
     return patches.transpose(0, 1, 2, 4, 5, 3).reshape(n * h * w, -1)
@@ -120,7 +111,9 @@ def conv2d_backward(x, w, dy, need_dx: bool = True, cols=None):
         cols = im2col(x, k)
     dw_flat = cols.T @ dy.reshape(-1, w.shape[3])
     dw = dw_flat.reshape(k, k, w.shape[2], w.shape[3]).astype(w.dtype, copy=False)
-    db = dy.sum(axis=(0, 1, 2))
+    # adds the (n, i, j) rows in order, as dy.sum(axis=(0, 1, 2)) does when
+    # Cout > 1, in under half its time
+    db = np.einsum("nijc->c", dy)
     return dx, dw, db
 
 

@@ -285,6 +285,23 @@ class TestCvCommand:
         printed = capsys.readouterr().out
         assert "mean F1 (windows):" in printed
 
+    def test_failed_checkpoint_write_leaves_no_report(self, mini_run_config, tmp_path, monkeypatch, capsys):
+        from stimkit import cli
+
+        real = cli.save_checkpoint
+
+        def save_checkpoint(checkpoint, path):
+            if Path(path).name == "fold_1.ckpt":
+                raise OSError(28, "No space left on device", str(path))
+            return real(checkpoint, path)
+
+        monkeypatch.setattr(cli, "save_checkpoint", save_checkpoint)
+        assert run_cli("cv", "-c", mini_run_config) == 4
+        assert "No space left on device" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert (out / "fold_0.ckpt").exists()
+        assert not (out / "report.json").exists()
+
     def test_k_below_2_exits_2_naming_cv_k(self, mini_run_config, capsys):
         doc = json.loads(Path(mini_run_config).read_text())
         Path(mini_run_config).write_text(json.dumps({**doc, "k": 1}))

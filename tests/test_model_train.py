@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from stimkit.augment import AugmentSpec, make_training_augmenter
 from stimkit.data import build_dataset
 from stimkit.errors import ConfigError, NumericError, SizeError
-from stimkit.nn import model, ops
+from stimkit.nn import ops
 from stimkit.nn import train as train_module
 from stimkit.nn.gradcheck import micro_config
 from stimkit.nn.lstm import lstm_backward
@@ -132,15 +132,9 @@ class TestForward:
         assert 0.0 < p < 1.0
 
 
-def _takes_tile_path(config, x):
-    frames = x.reshape((-1,) + x.shape[2:])
-    touched = model._touched_blocks(frames, config.conv_blocks[0].kernel)
-    return np.count_nonzero(touched) <= model.TILE_MAX_TOUCHED * touched.size
-
-
 def _reference_backward_batch(params, config, x, cache, dp):
     # backward_batch from the pieces it replaced: every conv block rerun on
-    # whole frames from the window (block 0's cache may hold tiles), the ReLU
+    # whole frames from the window (block 0's cache holds tiles), the ReLU
     # gradient on the full-size pre-activation (recomputed here), the
     # put_along_axis pool backward, and a conv backward that lowers its input again.
     (x_shape, frames_shape, _, pooled_shape, flat, emb_z, h_last, lstm_caches, out_z, p) = cache
@@ -168,26 +162,25 @@ def _reference_backward_batch(params, config, x, cache, dp):
     return grads
 
 
-def _assert_grads_match_reference(params, got, want, tiled):
-    """Every gradient byte-equal, but block 0's within the numeric contract when it ran on tiles."""
+def _assert_grads_match_reference(params, got, want):
+    """Every gradient byte-equal, but block 0's, which ran on tiles, within the numeric contract."""
     assert got.keys() == want.keys() == params.keys()
     for name in params:
         assert got[name].dtype == want[name].dtype == params[name].dtype, name
         assert got[name].shape == params[name].shape, name
-        if tiled and name in ("conv0_w", "conv0_b"):
+        if name in ("conv0_w", "conv0_b"):
             assert_float32_close(got[name], want[name], name)
         else:
             assert got[name].tobytes() == want[name].tobytes(), name
 
 
-def _assert_backward_matches_reference(params, config, x, y, tiled):
-    assert _takes_tile_path(config, x) == tiled
+def _assert_backward_matches_reference(params, config, x, y):
     p, cache = forward_batch(params, config, x)
     _, dp = bce_loss(p, y)
     dp = dp / len(y)
     want = _reference_backward_batch(params, config, x, cache, dp)
     got = backward_batch(params, config, cache, dp)  # uses the cache up
-    _assert_grads_match_reference(params, got, want, tiled)
+    _assert_grads_match_reference(params, got, want)
     # the check is not vacuous: both conv layers get a gradient
     assert all(np.any(got[f"conv{n}_w"] != 0) for n in range(len(config.conv_blocks)))
 
@@ -204,23 +197,22 @@ class TestBackwardBatch:
         y = np.array([c.label for c in clips], dtype=np.float32)
         assert 0 < y.sum() < len(y)
         cfg = ModelConfig()
-        _assert_backward_matches_reference(init_params(cfg), cfg, x, y, tiled=True)
+        _assert_backward_matches_reference(init_params(cfg), cfg, x, y)
 
     def test_matches_reference_in_float64(self):
         cfg = micro_config(seed=2)
         rng = np.random.default_rng(5)
         x = np.where(rng.random((6, cfg.T, cfg.height, cfg.width, 1)) < 0.3, rng.random(1), 0.0)
         y = np.array([0, 1, 1, 0, 1, 0], dtype=np.float64)
-        _assert_backward_matches_reference(init_params(cfg, np.float64), cfg, x, y, tiled=False)
+        _assert_backward_matches_reference(init_params(cfg, np.float64), cfg, x, y)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("lit, tiled", [(0.3, False), (0.004, True)], ids=["whole_frames", "tiles"])
-    def test_pops_each_block_once_its_gradient_is_taken(self, monkeypatch, dtype, lit, tiled):
+    @pytest.mark.parametrize("lit", [0.3, 0.004], ids=["dense", "sparse"])
+    def test_pops_each_block_once_its_gradient_is_taken(self, monkeypatch, dtype, lit):
         cfg = ModelConfig(T=2, height=16, width=16, channels=1, conv_blocks=(ConvBlock(4), ConvBlock(6)),
                           frame_embedding=8, lstm_hidden=4, seed=3)
         rng = np.random.default_rng(7)
         x = np.where(rng.random((6, cfg.T, cfg.height, cfg.width, 1)) < lit, 1.0, 0.0).astype(dtype)
-        assert _takes_tile_path(cfg, x) == tiled
         y = np.array([0, 1, 1, 0, 1, 0], dtype=dtype)
         params = init_params(cfg, dtype)
         p, cache = forward_batch(params, cfg, x)
@@ -240,7 +232,7 @@ class TestBackwardBatch:
         assert cache[2] == []
         # block 1's columns are gone by the time block 0's gradient is taken
         assert dead_at_call == [[False, False], [False, True]]
-        _assert_grads_match_reference(params, got, want, tiled)
+        _assert_grads_match_reference(params, got, want)
 
 
 class TestBceLoss:

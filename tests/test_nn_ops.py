@@ -88,6 +88,21 @@ class TestConv2d:
             for got, want in zip(cached[1:], lowered[1:]):
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize(
+        "shape,dtype",
+        [((56, 32, 32, 32), np.float32), ((7, 32, 32, 32), np.float32),
+         ((2, 8, 8, 4), np.float64), ((5, 2, 2, 4), np.float64)],
+        ids=["block2-B8", "block2-B1", "micro-frames", "micro-tiles"],
+    )
+    def test_bias_gradient_bytes_match_the_axis_sum(self, shape, dtype):
+        rng = np.random.default_rng(shape[0])
+        dy = rng.standard_normal(shape).astype(dtype)
+        x = np.zeros(shape[:3] + (1,), dtype=dtype)
+        w = np.zeros((1, 1, 1, shape[3]), dtype=dtype)
+        _, _, db = ops.conv2d_backward(x, w, dy, need_dx=False)
+        want = dy.sum(axis=(0, 1, 2))
+        assert db.dtype == want.dtype and db.tobytes() == want.tobytes()
+
     def test_gradient_of_wrong_shape_rejected(self):
         x, w = np.zeros((2, 4, 4, 1)), np.zeros((3, 3, 1, 2))
         for dy in (np.zeros((1, 1, 1, 1)), np.zeros((2, 4, 4, 1)), np.zeros((2, 2, 2, 2))):
@@ -96,7 +111,7 @@ class TestConv2d:
 
 
 def _reference_im2col(x, k):
-    # The sliding-window lowering that the single-channel plane copies replaced.
+    # The one-shot sliding-window lowering, kept apart from ops.im2col as its reference.
     half = k // 2
     xp = np.pad(x, ((0, 0), (half, half), (half, half), (0, 0)))
     patches = sliding_window_view(xp, (k, k), axis=(1, 2))

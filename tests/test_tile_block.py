@@ -3,8 +3,9 @@
 ``reference_block`` and ``reference_block_grads`` are block 0 as every
 frame ran it before the tile path: im2col, conv, ReLU and pool over whole
 frames, and the pool and conv backward over the full-size gradient. The
-forward must give the same bytes; ``conv0_w`` and ``conv0_b`` regroup
-their sums and are held to the numeric contract instead.
+forward must give the same bytes at every density, from a blank window
+to a fully lit one; ``conv0_w`` and ``conv0_b`` regroup their sums and
+are held to the numeric contract instead.
 """
 
 import numpy as np
@@ -52,10 +53,29 @@ def sparse_frames(rng, frames, dtype, size=64, max_points=40, binary=True):
     return x
 
 
+# pixel probability and the share of pool blocks it touches, 1 - (1 - p)**16
+# for a 4 x 4 reach; "100%" also lights every third row and column (any
+# three rows of a block's reach hold a multiple of 3), "lit" every pixel
+DENSITIES = {"25%": (0.0178, 0.25), "50%": (0.0424, 0.5), "100%": (0.3, 1.0), "lit": (1.0, 1.0)}
+
+
+def dense_frames(rng, frames, dtype, density, size=64, binary=True):
+    """Frames at one of DENSITIES, with the touched share checked."""
+    p, share = DENSITIES[density]
+    mask = rng.random((frames, size, size, 1)) < p
+    if density == "100%":
+        mask[:, ::3, ::3] = True
+    x = mask.astype(dtype) if binary else (mask * rng.uniform(0.1, 1.0, mask.shape)).astype(dtype)
+    got = model._touched_blocks(x, 3).mean()
+    if share == 1.0:
+        assert got == 1.0
+    else:
+        assert abs(got - share) < 0.05, got
+    return x
+
+
 def tile_forward(x, w, b, need_cache=True):
-    touched = model._touched_blocks(x, w.shape[0])
-    assert np.count_nonzero(touched) <= model.TILE_MAX_TOUCHED * touched.size, "input does not take the tile path"
-    return model._tile_block_forward(x, w, b, touched, need_cache)
+    return model._tile_block_forward(x, w, b, model._touched_blocks(x, w.shape[0]), need_cache)
 
 
 def assert_forward_matches(x, w, b):
@@ -107,12 +127,31 @@ class TestTileForward:
             assert_forward_matches(sparse_frames(rng, frames, dtype, binary=binary), w, b)
 
     @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("frames", [7, 56], ids=["B1", "B8"])
+    @pytest.mark.parametrize("density", list(DENSITIES))
+    def test_bytes_match_the_full_frame_block_at_every_density(self, dtype, frames, density):
+        rng = np.random.default_rng(frames)
+        for binary in (True, False):
+            w, b = block_params(rng, dtype)
+            assert_forward_matches(dense_frames(rng, frames, dtype, density, binary=binary), w, b)
+
+    def test_single_corner_pixel(self):
+        # one touched pool block: the smallest product the block runs, 4 x 9 by 9 x 16
+        rng = np.random.default_rng(8)
+        for dtype in DTYPES:
+            x = np.zeros((1, 64, 64, 1), dtype=dtype)
+            x[0, 0, 0, 0] = 1.0
+            w, b = block_params(rng, dtype)
+            assert_forward_matches(x, w, b)
+            assert_grads_match(x, w, b, rng)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
     def test_blank_window_has_no_tiles(self, dtype):
         rng = np.random.default_rng(1)
         w, b = block_params(rng, dtype)
         x = np.zeros((7, 64, 64, 1), dtype=dtype)
-        pooled, (tiles, cols, sites, _, idx) = tile_forward(x, w, b)
-        assert tiles.shape == (0, 4, 4, 1) and cols.shape == (0, 9) and idx.shape == (0, 1, 1, 16)
+        pooled, (inner, cols, sites, _, idx) = tile_forward(x, w, b)
+        assert inner.shape == (0, 2, 2, 1) and cols.shape == (0, 9) and idx.shape == (0, 1, 1, 16)
         assert all(len(s) == 0 for s in sites)
         assert np.array_equal(pooled, np.broadcast_to(np.maximum(b, 0), pooled.shape))
         assert_forward_matches(x, w, b)
@@ -150,6 +189,14 @@ class TestTileGradients:
             w, b = block_params(rng, dtype)
             assert_grads_match(sparse_frames(rng, frames, dtype), w, b, rng)
 
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("density", list(DENSITIES))
+    def test_within_the_contract_at_every_density(self, dtype, density):
+        rng = np.random.default_rng(9)
+        for frames in (7, 56):
+            w, b = block_params(rng, dtype)
+            assert_grads_match(dense_frames(rng, frames, dtype, density), w, b, rng)
+
 
 def _tiny_config():
     return ModelConfig(T=7, height=32, width=32, frame_embedding=16, lstm_hidden=8, seed=4)
@@ -168,48 +215,43 @@ def _spy_paths(monkeypatch):
     return taken
 
 
+def _whole_frame_block_0(monkeypatch):
+    """Run block 0 of forward_batch and backward_batch as ``reference_block`` does."""
+    def forward(x, w, b, touched, need_cache):
+        return reference_block(x, w, b, need_cache)[0], (x, b)
+
+    def backward(w, entry, dcur):
+        x, b = entry
+        return reference_block_grads(x, w, b, dcur)
+
+    monkeypatch.setattr(model, "_tile_block_forward", forward)
+    monkeypatch.setattr(model, "_tile_block_backward", backward)
+
+
+def _window(rng, cfg, batch, dtype, lit):
+    if lit == "sparse":
+        frames = sparse_frames(rng, batch * cfg.T, dtype, size=cfg.height, max_points=10)
+    else:
+        frames = dense_frames(rng, batch * cfg.T, dtype, lit, size=cfg.height)
+    return frames.reshape(batch, cfg.T, cfg.height, cfg.width, 1)
+
+
 class TestForwardBatch:
     @pytest.mark.parametrize("dtype", DTYPES)
-    def test_fallback_fraction_splits_the_paths_with_the_same_bytes(self, monkeypatch, dtype):
-        # light one pixel at a time until the touched share crosses the fraction
-        cfg = _tiny_config()
-        params = init_params(cfg, dtype)
-        params["conv0_b"][:] = np.linspace(-0.1, 0.1, len(params["conv0_b"]))
-        rng = np.random.default_rng(5)
-        x = np.zeros((1, cfg.T, cfg.height, cfg.width, 1), dtype=dtype)
-        frames = x.reshape(cfg.T, cfg.height, cfg.width, 1)
-        limit = model.TILE_MAX_TOUCHED * cfg.T * (cfg.height // 2) * (cfg.width // 2)
-        below = None
-        while True:
-            t, r, c = rng.integers(0, (cfg.T, cfg.height, cfg.width))
-            trial = frames.copy()
-            trial[t, r, c, 0] = 1.0
-            count = np.count_nonzero(model._touched_blocks(trial, 3))
-            if count > limit:
-                above = trial[None]
-                break
-            frames[...] = trial
-            below = x.copy()
-        taken = _spy_paths(monkeypatch)
-        got = [forward_batch(params, cfg, window)[0] for window in (below, above)]
-        assert taken == ["_tile_block_forward", "_block_forward", "_block_forward", "_block_forward"]
-        monkeypatch.setattr(model, "TILE_MAX_TOUCHED", -1.0)  # every block on whole frames
-        for p, window in zip(got, (below, above)):
-            assert p.tobytes() == forward_batch(params, cfg, window)[0].tobytes()
-
-    @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("batch", [1, 8])
-    def test_only_the_first_block_gradients_move(self, monkeypatch, dtype, batch):
+    @pytest.mark.parametrize("lit", ["sparse", "50%", "lit"])
+    def test_only_the_first_block_gradients_move(self, monkeypatch, dtype, batch, lit):
         cfg = _tiny_config()
         params = init_params(cfg, dtype)
         params["conv0_b"][:] = np.linspace(-0.1, 0.1, len(params["conv0_b"]))
-        rng = np.random.default_rng(batch)
-        x = sparse_frames(rng, batch * cfg.T, dtype, size=32, max_points=10).reshape(batch, cfg.T, 32, 32, 1)
+        x = _window(np.random.default_rng(batch), cfg, batch, dtype, lit)
         y = (np.arange(batch) % 2).astype(dtype)
         taken = _spy_paths(monkeypatch)
+        p = forward_batch(params, cfg, x, need_cache=False)[0]
         got = analytic_grads(params, cfg, x, y)
-        assert taken[0] == "_tile_block_forward"
-        monkeypatch.setattr(model, "TILE_MAX_TOUCHED", -1.0)
+        assert taken == ["_tile_block_forward", "_block_forward"] * 2
+        _whole_frame_block_0(monkeypatch)
+        assert p.tobytes() == forward_batch(params, cfg, x, need_cache=False)[0].tobytes()
         want = analytic_grads(params, cfg, x, y)
         for name in want:
             if name in ("conv0_w", "conv0_b"):
@@ -217,8 +259,8 @@ class TestForwardBatch:
             else:
                 assert got[name].tobytes() == want[name].tobytes(), name
 
-    @pytest.mark.parametrize("lit, path", [(0.005, "_tile_block_forward"), (0.5, "_block_forward")])
-    def test_one_call_of_each_conv_and_pool_op_per_block(self, monkeypatch, lit, path):
+    @pytest.mark.parametrize("lit", [0.005, 0.05, 0.5, 1.0])
+    def test_one_call_of_each_conv_and_pool_op_per_block(self, monkeypatch, lit):
         cfg = _tiny_config()
         params = init_params(cfg)
         rng = np.random.default_rng(6)
@@ -235,7 +277,7 @@ class TestForwardBatch:
         taken = _spy_paths(monkeypatch)
         p, cache = forward_batch(params, cfg, x)
         forward_batch(params, cfg, x, need_cache=False)
-        assert taken == [path, "_block_forward"] * 2
+        assert taken == ["_tile_block_forward", "_block_forward"] * 2
         _, dp = bce_loss(p, np.array([0.0, 1.0], dtype=np.float32))
         backward_batch(params, cfg, cache, dp)
         blocks = len(cfg.conv_blocks)
@@ -244,10 +286,10 @@ class TestForwardBatch:
 
 
 class TestSparseGradCheck:
-    """Finite differences on a sparse binary clip, which the tile path takes.
+    """Finite differences on a sparse binary clip, whose untouched pool blocks the tiles skip.
 
     The dense ``rng.random`` clip of the other grad checks lights every
-    block, so it never reaches this path. The conv biases are nonzero
+    block, so there no cell is filled with the bias. The conv biases are nonzero
     (one of each sign): at a zero bias every untouched cell sits on the
     ReLU's kink, where a central difference is undefined.
     """
@@ -262,7 +304,7 @@ class TestSparseGradCheck:
         clip[1, 7, 7] = 1.0  # the bottom-right corner
         x = clip[None, :, :, :, None]
         touched = model._touched_blocks(x[0], 3)
-        assert 0 < np.count_nonzero(touched) <= model.TILE_MAX_TOUCHED * touched.size
+        assert 0 < np.count_nonzero(touched) < touched.size
         return cfg, params, x, np.array([1.0])
 
     def test_passes_below_1e4(self):
