@@ -9,8 +9,10 @@ and seeds reproduce identical bytes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import ctypes
 import json
+import logging
 import platform
 import sys
 from dataclasses import replace
@@ -85,6 +87,32 @@ def _keep_freed_memory() -> None:
     mallopt.restype = ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
     mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
+@contextlib.contextmanager
+def _log_level(verbose: bool, quiet: bool):
+    """``-v`` logs stimkit's INFO records to stderr, ``-q`` drops its warnings; for one command only.
+
+    With neither flag logging is left as it is (warnings reach stderr through
+    logging's last-resort handler). The handler is made for the call, on the
+    ``sys.stderr`` of that moment, and removed with the level when the call
+    ends, so repeated in-process calls never stack handlers.
+    """
+    if not (verbose or quiet):
+        yield
+        return
+    logger = logging.getLogger("stimkit")
+    level = logger.level
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    logger.setLevel(logging.INFO if verbose else logging.ERROR)
+    if verbose:
+        logger.addHandler(handler)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
 
 
 def _atomic_write_text(path: Path, text: str) -> None:
@@ -226,7 +254,7 @@ def cmd_train(args) -> int:
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     ckpt_path = cfg.output_dir / "checkpoint.ckpt"
     save_checkpoint(checkpoint, ckpt_path)
-    summary = {"epoch_mean_loss": history, "windows": len(train_windows), "seed": cfg.seed}
+    summary = {**history, "windows": len(train_windows), "seed": cfg.seed}
     if holdout:
         held = [w for w in dataset.windows if w.subject_id in holdout]
         preds = score(checkpoint, held, cfg.raster)
@@ -352,6 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="stimkit",
         description="Head-motion window classification from pose keypoints, with optical-flow baselines.",
     )
+    verbosity = parser.add_mutually_exclusive_group()
+    verbosity.add_argument("-v", "--verbose", action="store_true", help="also log INFO records, such as dropped windows")
+    verbosity.add_argument("-q", "--quiet", action="store_true", help="log errors only, not warnings")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("import", help="consolidate per-frame keypoint JSON dirs into a dataset skeleton")
@@ -408,7 +439,8 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_CONFIG if e.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        with _log_level(args.verbose, args.quiet):
+            return args.func(args)
     except (SchemaError, ValidationError, ConflictError, KeypointFormatError,
             InvalidSequenceError, SizeError, _UsageError) as e:
         print(f"error: {e}", file=sys.stderr)

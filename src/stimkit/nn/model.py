@@ -16,16 +16,27 @@ lowers the tile's valid k x k windows, which are the patches of the
 four positions the pool reads. The conv, ReLU and pool run on that
 (M, 2, 2, Cout) batch, and every untouched pooled cell is filled with
 ``max(b, 0)``. Each of those patches is the one the full-frame conv
-sees at that position, so the forward gives the same bytes. Backward
-routes the pooled gradient through the same columns for the weight
-gradient (untouched patches are all zero and add nothing) and sums
-the pooled-space gradient for the bias, since each pooled gradient
-reaches exactly one position. Both regroup their sums, so ``conv0_w``
-and ``conv0_b`` differ from the full-frame gradients in the last bits
-(the numeric contract in docs/formats.md). The block takes this path
-at every density: a fully lit frame lowers one patch per position, as
-the full-frame conv does, plus the gather of its tiles. Every block
-makes one call of each conv and pool op per forward and per backward.
+sees at that position, so the forward gives the same bytes. The block
+takes this path at every density: a fully lit frame lowers one patch
+per position, as the full-frame conv does, plus the gather of its tiles.
+
+Backward reads two things of the gradient of that pooled output: its
+rows at the touched sites, which the pool and conv backward route
+through the same columns to the weight gradient (untouched patches are
+all zero and add nothing), and its per-channel sum over the other cells,
+which reaches only the bias (each such cell holds ``max(b, 0)``, so its
+gradient passes where that is positive). So the second block computes
+its input gradient only at those sites: it gathers the k x k
+neighbourhood of its pre-activation gradient around each and multiplies
+it by the rotated kernel, which gives the bytes of the full input
+gradient's rows. The sum over the other cells comes from per-tap sums
+of that pre-activation gradient in a wider float type, never from a
+full-size input gradient. ``conv0_w`` regroups its sum and ``conv0_b``
+adds its terms in the wider type, so both differ from the full-frame
+gradients in the last bits (the numeric contract in docs/formats.md).
+A one-block model hands block 0 the same two things, taken from the
+dense gradient of its output. Every block makes one call of each conv
+and pool op per forward and per backward.
 """
 
 from __future__ import annotations
@@ -152,14 +163,74 @@ def _block_forward(x, w, b, need_cache):
     return pooled, (x, cols, pooled, idx)
 
 
-def _block_backward(w, entry, dcur):
-    """(dx, dw, db) of a block that ran over whole frames."""
+def _block_backward(w, entry, dcur, sites=None):
+    """(dx, dw, db) of a block that ran over whole frames.
+
+    With ``sites`` (block 0's), dx is only what block 0 reads of it: its
+    rows at the sites and its per-channel sum over the other positions,
+    in the wider type ``_wide`` gives.
+    """
     x, cols, pooled, idx = entry
     # the pool gradient reaches only each block's argmax, where the
     # pre-activation is > 0 exactly when the pooled max is: so the ReLU
     # gradient is taken on the quarter-size pooled array
     dz = ops.maxpool2_backward(x.shape[:3] + (w.shape[3],), idx, ops.relu_backward(pooled, dcur))
-    return ops.conv2d_backward(x, w, dz, cols=cols)
+    if sites is None:
+        return ops.conv2d_backward(x, w, dz, cols=cols)
+    _, dw, db = ops.conv2d_backward(x, w, dz, need_dx=False, cols=cols)
+    return _input_grad_at(dz, w, sites), dw, db
+
+
+def _wide(dtype):
+    """A float type with more bits than ``dtype``, for sums whose terms largely cancel.
+
+    float64 for float32 terms; for float64 terms numpy's long double (80-bit
+    on x86, float64 again where the platform has nothing wider).
+    """
+    return np.float64 if np.dtype(dtype).itemsize < 8 else np.longdouble
+
+
+def _input_grad_at(dz, w, sites):
+    """``conv2d_backward``'s dx at ``sites`` (n, i, j), and dx's per-channel sum off them, without the full dx.
+
+    A row is the k x k neighbourhood of ``dz`` around its site, taps off the
+    frame zero as in the same-padded lowering, times the rotated kernel.
+    Every dx position takes tap (a, c) from the one dz position shifted by
+    (a - k//2, c - k//2). So the sum over the positions off the sites is,
+    per tap, the sum of dz over the rows and columns that shift reaches
+    inside the frame less the sites' gathered taps, times that tap's kernel
+    slice. Those are sums of dz in a wider type (``_wide``), not of rounded
+    dx rows, so a sum that cancels keeps its last bits.
+    """
+    k = w.shape[0]
+    half = k // 2
+    h, wd, cout = dz.shape[1:]
+    n, i, j = sites
+    m = len(n)
+    wrot = np.ascontiguousarray(w[::-1, ::-1].transpose(0, 1, 3, 2)).reshape(-1, w.shape[2])
+    taps = np.arange(k) - half
+    r, c = i[:, None] + taps, j[:, None] + taps
+    flat = (n[:, None, None] * h + np.clip(r, 0, h - 1)[:, :, None]) * wd + np.clip(c, 0, wd - 1)[:, None, :]
+    # the product takes at least one frame's rows, as each product of the
+    # full dx's chunked lowering does: fewer rows can take another BLAS
+    # kernel (one row another routine) and round differently
+    g = np.empty((max(m, h * wd), k, k, cout), dtype=dz.dtype)
+    g[m:] = 0
+    np.take(dz.reshape(-1, cout), flat, axis=0, out=g[:m], mode="clip")
+    g[:m][((r < 0) | (r >= h))[:, :, None] | ((c < 0) | (c >= wd))[:, None, :]] = 0
+    rows = (g.reshape(len(g), -1) @ wrot)[:m].astype(dz.dtype, copy=False)
+    acc = _wide(dz.dtype)
+    if m == dz[..., 0].size:
+        return rows, np.zeros(w.shape[2], dtype=acc)  # no position is off the sites
+
+    def reach(t, size):
+        return slice(max(0, t), size + min(0, t))
+
+    s = dz.sum(axis=0, dtype=acc)
+    by_row = [s[reach(t, h)].sum(axis=0) for t in taps]
+    per_tap = np.array([[part[reach(t, wd)].sum(axis=0) for t in taps] for part in by_row])
+    per_tap -= g[:m].sum(axis=0, dtype=acc)
+    return rows, per_tap.reshape(-1) @ wrot.astype(acc)
 
 
 def _touched_blocks(x, k):
@@ -195,22 +266,35 @@ def _tile_block_forward(x, w, b, touched, need_cache):
     a = ops.conv2d_forward(inner, w, b, cols=cols)
     np.maximum(a, 0, out=a)
     tile_pooled, idx = ops.maxpool2_forward(a, need_argmax=need_cache)
+    fill = np.maximum(b, 0)  # the conv of an all-zero patch is the bias
     pooled = np.empty(touched.shape + (w.shape[3],), dtype=x.dtype)
-    pooled[...] = np.maximum(b, 0)  # the conv of an all-zero patch is the bias
+    pooled[...] = fill
     pooled[sites] = tile_pooled[:, 0, 0]
-    return pooled, (inner, cols if need_cache else None, sites, pooled, idx)
+    return pooled, (inner, cols if need_cache else None, sites, tile_pooled, idx, fill)
 
 
-def _tile_block_backward(w, entry, dcur):
-    """(dw, db) of a block that ran on tiles."""
-    inner, cols, sites, pooled, idx = entry
-    dpooled = ops.relu_backward(pooled, dcur)
-    # each pooled gradient reaches one pre-activation, whose bias gradient it
-    # is; einsum sums over the leading axes about 4x faster than ndarray.sum
-    db = np.einsum("nijc->c", dpooled)
-    dz = ops.maxpool2_backward(inner.shape[:3] + (w.shape[3],), idx, dpooled[sites][:, None, None])
+def _at_sites(dpooled, sites):
+    """A full-size gradient of block 0's pooled output as block 0 reads it: its rows at the sites, and the other cells' sum."""
+    off = np.ones(dpooled.shape[:3], dtype=bool)
+    off[sites] = False
+    return dpooled[sites], dpooled[off].sum(axis=0, dtype=_wide(dpooled.dtype))
+
+
+def _tile_block_backward(w, entry, drows, doff):
+    """(dw, db) of a block that ran on tiles.
+
+    ``drows`` is the gradient of its pooled output at the sites, ``doff``
+    that gradient's per-channel sum over the pooled cells off the sites, in
+    the wider type ``_wide`` gives. Each of those cells holds ``max(b, 0)``:
+    its gradient reaches only the bias, and only where that fill is
+    positive.
+    """
+    inner, cols, sites, tile_pooled, idx, fill = entry
+    dpooled = ops.relu_backward(tile_pooled, drows[:, None, None])
+    db = dpooled.sum(axis=(0, 1, 2), dtype=doff.dtype) + np.where(fill > 0, doff, 0)
+    dz = ops.maxpool2_backward(inner.shape[:3] + (w.shape[3],), idx, dpooled)
     _, dw, _ = ops.conv2d_backward(inner, w, dz, need_dx=False, cols=cols)
-    return dw, db
+    return dw, db.astype(w.dtype)
 
 
 def forward_batch(params, config: ModelConfig, x, need_cache: bool = True):
@@ -275,14 +359,16 @@ def backward_batch(params, config: ModelConfig, cache, dp):
         flat, params["embed_w"], emb_z, demb, "relu"
     )
     dcur = dflat.reshape(pooled_shape)
-    for n in range(len(config.conv_blocks) - 1, -1, -1):
-        # each block's backward runs in its own call, so no array of the
-        # block above outlives it here
-        entry = conv_caches.pop()
-        w = params[f"conv{n}_w"]
-        if n == 0:
-            dw, db = _tile_block_backward(w, entry, dcur)
-        else:
-            dcur, dw, db = _block_backward(w, entry, dcur)
+    # block 0 reads its output gradient only at its tile sites, and as one
+    # per-channel sum over the other cells; block 1 (or here, for one
+    # block) reduces it to those
+    sites = conv_caches[0][2]
+    if len(config.conv_blocks) == 1:
+        dcur = _at_sites(dcur, sites)
+    for n in range(len(config.conv_blocks) - 1, 0, -1):
+        # each block's entry is popped into its own backward call, so no
+        # array of the block above outlives it here
+        dcur, dw, db = _block_backward(params[f"conv{n}_w"], conv_caches.pop(), dcur, sites if n == 1 else None)
         grads[f"conv{n}_w"], grads[f"conv{n}_b"] = dw, db
+    grads["conv0_w"], grads["conv0_b"] = _tile_block_backward(params["conv0_w"], conv_caches.pop(), *dcur)
     return grads

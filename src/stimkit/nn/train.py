@@ -26,7 +26,9 @@ def train(
 
     Each epoch reshuffles the samples and, when an augmenter is given,
     re-renders every sample with a fresh random transform. Returns
-    (ModelCheckpoint, history) where history holds each epoch's mean loss.
+    (ModelCheckpoint, history), where history maps "epoch_mean_loss" and
+    "epoch_max_grad_norm" (the largest global gradient norm of an epoch's
+    steps) to one value per epoch.
     All randomness comes from one generator seeded by the train config, so
     identical inputs give bit-identical results. A non-finite batch loss,
     gradient norm or updated parameter raises NumericError at that step.
@@ -46,11 +48,12 @@ def train(
     rng = np.random.Generator(np.random.PCG64(train_config.seed))
     n = len(train_set)
     t = 0
-    history: list[float] = []
+    history: dict[str, list[float]] = {"epoch_mean_loss": [], "epoch_max_grad_norm": []}
 
     for epoch in range(train_config.epochs):
         order = rng.permutation(n)
         loss_sum = 0.0
+        max_grad_norm = 0.0
         for step, start in enumerate(range(0, n, train_config.batch_size)):
             batch_idx = order[start : start + train_config.batch_size]
             xs = []
@@ -78,17 +81,19 @@ def train(
                 finiteness = "finite" if params_finite else "non-finite"
                 raise NumericError(f"training diverged: epoch {epoch} step {step}: batch loss {batch_loss}, "
                                    f"gradient norm {grad_norm}, {finiteness} parameters after the update")
+            max_grad_norm = max(max_grad_norm, grad_norm)
 
         mean_loss = loss_sum / n
-        history.append(mean_loss)
-        log.debug("epoch %d: mean loss %.6f", epoch, mean_loss)
+        history["epoch_mean_loss"].append(mean_loss)
+        history["epoch_max_grad_norm"].append(max_grad_norm)
+        log.debug("epoch %d: mean loss %.6f, largest gradient norm %.6f", epoch, mean_loss, max_grad_norm)
 
     checkpoint = ModelCheckpoint(
         config=model_config,
         parameters=params,
         training_metadata={
             "epochs_run": train_config.epochs,
-            "final_loss": history[-1] if history else None,
+            "final_loss": history["epoch_mean_loss"][-1] if history["epoch_mean_loss"] else None,
             "seed": train_config.seed,
         },
     )

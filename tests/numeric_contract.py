@@ -7,14 +7,29 @@ here. The bound is normwise: every element of the result lies within
 magnitude. A sum that is only regrouped moves by a few epsilons of its
 terms' scale; a wrong term, a skipped block or a lost sign moves it by
 far more.
+
+A sum whose terms largely cancel, such as a bias gradient over every
+position of a batch, is the exception: there any evaluation order in the
+dtype is off the exact value by epsilons of the terms' scale, which can
+be many epsilons of the result's. Its reference is ``exact_sum`` of the
+terms the old kernel added, not the old kernel's own rounding of them.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 # 100 * 2**-23 ~ 1.2e-5 of the largest element in float32, ~2.2e-14 in float64
 TOLERANCE_EPS = 100
+
+
+def exact_sum(terms):
+    """Per-channel sum of ``terms`` (..., C): ``math.fsum`` of each channel, cast to the terms' dtype."""
+    terms = np.asarray(terms)
+    channels = terms.reshape(-1, terms.shape[-1]).T.astype(np.float64)
+    return np.array([math.fsum(c) for c in channels.tolist()], dtype=terms.dtype)
 
 
 def contract_error(got, want) -> float:

@@ -1,4 +1,8 @@
+import contextlib
+import io
 import json
+import logging
+import math
 import platform
 import resource
 from pathlib import Path
@@ -12,6 +16,8 @@ from stimkit.nn.checkpoint import ModelCheckpoint, save_checkpoint
 from stimkit.nn.gradcheck import micro_config
 from stimkit.nn.model import init_params
 from stimkit.synth import flow_texture
+
+from conftest import full_body_frame
 
 
 def run_cli(*argv):
@@ -234,6 +240,15 @@ class TestTrainCommand:
         assert (out / "checkpoint.ckpt").exists()
         history = json.loads((out / "history.json").read_text())
         assert len(history["epoch_mean_loss"]) == 2
+
+    def test_history_records_each_epochs_largest_gradient_norm(self, mini_run_config, tmp_path):
+        runs = []
+        for _ in range(2):
+            assert run_cli("train", "-c", mini_run_config) == 0
+            runs.append((tmp_path / "out" / "history.json").read_bytes())
+        assert runs[0] == runs[1]
+        norms = json.loads(runs[0])["epoch_max_grad_norm"]
+        assert len(norms) == 2 and all(math.isfinite(v) and v > 0 for v in norms)
 
     def test_invalid_zoom_range_exits_2_naming_field(self, mini_run_config, tmp_path, capsys):
         doc = json.loads(Path(mini_run_config).read_text())
@@ -643,3 +658,62 @@ class TestTrainHoldout:
         path.write_text(json.dumps(cfg))
         assert run_cli("train", "-c", path) == 2
         assert "holdout_subjects" in capsys.readouterr().err
+
+
+def _clip_with_a_gap(path, frames=60, valid=30):
+    """A keypoint clip whose frames after ``valid`` hold no person, so the windows reaching them are dropped."""
+    flat = [v for kp in full_body_frame() for v in kp]
+    path.write_text(json.dumps([{"people": [{"pose_keypoints_2d": flat}] if i < valid else []}
+                                for i in range(frames)]))
+    return path
+
+
+class TestLogging:
+    @staticmethod
+    def _predict(tmp_path, *flags, out="p.jsonl", **clip):
+        ckpt = _micro_checkpoint(tmp_path / "micro.ckpt", frame_size=[640, 480])
+        kp = _clip_with_a_gap(tmp_path / "clip.json", **clip)
+        return run_cli(*flags, "predict", "-m", ckpt, "-k", kp, "-o", tmp_path / out)
+
+    def test_verbose_shows_dropped_windows(self, tmp_path, capsys):
+        assert self._predict(tmp_path, out="plain.jsonl") == 0
+        assert capsys.readouterr().err == ""
+        assert self._predict(tmp_path, "-v", out="verbose.jsonl") == 0
+        assert "INFO stimkit.pose: clip " in capsys.readouterr().err
+        assert (tmp_path / "plain.jsonl").read_bytes() == (tmp_path / "verbose.jsonl").read_bytes()
+
+    def test_quiet_hides_warnings(self, tmp_path, capsys, caplog):
+        assert self._predict(tmp_path, frames=4, valid=4) == 0
+        assert [r.levelname for r in caplog.records] == ["WARNING"]
+        caplog.clear()
+        assert self._predict(tmp_path, "-q", frames=4, valid=4) == 0
+        assert caplog.records == []
+        # the command's own message is output, not a log record
+        assert capsys.readouterr().err.count("no windows: clip shorter than one window span\n") == 2
+
+    def test_verbose_and_quiet_exclude_each_other(self, tmp_path, capsys):
+        assert self._predict(tmp_path, "-v", "-q") == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    def test_each_call_logs_to_the_stderr_of_its_moment_and_leaves_no_handler(self, tmp_path):
+        logger = logging.getLogger("stimkit")
+        before = (list(logger.handlers), logger.level)
+        for _ in range(2):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                assert self._predict(tmp_path, "-v") == 0
+            assert err.getvalue().count("dropped") == 1
+            assert (logger.handlers, logger.level) == before
+
+    def test_train_outputs_are_byte_identical_with_and_without_verbose(self, mini_run_config, tmp_path):
+        doc = json.loads(Path(mini_run_config).read_text())
+        doc["holdout_subjects"] = ["synth_000"]
+        outputs = []
+        for flags in ((), ("-v",)):
+            doc["output_dir"] = str(tmp_path / f"out{len(flags)}")
+            path = tmp_path / f"run{len(flags)}.json"
+            path.write_text(json.dumps(doc))
+            assert run_cli(*flags, "train", "-c", path) == 0
+            outputs.append({p.name: p.read_bytes() for p in Path(doc["output_dir"]).iterdir()})
+        assert sorted(outputs[0]) == ["checkpoint.ckpt", "history.json"]
+        assert outputs[0] == outputs[1]

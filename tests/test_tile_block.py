@@ -5,18 +5,23 @@ frame ran it before the tile path: im2col, conv, ReLU and pool over whole
 frames, and the pool and conv backward over the full-size gradient. The
 forward must give the same bytes at every density, from a blank window
 to a fully lit one; ``conv0_w`` and ``conv0_b`` regroup their sums and
-are held to the numeric contract instead.
+are held to the numeric contract instead, ``conv0_b`` against the exact
+sum of the reference's terms. Block 1 hands block 0 only the rows of its
+input gradient at block 0's sites and that gradient's per-channel sum;
+the rows must be the full input gradient's bytes.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from stimkit.nn import model, ops
 from stimkit.nn.gradcheck import analytic_grads, finite_difference_grads, max_relative_error, micro_config
-from stimkit.nn.model import ModelConfig, backward_batch, forward_batch, init_params
+from stimkit.nn.model import ConvBlock, ModelConfig, backward_batch, forward_batch, init_params
 from stimkit.nn.optim import bce_loss
 
-from numeric_contract import assert_float32_close
+from numeric_contract import assert_float32_close, exact_sum
 
 DTYPES = [np.float32, np.float64]
 
@@ -31,10 +36,11 @@ def reference_block(x, w, b, need_cache=True):
 
 
 def reference_block_grads(x, w, b, dcur):
+    """(dw, db) of the full-frame block; db is the exact sum of the terms its bias gradient adds."""
     pooled, cols, a_shape, idx = reference_block(x, w, b)
     dz = ops.maxpool2_backward(a_shape, idx, ops.relu_backward(pooled, dcur))
-    _, dw, db = ops.conv2d_backward(x, w, dz, need_dx=False, cols=cols)
-    return dw, db
+    _, dw, _ = ops.conv2d_backward(x, w, dz, need_dx=False, cols=cols)
+    return dw, exact_sum(dz)
 
 
 def block_params(rng, dtype, cin=1, cout=16):
@@ -78,6 +84,11 @@ def tile_forward(x, w, b, need_cache=True):
     return model._tile_block_forward(x, w, b, model._touched_blocks(x, w.shape[0]), need_cache)
 
 
+def tile_backward(w, entry, dcur):
+    """The tile block's (dw, db) from a full-size pooled gradient, as a one-block model hands it over."""
+    return model._tile_block_backward(w, entry, *model._at_sites(dcur, entry[2]))
+
+
 def assert_forward_matches(x, w, b):
     for need_cache in (True, False):
         got, _ = tile_forward(x, w, b, need_cache)
@@ -89,7 +100,7 @@ def assert_forward_matches(x, w, b):
 def assert_grads_match(x, w, b, rng):
     _, entry = tile_forward(x, w, b)
     dcur = rng.normal(size=(x.shape[0], x.shape[1] // 2, x.shape[2] // 2, w.shape[3])).astype(x.dtype)
-    dw, db = model._tile_block_backward(w, entry, dcur)
+    dw, db = tile_backward(w, entry, dcur)
     want_dw, want_db = reference_block_grads(x, w, b, dcur)
     assert_float32_close(dw, want_dw, "conv0_w")
     assert_float32_close(db, want_db, "conv0_b")
@@ -150,7 +161,7 @@ class TestTileForward:
         rng = np.random.default_rng(1)
         w, b = block_params(rng, dtype)
         x = np.zeros((7, 64, 64, 1), dtype=dtype)
-        pooled, (inner, cols, sites, _, idx) = tile_forward(x, w, b)
+        pooled, (inner, cols, sites, _, idx, _) = tile_forward(x, w, b)
         assert inner.shape == (0, 2, 2, 1) and cols.shape == (0, 9) and idx.shape == (0, 1, 1, 16)
         assert all(len(s) == 0 for s in sites)
         assert np.array_equal(pooled, np.broadcast_to(np.maximum(b, 0), pooled.shape))
@@ -178,6 +189,47 @@ class TestTileForward:
             b = rng.normal(size=4) * 0.1
             assert_forward_matches(x, w, b)
             assert_grads_match(x, w, b, rng)
+
+
+def block_0_input(rng, frames, dtype, density):
+    """Block 0 frames: blank, one lit corner pixel, sparse strokes, or one of DENSITIES."""
+    if density in ("blank", "corner"):
+        x = np.zeros((frames, 64, 64, 1), dtype=dtype)
+        x[0, 0, 0, 0] = density == "corner"
+        return x
+    if density == "sparse":
+        return sparse_frames(rng, frames, dtype)
+    return dense_frames(rng, frames, dtype, density)
+
+
+class TestSiteRows:
+    """Block 1's input gradient at block 0's sites against the full one ``ops.conv2d_backward`` gives."""
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("frames", [7, 56], ids=["B1", "B8"])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("density", ["blank", "corner", "sparse", *DENSITIES])
+    def test_rows_are_the_full_input_gradient_at_the_sites(self, dtype, frames, k, density):
+        rng = np.random.default_rng(k * frames)
+        w0, b0 = block_params(rng, dtype)
+        x1, (_, _, sites, *_) = tile_forward(block_0_input(rng, frames, dtype, density), w0, b0)
+        sites_expected = {"blank": 0, "corner": 1, "lit": x1[..., 0].size}
+        assert len(sites[0]) == sites_expected.get(density, len(sites[0]))
+        w1 = (rng.normal(size=(k, k, 16, 32)) * 0.1).astype(dtype)
+        b1 = (rng.normal(size=32) * 0.1).astype(dtype)
+        _, entry = model._block_forward(x1, w1, b1, True)
+        dcur = rng.normal(size=(frames, 16, 16, 32)).astype(dtype)
+        dx, dw, db = model._block_backward(w1, entry, dcur)
+        (rows, off_sum), dw_at, db_at = model._block_backward(w1, entry, dcur, sites)
+        assert rows.dtype == dx.dtype and rows.shape == (len(sites[0]), 16)
+        assert rows.tobytes() == dx[sites].tobytes()
+        assert dw_at.tobytes() == dw.tobytes() and db_at.tobytes() == db.tobytes()
+        assert off_sum.dtype == model._wide(dtype) and off_sum.shape == (16,)
+        off = np.ones(dx.shape[:3], dtype=bool)
+        off[sites] = False
+        assert_float32_close(off_sum.astype(dtype), exact_sum(dx[off]), "sum off the sites")
+        total = off_sum + rows.sum(axis=0, dtype=off_sum.dtype)
+        assert_float32_close(total.astype(dtype), exact_sum(dx), "total")
 
 
 class TestTileGradients:
@@ -216,13 +268,18 @@ def _spy_paths(monkeypatch):
 
 
 def _whole_frame_block_0(monkeypatch):
-    """Run block 0 of forward_batch and backward_batch as ``reference_block`` does."""
-    def forward(x, w, b, touched, need_cache):
-        return reference_block(x, w, b, need_cache)[0], (x, b)
+    """Run block 0 of forward_batch and backward_batch as ``reference_block`` does.
 
-    def backward(w, entry, dcur):
-        x, b = entry
-        return reference_block_grads(x, w, b, dcur)
+    Its sites are every pooled cell, so its backward receives the whole
+    output gradient as rows, in (n, i, j) order.
+    """
+    def forward(x, w, b, touched, need_cache):
+        pooled = reference_block(x, w, b, need_cache)[0]
+        return pooled, (x, b, np.nonzero(np.ones(pooled.shape[:3], dtype=bool)))
+
+    def backward(w, entry, drows, doff):
+        x, b, _ = entry
+        return reference_block_grads(x, w, b, drows.reshape(x.shape[0], x.shape[1] // 2, x.shape[2] // 2, -1))
 
     monkeypatch.setattr(model, "_tile_block_forward", forward)
     monkeypatch.setattr(model, "_tile_block_backward", backward)
@@ -295,20 +352,26 @@ class TestSparseGradCheck:
     """
 
     @staticmethod
-    def _setup():
+    def _setup(two_blocks=False):
         cfg = micro_config(seed=3)
-        params = init_params(cfg, np.float64)
-        params["conv0_b"][:] = [0.2, -0.1, 0.05, 0.3]
         clip = np.zeros((2, 8, 8))
         clip[0, 0, 0] = clip[0, 0, 1] = 1.0  # by the top-left corner
         clip[1, 7, 7] = 1.0  # the bottom-right corner
+        if two_blocks:
+            # block 1 reads its input gradient at block 0's sites, here all on
+            # its own 4 x 4 frame's border, where some taps fall off the frame
+            cfg = replace(cfg, conv_blocks=(ConvBlock(4), ConvBlock(4)))
+            clip[0, 4, 7] = clip[1, 7, 2] = 1.0  # the right and bottom edges
+        params = init_params(cfg, np.float64)
+        params["conv0_b"][:] = [0.2, -0.1, 0.05, 0.3]
         x = clip[None, :, :, :, None]
         touched = model._touched_blocks(x[0], 3)
         assert 0 < np.count_nonzero(touched) < touched.size
         return cfg, params, x, np.array([1.0])
 
-    def test_passes_below_1e4(self):
-        cfg, params, x, y = self._setup()
+    @pytest.mark.parametrize("two_blocks", [False, True], ids=["one_block", "two_blocks"])
+    def test_passes_below_1e4(self, two_blocks):
+        cfg, params, x, y = self._setup(two_blocks)
         err, per_param = max_relative_error(analytic_grads(params, cfg, x, y),
                                             finite_difference_grads(params, cfg, x, y))
         assert err < 1e-4, per_param
@@ -317,10 +380,8 @@ class TestSparseGradCheck:
         cfg, params, x, y = self._setup()
         real = model._tile_block_backward
 
-        def touched_only(w, entry, dcur):
-            dw, _ = real(w, entry, dcur)
-            _, _, sites, pooled, _ = entry
-            return dw, ops.relu_backward(pooled, dcur)[sites].sum(axis=0)
+        def touched_only(w, entry, drows, doff):
+            return real(w, entry, drows, np.zeros_like(doff))
 
         monkeypatch.setattr(model, "_tile_block_backward", touched_only)
         _, per_param = max_relative_error(analytic_grads(params, cfg, x, y),
