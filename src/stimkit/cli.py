@@ -222,6 +222,13 @@ def _to_u8(img01):
 def cmd_synth(args) -> int:
     if args.seed < 0:
         raise ConfigError("--seed", f"must be >= 0, got {args.seed}")
+    # ids pad a subject to 3 digits and a clip to 2, so they sort in order up to these counts
+    counts = (("--subjects", args.subjects, 1000), ("--clips-per-subject", args.clips_per_subject, 100))
+    for flag, count, most in counts:
+        if not 1 <= count <= most:
+            raise ConfigError(flag, f"must be in 1..{most}, got {count}")
+    if not (np.isfinite(args.drift) and args.drift >= 0):
+        raise ConfigError("--drift", f"must be finite and >= 0, got {args.drift}")
     manifest = gen_dataset(
         args.out,
         n_subjects=args.subjects,
@@ -359,8 +366,7 @@ def cmd_predict(args) -> int:
                           f"{spec.width}x{spec.height} is not the model's {config.width}x{config.height} input")
     clip = str(args.keypoints)
     windows = clip_windows(args.keypoints, params, clip_id=clip, frame_size=_frame_size(args, checkpoint))
-    if not windows:
-        print("no windows: clip shorter than one window span", file=sys.stderr)
+    if not windows:  # sample_windows has logged why
         return EXIT_OK
 
     out = open(args.out, "w") if args.out else sys.stdout

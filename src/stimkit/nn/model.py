@@ -6,37 +6,33 @@ embeddings run through an LSTM in time order, and the final hidden state
 drives a single sigmoid unit. Probabilities are clipped to
 [1e-7, 1 - 1e-7] so downstream log-losses stay finite.
 
-The first conv block sees a skeleton raster that is almost all zeros.
-Far from a lit pixel its conv output is exactly the bias, so each 2x2
-pool block whose k x k reach holds no nonzero pixel pools the constant
-``max(b, 0)`` with argmax 0. That block therefore runs only on the
-touched pool blocks: for each it gathers the tile of the zero-padded
-input under the pool block's reach (4 x 4 for a 3 x 3 kernel) and
-lowers the tile's valid k x k windows, which are the patches of the
-four positions the pool reads. The conv, ReLU and pool run on that
-(M, 2, 2, Cout) batch, and every untouched pooled cell is filled with
-``max(b, 0)``. Each of those patches is the one the full-frame conv
-sees at that position, so the forward gives the same bytes. The block
-takes this path at every density: a fully lit frame lowers one patch
-per position, as the full-frame conv does, plus the gather of its tiles.
+Every conv block runs on the pool blocks its lit positions reach, over
+a ground frame (Graham's ground state: "Spatially-sparse convolutional
+neural networks", 2014). Block 0's lit positions are the nonzero pixels
+and its ground frame is all zeros; each later block's lit positions are
+the cells the block below reached, and its ground frame is the pooled
+output of the block below's ground. Away from the lit positions a
+block's input equals its ground frame, so a 2x2 pool block whose k x k
+reach holds no lit position pools what the ground frame pools there.
+One conv and one pool call run on tiles: for each reached pool block,
+and for every pool block of the ground frame, the tile of the padded
+input under its reach (4 x 4 for a 3 x 3 kernel), whose valid k x k
+windows are the patches of the four positions the pool reads. Every
+unreached cell copies the ground's pooled value. Each patch is the one
+the whole-frame conv sees at that position, and the ground's tiles keep
+the product above one frame's rows, where it takes the whole-frame
+product's BLAS kernel at the model's shapes: the forward gives the
+bytes of the whole-frame block.
 
-Backward reads two things of the gradient of that pooled output: its
-rows at the touched sites, which the pool and conv backward route
-through the same columns to the weight gradient (untouched patches are
-all zero and add nothing), and its per-channel sum over the other cells,
-which reaches only the bias (each such cell holds ``max(b, 0)``, so its
-gradient passes where that is positive). So the second block computes
-its input gradient only at those sites: it gathers the k x k
-neighbourhood of its pre-activation gradient around each and multiplies
-it by the rotated kernel, which gives the bytes of the full input
-gradient's rows. The sum over the other cells comes from per-tap sums
-of that pre-activation gradient in a wider float type, never from a
-full-size input gradient. ``conv0_w`` regroups its sum and ``conv0_b``
-adds its terms in the wider type, so both differ from the full-frame
-gradients in the last bits (the numeric contract in docs/formats.md).
-A one-block model hands block 0 the same two things, taken from the
-dense gradient of its output. Every block makes one call of each conv
-and pool op per forward and per backward.
+Backward hands each block two things of the gradient of its pooled
+output: its rows at the sites, and per cell its sum over the frames
+where that cell is off the sites, in the wider type ``_wide`` gives.
+The sums are the gradient of the ground's tiles, so one pool and one
+conv backward route the rows and the sums to the weight gradient, which
+sums in float64. A block hands the block below its input gradient in
+the same form (``_input_grad_at``). The weight and bias gradients
+regroup their sums, so they differ from the whole-frame gradients in
+the last bits (the numeric contract in docs/formats.md).
 """
 
 from __future__ import annotations
@@ -152,35 +148,6 @@ def parameter_count(params: dict[str, np.ndarray]) -> int:
     return int(sum(p.size for p in params.values()))
 
 
-def _block_forward(x, w, b, need_cache):
-    """Conv, ReLU and 2x2 pool over whole frames; returns (pooled, cache entry)."""
-    # the weight gradient reuses these columns, so the training cache keeps
-    # them; without a cache the conv lowers its input a few frames at a time
-    cols = ops.im2col(x, w.shape[0]) if need_cache else None
-    a = ops.conv2d_forward(x, w, b, cols=cols)
-    np.maximum(a, 0, out=a)  # ReLU without a second full-size array
-    pooled, idx = ops.maxpool2_forward(a, need_argmax=need_cache)
-    return pooled, (x, cols, pooled, idx)
-
-
-def _block_backward(w, entry, dcur, sites=None):
-    """(dx, dw, db) of a block that ran over whole frames.
-
-    With ``sites`` (block 0's), dx is only what block 0 reads of it: its
-    rows at the sites and its per-channel sum over the other positions,
-    in the wider type ``_wide`` gives.
-    """
-    x, cols, pooled, idx = entry
-    # the pool gradient reaches only each block's argmax, where the
-    # pre-activation is > 0 exactly when the pooled max is: so the ReLU
-    # gradient is taken on the quarter-size pooled array
-    dz = ops.maxpool2_backward(x.shape[:3] + (w.shape[3],), idx, ops.relu_backward(pooled, dcur))
-    if sites is None:
-        return ops.conv2d_backward(x, w, dz, cols=cols)
-    _, dw, db = ops.conv2d_backward(x, w, dz, need_dx=False, cols=cols)
-    return _input_grad_at(dz, w, sites), dw, db
-
-
 def _wide(dtype):
     """A float type with more bits than ``dtype``, for sums whose terms largely cancel.
 
@@ -190,17 +157,94 @@ def _wide(dtype):
     return np.float64 if np.dtype(dtype).itemsize < 8 else np.longdouble
 
 
-def _input_grad_at(dz, w, sites):
-    """``conv2d_backward``'s dx at ``sites`` (n, i, j), and dx's per-channel sum off them, without the full dx.
+def _reached(lit, k):
+    """(N, H/2, W/2) mask of the 2x2 pool blocks with a position of ``lit`` (N, H, W) within a k x k patch's reach."""
+    half = k // 2
+    h, w = lit.shape[1:]
+    lit = np.pad(lit, ((0, 0), (half, half), (half, half)))
+    # pool block (i, j) reaches padded rows 2i .. 2i + 2*half + 1, and columns alike
+    rows = lit[:, 0:h:2].copy()
+    for d in range(1, 2 + 2 * half):
+        rows |= lit[:, d : d + h : 2]
+    reached = rows[:, :, 0:w:2].copy()
+    for d in range(1, 2 + 2 * half):
+        reached |= rows[:, :, d : d + w : 2]
+    return reached
 
-    A row is the k x k neighbourhood of ``dz`` around its site, taps off the
-    frame zero as in the same-padded lowering, times the rotated kernel.
-    Every dx position takes tap (a, c) from the one dz position shifted by
-    (a - k//2, c - k//2). So the sum over the positions off the sites is,
-    per tap, the sum of dz over the rows and columns that shift reaches
-    inside the frame less the sites' gathered taps, times that tap's kernel
-    slice. Those are sums of dz in a wider type (``_wide``), not of rounded
-    dx rows, so a sum that cancels keeps its last bits.
+
+def _block_forward(x, ground, w, b, reached, need_cache):
+    """The block on the tiles of the reached pool blocks and of all the ground frame's; returns (pooled, ground, entry).
+
+    ``ground`` is the (1, H, W, Cin) frame that ``x`` equals off its lit
+    positions; every unreached cell takes that frame's pooled value.
+    """
+    k = w.shape[0]
+    half = k // 2
+    side = 2 + 2 * half
+    # one index over the batch and, as frame N, the ground: the sites come
+    # first, and the ground's tiles keep the product above one frame's rows
+    n, i, j = np.nonzero(np.concatenate([reached, np.ones((1,) + reached.shape[1:], dtype=bool)]))
+    m = np.count_nonzero(reached)
+    sites = n[:m], i[:m], j[:m]
+    xp = np.pad(np.concatenate([x, ground]), ((0, 0), (half, half), (half, half), (0, 0)))
+    # (N + 1, ., ., Cin, side, side) view; the index copies out one tile per pool block
+    tiles = sliding_window_view(xp, (side, side), axis=(1, 2))[n, 2 * i, 2 * j]
+    # a tile's valid k x k windows are the patches of its inner 2x2, rows
+    # over (tile, row, column) and columns over (di, dj, cin) as in im2col
+    patches = sliding_window_view(tiles, (k, k), axis=(2, 3))
+    cols = patches.transpose(0, 2, 3, 4, 5, 1).reshape(-1, k * k * x.shape[3])
+    inner = tiles[:, :, half : half + 2, half : half + 2].transpose(0, 2, 3, 1)
+    a = ops.conv2d_forward(inner, w, b, cols=cols)
+    np.maximum(a, 0, out=a)
+    tile_pooled, idx = ops.maxpool2_forward(a, need_argmax=need_cache)
+    ground = tile_pooled[m:, 0, 0].reshape((1,) + reached.shape[1:] + (w.shape[3],))
+    pooled = np.repeat(ground, len(x), axis=0)
+    pooled[sites] = tile_pooled[:m, 0, 0]
+    return pooled, ground, (x.shape, inner, cols if need_cache else None, sites, tile_pooled, idx)
+
+
+def _block_backward(w, entry, dcur, below):
+    """(dw, db, input gradient) of a block.
+
+    ``dcur`` is (the gradient of the pooled output at the sites, and per
+    cell its sum over the frames where that cell is off the sites, in the
+    wider type ``_wide`` gives). Those sums are the ground tiles' pooled
+    gradient. The input gradient takes the same form for ``below``, the
+    sites of the block underneath, or is None where there is none.
+    """
+    x_shape, inner, cols, sites, tile_pooled, idx = entry
+    drows, doff = dcur
+    cout = w.shape[3]
+    # in the wider type, where the site rows are exact and the sums keep their bits
+    dpooled = ops.relu_backward(tile_pooled, np.concatenate([drows, doff.reshape(-1, cout)])[:, None, None])
+    db = dpooled.sum(axis=(0, 1, 2)).astype(w.dtype)
+    dz = ops.maxpool2_backward(inner.shape[:3] + (cout,), idx, dpooled)
+    # the weight gradient sums in float64, where float32 products are exact
+    _, dw, _ = ops.conv2d_backward(inner, w, dz.astype(np.float64, copy=False), need_dx=False, cols=cols)
+    if below is None:
+        return dw, db, None
+    n, h, wd, _ = x_shape
+    m = len(sites[0])
+    # the sites' tiles in place in N frames, and the ground's tiles as one frame
+    frames = np.zeros((n, h // 2, 2, wd // 2, 2, cout), dtype=inner.dtype)
+    frames[sites[0], sites[1], :, sites[2]] = dz[:m]
+    ground = dz[m:].reshape(h // 2, wd // 2, 2, 2, cout).transpose(0, 2, 1, 3, 4).reshape(h, wd, cout)
+    return dw, db, _input_grad_at(frames.reshape(n, h, wd, cout), ground, w, below)
+
+
+def _input_grad_at(dz, ground, w, sites):
+    """The input gradient at ``sites`` (n, i, j), and per position its sum over the frames off them.
+
+    ``dz`` holds each frame's gradient inside its reached pool blocks and
+    zero elsewhere, ``ground`` (H, W, Cout) the ground frame's, which is
+    per cell the sum of the frames' gradient where that cell is unreached.
+    A row is the k x k neighbourhood of ``dz`` around its site, taps off
+    the frame zero as in the same-padded lowering, times the rotated
+    kernel: every tap lies in a pool block the site reaches, so the row
+    has the bytes of ``conv2d_backward``'s. The one-frame conv of ``dz``
+    summed over the frames plus ``ground`` is dx summed over the frames,
+    and less the site rows it is the sum off the sites. Both are taken in
+    ``_wide``, so a sum that cancels keeps its last bits.
     """
     k = w.shape[0]
     half = k // 2
@@ -211,90 +255,25 @@ def _input_grad_at(dz, w, sites):
     taps = np.arange(k) - half
     r, c = i[:, None] + taps, j[:, None] + taps
     flat = (n[:, None, None] * h + np.clip(r, 0, h - 1)[:, :, None]) * wd + np.clip(c, 0, wd - 1)[:, None, :]
-    # the product takes at least one frame's rows, as each product of the
-    # full dx's chunked lowering does: fewer rows can take another BLAS
-    # kernel (one row another routine) and round differently
+    # the product takes at least one frame's rows, as ``conv2d_backward``'s
+    # whole-frame product does: fewer rows can take another BLAS kernel (one
+    # row another routine) and round differently
     g = np.empty((max(m, h * wd), k, k, cout), dtype=dz.dtype)
     g[m:] = 0
     np.take(dz.reshape(-1, cout), flat, axis=0, out=g[:m], mode="clip")
     g[:m][((r < 0) | (r >= h))[:, :, None] | ((c < 0) | (c >= wd))[:, None, :]] = 0
-    rows = (g.reshape(len(g), -1) @ wrot)[:m].astype(dz.dtype, copy=False)
+    g = g.reshape(len(g), -1)
+    rows = (g @ wrot)[:m].astype(dz.dtype, copy=False)
     acc = _wide(dz.dtype)
-    if m == dz[..., 0].size:
-        return rows, np.zeros(w.shape[2], dtype=acc)  # no position is off the sites
-
-    def reach(t, size):
-        return slice(max(0, t), size + min(0, t))
-
-    s = dz.sum(axis=0, dtype=acc)
-    by_row = [s[reach(t, h)].sum(axis=0) for t in taps]
-    per_tap = np.array([[part[reach(t, wd)].sum(axis=0) for t in taps] for part in by_row])
-    per_tap -= g[:m].sum(axis=0, dtype=acc)
-    return rows, per_tap.reshape(-1) @ wrot.astype(acc)
-
-
-def _touched_blocks(x, k):
-    """(N, H/2, W/2) mask of the 2x2 pool blocks with a nonzero pixel of x within a k x k patch's reach."""
-    half = k // 2
-    lit = np.pad((x != 0).any(axis=3), ((0, 0), (half, half), (half, half)))
-    h, w = x.shape[1:3]
-    # pool block (i, j) reaches padded rows 2i .. 2i + 2*half + 1, and columns alike
-    rows = lit[:, 0:h:2].copy()
-    for d in range(1, 2 + 2 * half):
-        rows |= lit[:, d : d + h : 2]
-    touched = rows[:, :, 0:w:2].copy()
-    for d in range(1, 2 + 2 * half):
-        touched |= rows[:, :, d : d + w : 2]
-    return touched
-
-
-def _tile_block_forward(x, w, b, touched, need_cache):
-    """The block on the padded tiles under the touched pool blocks; returns (pooled, cache entry)."""
-    k = w.shape[0]
-    half = k // 2
-    side = 2 + 2 * half
-    sites = np.nonzero(touched)
-    n, i, j = sites
-    xp = np.pad(x, ((0, 0), (half, half), (half, half), (0, 0)))
-    # (N, ., ., Cin, side, side) view; the index copies out one tile per site
-    tiles = sliding_window_view(xp, (side, side), axis=(1, 2))[n, 2 * i, 2 * j]
-    # a tile's valid k x k windows are the patches of its inner 2x2, rows
-    # over (site, row, column) and columns over (di, dj, cin) as in im2col
-    patches = sliding_window_view(tiles, (k, k), axis=(2, 3))
-    cols = patches.transpose(0, 2, 3, 4, 5, 1).reshape(-1, k * k * x.shape[3])
-    inner = tiles[:, :, half : half + 2, half : half + 2].transpose(0, 2, 3, 1)
-    a = ops.conv2d_forward(inner, w, b, cols=cols)
-    np.maximum(a, 0, out=a)
-    tile_pooled, idx = ops.maxpool2_forward(a, need_argmax=need_cache)
-    fill = np.maximum(b, 0)  # the conv of an all-zero patch is the bias
-    pooled = np.empty(touched.shape + (w.shape[3],), dtype=x.dtype)
-    pooled[...] = fill
-    pooled[sites] = tile_pooled[:, 0, 0]
-    return pooled, (inner, cols if need_cache else None, sites, tile_pooled, idx, fill)
-
-
-def _at_sites(dpooled, sites):
-    """A full-size gradient of block 0's pooled output as block 0 reads it: its rows at the sites, and the other cells' sum."""
-    off = np.ones(dpooled.shape[:3], dtype=bool)
-    off[sites] = False
-    return dpooled[sites], dpooled[off].sum(axis=0, dtype=_wide(dpooled.dtype))
-
-
-def _tile_block_backward(w, entry, drows, doff):
-    """(dw, db) of a block that ran on tiles.
-
-    ``drows`` is the gradient of its pooled output at the sites, ``doff``
-    that gradient's per-channel sum over the pooled cells off the sites, in
-    the wider type ``_wide`` gives. Each of those cells holds ``max(b, 0)``:
-    its gradient reaches only the bias, and only where that fill is
-    positive.
-    """
-    inner, cols, sites, tile_pooled, idx, fill = entry
-    dpooled = ops.relu_backward(tile_pooled, drows[:, None, None])
-    db = dpooled.sum(axis=(0, 1, 2), dtype=doff.dtype) + np.where(fill > 0, doff, 0)
-    dz = ops.maxpool2_backward(inner.shape[:3] + (w.shape[3],), idx, dpooled)
-    _, dw, _ = ops.conv2d_backward(inner, w, dz, need_dx=False, cols=cols)
-    return dw, db.astype(w.dtype)
+    wrot = wrot.astype(acc)
+    total = ops.im2col((dz.sum(axis=0, dtype=acc) + ground)[None], k) @ wrot
+    on = np.zeros((len(dz), h, wd), dtype=bool)
+    on[sites] = True
+    at_sites = np.zeros(on.shape + (w.shape[2],), dtype=acc)
+    at_sites[sites] = g[:m].astype(acc) @ wrot
+    off = total.reshape(h, wd, -1) - at_sites.sum(axis=0)
+    off[on.all(axis=0)] = 0  # a position that is a site in every frame has no sum off them
+    return rows, off
 
 
 def forward_batch(params, config: ModelConfig, x, need_cache: bool = True):
@@ -311,16 +290,12 @@ def forward_batch(params, config: ModelConfig, x, need_cache: bool = True):
     frames = x.reshape((batch * config.T,) + expected[1:])
 
     conv_caches = []
-    cur = frames
+    cur, ground, lit = frames, np.zeros_like(frames[:1]), (frames != 0).any(axis=3)
     for n, block in enumerate(config.conv_blocks):
-        w, b = params[f"conv{n}_w"], params[f"conv{n}_b"]
-        if n == 0:
-            pooled, entry = _tile_block_forward(cur, w, b, _touched_blocks(cur, block.kernel), need_cache)
-        else:
-            pooled, entry = _block_forward(cur, w, b, need_cache)
+        lit = _reached(lit, block.kernel)
+        cur, ground, entry = _block_forward(cur, ground, params[f"conv{n}_w"], params[f"conv{n}_b"], lit, need_cache)
         if need_cache:
             conv_caches.append(entry)
-        cur = pooled
 
     flat = cur.reshape(batch * config.T, -1)
     emb, emb_z = ops.dense_forward(flat, params["embed_w"], params["embed_b"], "relu")
@@ -339,9 +314,9 @@ def backward_batch(params, config: ModelConfig, cache, dp):
     """Gradients of forward_batch with respect to every parameter.
 
     ``dp`` is dLoss/dp per batch element; returns a dict keyed like params.
-    The cache is used up: each conv block's entry (its columns, pooled
-    output and argmax) is popped once that block's gradient is taken,
-    which lowers a training step's peak memory.
+    The cache is used up: each conv block's entry (its tile columns,
+    pooled tiles and argmax) is popped once that block's gradient is
+    taken, which lowers a training step's peak memory.
     """
     (x_shape, frames_shape, conv_caches, pooled_shape, flat, emb_z, h_last, lstm_caches, out_z, p) = cache
     batch = x_shape[0]
@@ -358,17 +333,18 @@ def backward_batch(params, config: ModelConfig, cache, dp):
     dflat, grads["embed_w"], grads["embed_b"] = ops.dense_backward(
         flat, params["embed_w"], emb_z, demb, "relu"
     )
+    # the top block reads its output gradient at its sites, and per cell
+    # as one sum over the frames where that cell is off them
     dcur = dflat.reshape(pooled_shape)
-    # block 0 reads its output gradient only at its tile sites, and as one
-    # per-channel sum over the other cells; block 1 (or here, for one
-    # block) reduces it to those
-    sites = conv_caches[0][2]
-    if len(config.conv_blocks) == 1:
-        dcur = _at_sites(dcur, sites)
-    for n in range(len(config.conv_blocks) - 1, 0, -1):
+    sites = conv_caches[-1][3]
+    drows = dcur[sites]
+    dcur[sites] = 0
+    dcur = (drows, dcur.sum(axis=0, dtype=_wide(dcur.dtype)))
+    for n in range(len(config.conv_blocks) - 1, -1, -1):
+        below = conv_caches[n - 1][3] if n else None
         # each block's entry is popped into its own backward call, so no
         # array of the block above outlives it here
-        dcur, dw, db = _block_backward(params[f"conv{n}_w"], conv_caches.pop(), dcur, sites if n == 1 else None)
-        grads[f"conv{n}_w"], grads[f"conv{n}_b"] = dw, db
-    grads["conv0_w"], grads["conv0_b"] = _tile_block_backward(params["conv0_w"], conv_caches.pop(), *dcur)
+        grads[f"conv{n}_w"], grads[f"conv{n}_b"], dcur = _block_backward(
+            params[f"conv{n}_w"], conv_caches.pop(), dcur, below
+        )
     return grads

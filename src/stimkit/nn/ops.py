@@ -6,20 +6,9 @@ float64 for gradient verification. Layout is channels-last: images are
 
 Convolution is same-padded cross-correlation with odd kernels, lowered
 to im2col + matmul (forward, input gradient and weight gradient alike).
-The training forward keeps its patch matrix, and the weight gradient
-reuses it instead of lowering the input again. Where no patch matrix is
-kept (the scoring forward, and the input gradient, which lowers the
-padded output gradient), the input is lowered a few frames at a time
-and each chunk is multiplied into its own rows of the output, so no
-full patch matrix is ever allocated. Splitting the rows keeps each
-output's sum over the patch in the same order, so the bytes are those
-of the one-shot product as long as every chunk takes the same BLAS
-kernel as the whole. They do at every shape the model runs: a frame is
-a multiple of 4 rows (both sides are even, as pooling follows) and a
-chunk is far above OpenBLAS's small-product kernels. A chunk with an
-odd row count, or one small enough for those kernels while the whole
-is not, can round differently in the last bit. Columns are copied out
-of a sliding-window view of the padded input.
+The forward and the weight gradient take the caller's patch matrix when
+it holds one, instead of lowering the input again. Columns are copied
+out of a sliding-window view of the padded input.
 
 2x2 max pooling reads the four strided views ``x[:, i::2, j::2]`` of
 the input and folds them with ``np.maximum``; no block copy is made.
@@ -66,20 +55,6 @@ def im2col(x, k):
     return patches.transpose(0, 1, 2, 4, 5, 3).reshape(n * h * w, -1)
 
 
-_LOWER_BYTES = 1 << 22  # patch-matrix bytes per chunk: a lowered chunk stays near 4 MiB
-
-
-def _lowered_matmul(x, k, w2d):
-    """``im2col(x, k) @ w2d``, lowering at most ``_LOWER_BYTES`` of columns (or one frame) at a time."""
-    n, h, w, cin = x.shape
-    rows = h * w
-    step = max(1, _LOWER_BYTES // max(1, rows * k * k * cin * x.dtype.itemsize))
-    out = np.empty((n * rows, w2d.shape[1]), dtype=np.result_type(x, w2d))
-    for i in range(0, n, step):
-        np.matmul(im2col(x[i : i + step], k), w2d, out=out[i * rows : (i + step) * rows])
-    return out
-
-
 def conv2d_forward(x, w, b, cols=None):
     """Same-padded cross-correlation; returns y of shape (N, H, W, Cout).
 
@@ -87,7 +62,7 @@ def conv2d_forward(x, w, b, cols=None):
     """
     _check_conv_shapes(x, w, b)
     w2d = w.reshape(-1, w.shape[3])
-    y = _lowered_matmul(x, w.shape[0], w2d) if cols is None else cols @ w2d
+    y = (im2col(x, w.shape[0]) if cols is None else cols) @ w2d
     y += b
     return y.reshape(x.shape[:3] + (w.shape[3],)).astype(x.dtype, copy=False)
 
@@ -106,7 +81,7 @@ def conv2d_backward(x, w, dy, need_dx: bool = True, cols=None):
     if need_dx:
         # input gradient: same-padded conv of dy with the rotated kernel
         wrot = np.ascontiguousarray(w[::-1, ::-1].transpose(0, 1, 3, 2))
-        dx = _lowered_matmul(dy, k, wrot.reshape(-1, w.shape[2])).reshape(x.shape).astype(x.dtype, copy=False)
+        dx = (im2col(dy, k) @ wrot.reshape(-1, w.shape[2])).reshape(x.shape).astype(x.dtype, copy=False)
     if cols is None:
         cols = im2col(x, k)
     dw_flat = cols.T @ dy.reshape(-1, w.shape[3])

@@ -13,6 +13,8 @@ position of a batch, is the exception: there any evaluation order in the
 dtype is off the exact value by epsilons of the terms' scale, which can
 be many epsilons of the result's. Its reference is ``exact_sum`` of the
 terms the old kernel added, not the old kernel's own rounding of them.
+A weight gradient summed over every position is such a sum too: in
+float32 its reference is ``wide_matmul`` of the old kernel's terms.
 """
 
 from __future__ import annotations
@@ -30,6 +32,16 @@ def exact_sum(terms):
     terms = np.asarray(terms)
     channels = terms.reshape(-1, terms.shape[-1]).T.astype(np.float64)
     return np.array([math.fsum(c) for c in channels.tolist()], dtype=terms.dtype)
+
+
+def wide_matmul(a, b):
+    """``a @ b`` summed in float64 and cast back: the reference of a weight gradient.
+
+    For float32 terms every product is exact and the sum is off the exact
+    one by far less than a float32 epsilon; for float64 terms it is the
+    old kernel's own product.
+    """
+    return (a.astype(np.float64) @ b.astype(np.float64)).astype(a.dtype)
 
 
 def contract_error(got, want) -> float:

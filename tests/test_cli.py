@@ -12,6 +12,7 @@ import pytest
 
 from stimkit import cli, imageio
 from stimkit.cli import main
+from stimkit.nn import ops
 from stimkit.nn.checkpoint import ModelCheckpoint, save_checkpoint
 from stimkit.nn.gradcheck import micro_config
 from stimkit.nn.model import init_params
@@ -53,19 +54,33 @@ class TestSynthCommand:
         assert "--seed: must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
 
-    @pytest.mark.parametrize("clips", [0, -2])
-    def test_clips_per_subject_below_one_exits_2_naming_field(self, tmp_path, capsys, clips):
-        # it once exited 0 and wrote a manifest with no clips
-        assert run_cli("synth", "-o", tmp_path / "d", "--clips-per-subject", clips, "--seed", 1) == 2
-        assert f"clips_per_subject must be >= 1, got {clips}" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv, flag", [
+        (["--subjects", "0"], "--subjects"),
+        (["--subjects", "1001"], "--subjects"),
+        # once drew subject profiles without end
+        (["--subjects=18446744073709551616"], "--subjects"),
+        (["--clips-per-subject", "0"], "--clips-per-subject"),
+        (["--clips-per-subject", "-2"], "--clips-per-subject"),
+        (["--clips-per-subject", "101"], "--clips-per-subject"),
+        (["--drift=-1"], "--drift"),
+        (["--drift", "nan"], "--drift"),
+        (["--drift", "inf"], "--drift"),
+    ])
+    def test_bad_count_or_drift_exits_2_naming_the_flag(self, tmp_path, capsys, monkeypatch, argv, flag):
+        # the counts and drift were once checked inside gen_dataset, under its own argument names
+        def unreachable(*args, **kwargs):
+            raise AssertionError("gen_dataset ran")
+
+        monkeypatch.setattr(cli, "gen_dataset", unreachable)
+        assert run_cli("synth", "-o", tmp_path / "d", *argv, "--seed", 1) == 2
+        assert f"error: {flag}: must be" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
 
-    @pytest.mark.parametrize("drift", ["-1", "nan", "inf"])
-    def test_bad_drift_exits_2_and_writes_nothing(self, tmp_path, capsys, drift):
-        # -1 once left d/keypoints behind; nan wrote drift-free clips and inf NaN coordinates
-        assert run_cli("synth", "-o", tmp_path / "d", "--drift", drift, "--seed", 1) == 2
-        assert "camera_drift_sigma must be finite and >= 0" in capsys.readouterr().err
-        assert not (tmp_path / "d").exists()
+    def test_largest_counts_are_accepted(self, tmp_path, capsys, monkeypatch):
+        made = []
+        monkeypatch.setattr(cli, "gen_dataset", lambda out, **kwargs: made.append(kwargs) or out)
+        assert run_cli("synth", "-o", tmp_path / "d", "--subjects", 1000, "--clips-per-subject", 100, "--seed", 1) == 0
+        assert made == [dict(n_subjects=1000, clips_per_subject=100, seed=1, camera_drift_sigma=1.5)]
 
 
 class TestImportCommand:
@@ -300,6 +315,29 @@ class TestCvCommand:
         printed = capsys.readouterr().out
         assert "mean F1 (windows):" in printed
 
+    def test_cv_and_predict_run_every_conv_on_tile_columns(self, mini_run_config, mini_dataset, tmp_path,
+                                                           monkeypatch, capsys):
+        # every block hands conv2d_forward its tile columns and takes no full
+        # input gradient from conv2d_backward, so neither op lowers a frame itself
+        calls = []
+        real_forward, real_backward = ops.conv2d_forward, ops.conv2d_backward
+
+        def conv2d_forward(x, w, b, cols=None):
+            calls.append(("forward", cols is not None))
+            return real_forward(x, w, b, cols=cols)
+
+        def conv2d_backward(x, w, dy, need_dx=True, cols=None):
+            calls.append(("backward", cols is not None and not need_dx))
+            return real_backward(x, w, dy, need_dx, cols)
+
+        monkeypatch.setattr(ops, "conv2d_forward", conv2d_forward)
+        monkeypatch.setattr(ops, "conv2d_backward", conv2d_backward)
+        assert run_cli("cv", "-c", mini_run_config) == 0
+        kp = Path(mini_dataset).parent / "keypoints" / "synth_000_c00.json"
+        assert run_cli("predict", "-m", tmp_path / "out" / "fold_0.ckpt", "-k", kp) == 0
+        assert {kind for kind, _ in calls} == {"forward", "backward"}
+        assert all(ok for _, ok in calls)
+
     def test_failed_checkpoint_write_leaves_no_report(self, mini_run_config, tmp_path, monkeypatch, capsys):
         from stimkit import cli
 
@@ -349,7 +387,7 @@ class TestPredictCommand:
         run_cli("train", "-c", mini_run_config)
         return tmp_path / "out" / "checkpoint.ckpt"
 
-    def test_short_clip_warns_and_emits_nothing(self, trained, tmp_path, capsys):
+    def test_short_clip_warns_and_emits_nothing(self, trained, tmp_path, capsys, caplog):
         clip = tmp_path / "short.json"
         docs = []
         for i in range(10):
@@ -359,9 +397,9 @@ class TestPredictCommand:
             docs.append({"people": [{"pose_keypoints_2d": flat}]})
         clip.write_text(json.dumps(docs))
         assert run_cli("predict", "-m", trained, "-k", clip) == 0
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "no windows" in captured.err
+        # the warning says it once: the command once followed it with its own "no windows" line
+        assert capsys.readouterr() == ("", "")
+        assert [r.getMessage() for r in caplog.records] == [f"clip {clip}: 10 frames < window span 31; no windows"]
 
     def test_truncated_checkpoint_exits_2(self, trained, tmp_path, mini_dataset, capsys):
         cut = tmp_path / "cut.ckpt"
@@ -688,8 +726,8 @@ class TestLogging:
         caplog.clear()
         assert self._predict(tmp_path, "-q", frames=4, valid=4) == 0
         assert caplog.records == []
-        # the command's own message is output, not a log record
-        assert capsys.readouterr().err.count("no windows: clip shorter than one window span\n") == 2
+        # the warning is the only word on a short clip, so -q leaves none
+        assert capsys.readouterr().err == ""
 
     def test_verbose_and_quiet_exclude_each_other(self, tmp_path, capsys):
         assert self._predict(tmp_path, "-v", "-q") == 2

@@ -26,7 +26,7 @@ from stimkit.pose import load_manifest
 from stimkit.raster import RasterClip, RasterSpec, rasterize
 from stimkit.spec import build_spec
 
-from numeric_contract import assert_float32_close, exact_sum
+from numeric_contract import assert_float32_close, exact_sum, wide_matmul
 from test_nn_ops import _reference_maxpool2_backward
 from test_tile_block import reference_block
 
@@ -134,7 +134,7 @@ class TestForward:
 
 def _reference_backward_batch(params, config, x, cache, dp):
     # backward_batch from the pieces it replaced: every conv block rerun on
-    # whole frames from the window (block 0's cache holds tiles), the ReLU
+    # whole frames from the window (the cache holds tiles), the ReLU
     # gradient on the full-size pre-activation (recomputed here), the
     # put_along_axis pool backward, and a conv backward that lowers its input again.
     (x_shape, frames_shape, _, pooled_shape, flat, emb_z, h_last, lstm_caches, out_z, p) = cache
@@ -158,22 +158,21 @@ def _reference_backward_batch(params, config, x, cache, dp):
         w = params[f"conv{n}_w"]
         z = ops.conv2d_forward(cur_in, w, params[f"conv{n}_b"])
         dz = ops.relu_backward(z, _reference_maxpool2_backward(a_shape, idx, dcur))
-        dcur, grads[f"conv{n}_w"], grads[f"conv{n}_b"] = ops.conv2d_backward(cur_in, w, dz, need_dx=(n > 0))
-    # block 0's bias gradient adds terms that largely cancel: its reference is their exact sum
-    grads["conv0_b"] = exact_sum(dz)
+        dcur, _, _ = ops.conv2d_backward(cur_in, w, dz, need_dx=(n > 0))
+        # a conv block's weight and bias gradients add terms that largely
+        # cancel: their references are the exact sums of those terms
+        grads[f"conv{n}_w"] = wide_matmul(ops.im2col(cur_in, w.shape[0]).T, dz.reshape(-1, w.shape[3])).reshape(w.shape)
+        grads[f"conv{n}_b"] = exact_sum(dz)
     return grads
 
 
 def _assert_grads_match_reference(params, got, want):
-    """Every gradient byte-equal, but block 0's, which ran on tiles, within the numeric contract.
-
-    ``conv0_b``'s reference is the exact sum of the reference's terms.
-    """
+    """Every gradient byte-equal, but the conv blocks', which ran on tiles, within the numeric contract."""
     assert got.keys() == want.keys() == params.keys()
     for name in params:
         assert got[name].dtype == want[name].dtype == params[name].dtype, name
         assert got[name].shape == params[name].shape, name
-        if name in ("conv0_w", "conv0_b"):
+        if name.startswith("conv"):
             assert_float32_close(got[name], want[name], name)
         else:
             assert got[name].tobytes() == want[name].tobytes(), name
@@ -224,7 +223,7 @@ class TestBackwardBatch:
         _, dp = bce_loss(p, y)
         want = _reference_backward_batch(params, cfg, x, cache, dp)
 
-        col_refs = [weakref.ref(entry[1]) for entry in cache[2]]
+        col_refs = [weakref.ref(entry[2]) for entry in cache[2]]
         real = ops.conv2d_backward
         dead_at_call = []
 
@@ -365,7 +364,7 @@ class TestTrain:
             assert not alive, f"{len(alive)} cached arrays of the previous step are still alive"
             p, cache = real(params, config, x, need_cache)
             conv_caches = cache[2]
-            cached[:] = [weakref.ref(a) for _, cols, _, pooled, idx, _ in conv_caches for a in (cols, pooled, idx)]
+            cached[:] = [weakref.ref(a) for _, _, cols, _, pooled, idx in conv_caches for a in (cols, pooled, idx)]
             return p, cache
 
         monkeypatch.setattr(train_module, "forward_batch", forward_batch)

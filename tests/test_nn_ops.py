@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -88,6 +86,15 @@ class TestConv2d:
             for got, want in zip(cached[1:], lowered[1:]):
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
+    def test_cached_columns_with_mixed_dtypes(self):
+        rng = np.random.default_rng(7)
+        x = (rng.random((3, 6, 8, 2)) < 0.3).astype(np.float32)
+        for wt, b in ((rng.standard_normal((3, 3, 2, 4)), rng.standard_normal(4)),
+                      (rng.standard_normal((3, 3, 2, 4)).astype(np.float32), rng.standard_normal(4))):
+            y = ops.conv2d_forward(x, wt, b, cols=ops.im2col(x, 3))
+            assert y.dtype == np.float32
+            assert y.tobytes() == _reference_conv2d_forward(x, wt, b).tobytes()
+
     @pytest.mark.parametrize(
         "shape,dtype",
         [((56, 32, 32, 32), np.float32), ((7, 32, 32, 32), np.float32),
@@ -137,38 +144,45 @@ class TestIm2col:
 
 
 def _reference_conv2d_forward(x, w, b):
-    # The one-shot lowering and the bias add that the chunked forward replaced.
+    # the one-shot sliding-window lowering and the bias add
     y = _reference_im2col(x, w.shape[0]) @ w.reshape(-1, w.shape[3]) + b
     return y.reshape(x.shape[:3] + (w.shape[3],)).astype(x.dtype, copy=False)
 
 
 def _reference_conv2d_input_grad(x, w, dy):
-    # The one-shot lowering of the padded dy that the chunked input gradient replaced.
+    # the one-shot lowering of the padded dy, times the rotated kernel
     wrot = np.ascontiguousarray(w[::-1, ::-1].transpose(0, 1, 3, 2))
     dx = _reference_im2col(dy, w.shape[0]) @ wrot.reshape(-1, w.shape[2])
     return dx.reshape(x.shape).astype(x.dtype, copy=False)
 
 
-class TestChunkedLowering:
+def _reference_conv2d_weight_grad(x, w, dy):
+    # the one-shot lowering of x, transposed, times the flattened dy
+    dw = _reference_im2col(x, w.shape[0]).T @ dy.reshape(-1, w.shape[3])
+    return dw.reshape(w.shape).astype(w.dtype, copy=False)
+
+
+class TestOneShotLowering:
     @pytest.mark.parametrize(
         "x_dtype,w_dtype,b_dtype",
         [(np.float32,) * 3, (np.float64,) * 3, (np.float32, np.float64, np.float64), (np.float32, np.float32, np.float64)],
         ids=["f32", "f64", "f32-x-f64-wb", "f32-xw-f64-b"],
     )
-    @pytest.mark.parametrize("frames_per_chunk", [0.5, 2, None], ids=["frame-over-budget", "2-frames", "default"])
-    # even image sides, as every conv input of the model has (pooling follows),
-    # so each chunk holds a multiple of 4 rows
+    @pytest.mark.parametrize("output", ["forward", "input gradient", "weight gradient"])
     @pytest.mark.parametrize(
         "n,h,w,cin,cout,k",
         [(5, 6, 8, 1, 4, 3), (7, 4, 4, 3, 1, 5), (4, 6, 6, 16, 8, 1), (3, 8, 6, 2, 3, 3)],
     )
-    def test_matches_one_shot_reference(self, monkeypatch, x_dtype, w_dtype, b_dtype, frames_per_chunk,
+    def test_matches_one_shot_reference(self, monkeypatch, x_dtype, w_dtype, b_dtype, output,
                                         n, h, w, cin, cout, k):
+        # each op lowers the whole batch in one im2col call, and its bytes
+        # are those of the one-shot sliding-window product
         rng = np.random.default_rng(n * 100 + cin * 10 + k)
         x = np.where(rng.random((n, h, w, cin)) < 0.3, rng.random((n, h, w, cin)), 0.0).astype(x_dtype)
         wt = rng.standard_normal((k, k, cin, cout)).astype(w_dtype)
         b = rng.standard_normal(cout).astype(b_dtype)
         dy = rng.standard_normal((n, h, w, cout)).astype(x_dtype)
+        cols = ops.im2col(x, k)
         lowered = []
         im2col = ops.im2col
 
@@ -177,55 +191,18 @@ class TestChunkedLowering:
             return im2col(a, kk)
 
         monkeypatch.setattr(ops, "im2col", counting_im2col)
-        for name, lowers, got, want in (
-            ("forward", x, lambda: ops.conv2d_forward(x, wt, b), _reference_conv2d_forward(x, wt, b)),
-            ("input gradient", dy, lambda: ops.conv2d_backward(x, wt, dy, cols=im2col(x, k))[0],
-             _reference_conv2d_input_grad(x, wt, dy)),
-        ):
-            if frames_per_chunk is None:
-                step = n  # the default budget holds every test shape in one chunk
-            else:
-                frame_bytes = h * w * k * k * lowers.shape[3] * lowers.itemsize
-                monkeypatch.setattr(ops, "_LOWER_BYTES", int(frames_per_chunk * frame_bytes))
-                step = max(1, int(frames_per_chunk))
-            lowered.clear()
-            out = got()
-            assert lowered == [min(step, n - i) for i in range(0, n, step)], name
-            assert out.dtype == x_dtype and out.shape == want.shape, name
-            assert out.tobytes() == want.tobytes(), name
-
-    def test_cached_columns_with_mixed_dtypes(self):
-        rng = np.random.default_rng(7)
-        x = (rng.random((3, 6, 8, 2)) < 0.3).astype(np.float32)
-        for wt, b in ((rng.standard_normal((3, 3, 2, 4)), rng.standard_normal(4)),
-                      (rng.standard_normal((3, 3, 2, 4)).astype(np.float32), rng.standard_normal(4))):
-            y = ops.conv2d_forward(x, wt, b, cols=ops.im2col(x, 3))
-            assert y.dtype == np.float32
-            assert y.tobytes() == _reference_conv2d_forward(x, wt, b).tobytes()
-
-    def test_training_shape_in_bounded_memory_and_same_bytes(self):
-        # the second conv block at the training batch: 8 windows of 7 frames
-        rng = np.random.default_rng(0)
-        x = (rng.random((56, 32, 32, 16)) < 0.3).astype(np.float32)
-        w = (rng.standard_normal((3, 3, 16, 32)) * 0.1).astype(np.float32)
-        b = rng.standard_normal(32).astype(np.float32)
-        dy = rng.standard_normal((56, 32, 32, 32), dtype=np.float32)
-        cols = ops.im2col(x, 3)
-        full_dy_cols = dy.size * 9 * dy.itemsize  # 66 MB
-        for name, call, limit, reference in (
-            ("input gradient", lambda: ops.conv2d_backward(x, w, dy, need_dx=True, cols=cols)[0], full_dy_cols // 4,
-             lambda: _reference_conv2d_input_grad(x, w, dy)),
-            ("forward", lambda: ops.conv2d_forward(x, w, b), cols.nbytes // 2,
-             lambda: _reference_conv2d_forward(x, w, b)),
-        ):
-            tracemalloc.start()
-            try:
-                got = call()
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak < limit, f"{name}: peak {peak} B, limit {limit} B"
-            assert got.tobytes() == reference().tobytes(), name
+        if output == "forward":
+            got, want = ops.conv2d_forward(x, wt, b), _reference_conv2d_forward(x, wt, b)
+            dtype = x_dtype
+        elif output == "input gradient":
+            got, want = ops.conv2d_backward(x, wt, dy, cols=cols)[0], _reference_conv2d_input_grad(x, wt, dy)
+            dtype = x_dtype
+        else:
+            got, want = ops.conv2d_backward(x, wt, dy, need_dx=False)[1], _reference_conv2d_weight_grad(x, wt, dy)
+            dtype = w_dtype
+        assert lowered == [n]
+        assert got.dtype == dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def _reference_maxpool2_forward(x):
