@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import ctypes
+import functools
 import json
 import logging
 import platform
@@ -381,6 +382,7 @@ def cmd_predict(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every call in a process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stimkit",

@@ -18,15 +18,12 @@ stability.
 
 Each refinement pass runs in bands of 32 rows (``_BAND_ROWS``): a band's
 warped samples and normal products, then its box-filter sums and its
-solve, so a band's temporaries stay in cache. The output is byte for
-byte that of doing each step over the whole image: every other step is
-per-pixel arithmetic, and the box filter's sums keep numpy's order for
-``sliding_window_view(padded, size, axis).sum(axis=-1)``: down the rows,
-+0.0 and then one tap after another; along a row, numpy's pairwise
-summation (``pairwise_sum`` in its add loops), which for the 15-tap
-window adds the first 8 as a pairwise tree and then the rest one at a
-time. tests/test_flow.py keeps the ``sliding_window_view`` filter as the
-reference, so a numpy release that changes this order fails there.
+solve, so a band's temporaries stay in cache. The first pass has no
+displacement yet, so it reads the second frame's fields unwarped. The
+expansion and the box filter regroup the sums of the whole-image kernels
+they replaced (Higham, "The Accuracy of Floating Point Summation", 1993):
+tests/test_flow.py keeps those kernels as references and holds these to
+the numeric contract of docs/formats.md.
 """
 
 from __future__ import annotations
@@ -35,7 +32,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import SizeError
 
@@ -43,10 +39,9 @@ DET_EPS = 1e-9
 LK_WINDOW = 15  # odd side of the LK summation window
 LK_MIN_EIGEN = 1e-4  # smallest eigenvalue of a trusted LK system
 EXPANSION_SIGMA = 1.5  # Gaussian scale of the polynomial fit
-AVG_WINDOW = 15  # side of the dense box average; _row_sums takes 8 to 15 taps
+AVG_WINDOW = 15  # side of the dense box average
 ITERATIONS = 3  # dense refinement passes
-# rows per band of a dense refinement pass and of its box filter
-_BAND_ROWS = 32
+_BAND_ROWS = 32  # rows per band of the expansion, a dense refinement pass and its box filter
 
 
 @dataclass
@@ -69,8 +64,9 @@ class FlowField:
     @staticmethod
     def dense(u: np.ndarray, v: np.ndarray, valid: np.ndarray) -> "FlowField":
         h, w = u.shape
-        ys, xs = np.mgrid[0:h, 0:w]
-        points = np.stack([xs.ravel(), ys.ravel()], axis=1).astype(np.float64)
+        points = np.empty((h, w, 2))
+        points[..., 0] = np.arange(w)
+        points[..., 1] = np.arange(h)[:, None]
         vectors = np.stack([u.ravel(), v.ravel()], axis=1)
         return FlowField("dense", points, vectors, valid.ravel(), shape=(h, w))
 
@@ -157,21 +153,16 @@ def lucas_kanade_grid(prev, nxt, spacing: int = 10) -> FlowField:
     return FlowField("sparse_grid", np.stack([xs, ys], axis=1), np.stack([u, v], axis=1), valid)
 
 
-def _correlate1d(img, kernel, axis):
-    half = len(kernel) // 2
-    pad = [(0, 0), (0, 0)]
-    pad[axis] = (half, half)
-    padded = np.pad(img, pad, mode="reflect")
-    windows = sliding_window_view(padded, len(kernel), axis=axis)
-    return windows @ kernel
-
-
 def polynomial_expansion(img):
     """Quadratic fit coefficients per pixel: returns (axx, ayy, axy, bx, by).
 
     The local model is f(x, y) ~ c + bx*x + by*y + axx*x^2 + ayy*y^2 +
     axy*x*y in offsets from each pixel, fit under a separable Gaussian
-    weight of scale EXPANSION_SIGMA.
+    weight g of scale EXPANSION_SIGMA, with the image reflected at its
+    border. It runs in bands of _BAND_ROWS rows. A band's taps down the
+    rows are stacked once, and one product weighs them by g, x^2 g and
+    x g; the taps of those three along the rows are stacked once, and one
+    more product weighs them into the five coefficients.
     """
     img = _check_image(img)
     sigma = EXPANSION_SIGMA
@@ -184,26 +175,36 @@ def polynomial_expansion(img):
 
     s2 = float(np.sum(x2g))
     s4 = float(np.sum(xs**4 * g))
-
-    rows_g = _correlate1d(img, g, 0)
-    rows_xg = _correlate1d(img, xg, 0)
-    m00 = _correlate1d(rows_g, g, 1)
-    mx = _correlate1d(rows_g, xg, 1)
-    my = _correlate1d(rows_xg, g, 1)
-    mxx = _correlate1d(rows_g, x2g, 1)
-    myy = _correlate1d(_correlate1d(img, x2g, 0), g, 1)
-    mxy = _correlate1d(rows_xg, xg, 1)
-
-    bx = mx / s2
-    by = my / s2
-    axy = mxy / (s2 * s2)
-
     # (c, axx, ayy) share a 3x3 system; invert it once.
     m = np.array([[1.0, s2, s2], [s2, s4, s2 * s2], [s2, s2 * s2, s4]])
     minv = np.linalg.inv(m)
-    axx = minv[1, 0] * m00 + minv[1, 1] * mxx + minv[1, 2] * myy
-    ayy = minv[2, 0] * m00 + minv[2, 1] * mxx + minv[2, 2] * myy
-    return axx, ayy, axy, bx, by
+    down = np.stack([g, x2g, xg])
+    zero = np.zeros_like(g)
+    # per coefficient, the weights along the rows weighed down by g, x^2 g and x g
+    along = np.array([
+        [minv[1, 0] * g + minv[1, 1] * x2g, minv[1, 2] * g, zero],
+        [minv[2, 0] * g + minv[2, 1] * x2g, minv[2, 2] * g, zero],
+        [zero, zero, xg / (s2 * s2)],
+        [xg / s2, zero, zero],
+        [zero, zero, g / s2],
+    ]).reshape(5, -1)
+
+    (h, w), n = img.shape, len(xs)
+    padded = np.pad(img, half, mode="reflect")
+    coeffs = np.empty((5, h, w))
+    band = min(_BAND_ROWS, h)
+    taps_down = np.empty((n, band, w + 2 * half))
+    rows = np.empty((3, band, w + 2 * half))  # every padded column, so the rows need no padding
+    taps = np.empty((3, n, band, w))
+    for r0 in range(0, h, band):
+        r = min(band, h - r0)
+        for k in range(n):
+            taps_down[k, :r] = padded[r0 + k : r0 + k + r]
+        np.matmul(down, taps_down[:, :r].reshape(n, -1), out=rows[:, :r].reshape(3, -1))
+        for k in range(n):
+            taps[:, k, :r] = rows[:, :r, k : k + w]
+        np.matmul(along, taps[:, :, :r].reshape(3 * n, -1), out=coeffs[:, r0 : r0 + r].reshape(5, -1))
+    return tuple(coeffs)
 
 
 def _bilinear_taps(sx, sy, shape):
@@ -237,34 +238,25 @@ def _box_counts(shape, size):
     return np.outer(_window_counts(shape[0], size), _window_counts(shape[1], size))
 
 
-def _column_sums(img, size, r0, out):
-    """Zero-padded size-tap window sums down axis 0 of ``img`` for the output
-    rows starting at r0, in numpy's order for a reduction over that axis:
-    +0.0, then one tap after another. Padding taps are skipped: adding +0.0
-    to a sum that starts at +0.0 changes no bit."""
-    h = img.shape[0]
-    out.fill(0.0)
-    for k in range(size):
-        top = r0 + k - size // 2  # input row of the first output row
-        lo, hi = max(top, 0), min(top + len(out), h)
-        if lo < hi:
-            out[lo - top : hi - top] += img[lo:hi]
-
-
-def _row_sums(p, size, out):
-    """size-tap window sums at every start of the 1D ``p`` (``len(out) ==
-    len(p) - size + 1``), for 8 to 15 taps, in numpy's order for a last-axis
-    reduction: its pairwise summation, which adds the first 8 as ((t0 + t1)
-    + (t2 + t3)) + ((t4 + t5) + (t6 + t7)) and then the rest one at a time.
-    Shifted slices share each level of that tree across window starts.
-    numpy adds each sum to +0.0, which changes only a -0.0, so ``p`` must
-    hold none."""
-    m = len(out)
-    pair = p[:-1] + p[1:]
-    quad = pair[:-2] + pair[2:]
-    np.add(quad[:m], quad[4 : 4 + m], out=out)
-    for k in range(8, size):
-        out += p[k : k + m]
+def _tree_sums(p, size, out):
+    """Sums of ``size`` consecutive entries along axis 0 of ``p``, at each of
+    the ``len(out) == len(p) - size + 1`` starts. The sums of 2, 4, 8, ...
+    entries are formed once, as a tree shared by every start, and each
+    window adds the levels of the binary digits of ``size``, the largest
+    first: 15 taps are ((oct + quad) + pair) + tap."""
+    m, top = len(out), size.bit_length() - 1
+    levels = [p]  # levels[j] holds the sums of 2**j entries
+    for j in range(top - 1):
+        levels.append(levels[j][: -(1 << j)] + levels[j][1 << j :])
+    if top:
+        np.add(levels[-1][:m], levels[-1][1 << (top - 1) :][:m], out=out)
+    else:
+        out[...] = p[:m]
+    start = 1 << top
+    for j in reversed(range(top)):
+        if size >> j & 1:
+            out += levels[j][start : start + m]
+            start += 1 << j
 
 
 def _box_bands(images, size, counts):
@@ -273,27 +265,29 @@ def _box_bands(images, size, counts):
     over the size x size window clipped to the image bounds; ``counts`` is
     _box_counts. ``means`` is overwritten by the next band.
 
-    The window sums are bytewise those of numpy's ``sliding_window_view(...)
-    .sum(axis=-1)`` down the rows and then along the columns of the
-    zero-padded image. Each band's column sums are laid out as zero-padded
-    rows in one flat buffer, so every row-pass slice is contiguous, and a
-    band's buffers stay in cache.
+    The windows are summed down the rows and then along them, each by
+    _tree_sums, on a band of zero-padded rows: its column sums come out
+    laid as zero-padded rows in one flat buffer, so the pass along the rows
+    runs on contiguous slices, and a band's buffers stay in cache.
     """
     (h_out, w_out), half = counts.shape, size // 2
-    w = images.shape[2]
+    h, w = images.shape[1:]
     width = w + 2 * half  # a zero-padded row
     band = min(_BAND_ROWS, h_out)
-    cols = np.empty((band, w))
-    padded = np.zeros(band * width)
-    sums = np.empty(band * width)
+    rows = np.zeros((band + size - 1, width))
+    cols, sums = np.empty((2, band * width))  # column sums as zero-padded rows; window sums
     means = np.empty((len(images), band, w_out))
     for r0 in range(0, h_out, band):
         r = min(band, h_out - r0)
-        flat = padded[: r * width]
+        n = r + size - 1  # padded rows that the band's windows cover
+        top = r0 - half  # image row of the first of them
+        lo, hi = max(top, 0), min(top + n, h)
         for img, mean in zip(images, means):
-            _column_sums(img, size, r0, cols[:r])
-            flat.reshape(r, width)[:, half : half + w] = cols[:r]
-            _row_sums(flat, size, sums[: r * width - size + 1])
+            rows[: lo - top] = 0.0
+            rows[lo - top : hi - top, half : half + w] = img[lo:hi]
+            rows[hi - top : n] = 0.0
+            _tree_sums(rows[:n], size, cols[: r * width].reshape(r, width))
+            _tree_sums(cols[: r * width], size, sums[: r * width - size + 1])
             np.divide(sums[: r * width].reshape(r, width)[:, :w_out], counts[r0 : r0 + r], out=mean[:r])
         yield slice(r0, r0 + r), means[:, :r]
 
@@ -305,13 +299,12 @@ def farneback_dense(prev, nxt) -> FlowField:
         raise SizeError(f"farneback needs at least 16x16 images, got {prev.shape}")
     h, w = prev.shape
 
-    axx1, ayy1, axy1, bx1, by1 = polynomial_expansion(prev)
-    axx2, ayy2, axy2, bx2, by2 = polynomial_expansion(nxt)
-    a11_1, a12_1, a22_1 = axx1, 0.5 * axy1, ayy1
-    a11_2, a12_2, a22_2 = axx2, 0.5 * axy2, ayy2
+    a11_1, a22_1, axy1, bx1, by1 = polynomial_expansion(prev)
+    a11_2, a22_2, axy2, bx2, by2 = polynomial_expansion(nxt)
+    a12_1 = 0.5 * axy1
+    second = (a11_2, 0.5 * axy2, a22_2, bx2, by2)
 
-    du = np.zeros((h, w))
-    dv = np.zeros((h, w))
+    du, dv = np.zeros((2, h, w))
     valid = np.zeros((h, w), dtype=bool)
 
     counts = _box_counts((h, w), AVG_WINDOW)
@@ -320,14 +313,19 @@ def farneback_dense(prev, nxt) -> FlowField:
     xs = np.arange(w)
     ys = np.arange(h)[:, None]
     bands = [slice(r0, min(r0 + _BAND_ROWS, h)) for r0 in range(0, h, _BAND_ROWS)]
-    for _ in range(ITERATIONS):
+    for n in range(ITERATIONS):
         for b in bands:
-            taps = _bilinear_taps(xs + du[b], ys[b] + dv[b], (h, w))
-            n11 = 0.5 * (a11_1[b] + _bilinear_grid(a11_2, taps))
-            n12 = 0.5 * (a12_1[b] + _bilinear_grid(a12_2, taps))
-            n22 = 0.5 * (a22_1[b] + _bilinear_grid(a22_2, taps))
-            g1 = -0.5 * (_bilinear_grid(bx2, taps) - bx1[b]) + n11 * du[b] + n12 * dv[b]
-            g2 = -0.5 * (_bilinear_grid(by2, taps) - by1[b]) + n12 * du[b] + n22 * dv[b]
+            # the first pass has du = dv = 0, where the warp samples every field at its own pixel
+            taps = _bilinear_taps(xs + du[b], ys[b] + dv[b], (h, w)) if n else None
+            w11, w12, w22, wbx, wby = (_bilinear_grid(f, taps) if n else f[b] for f in second)
+            n11 = 0.5 * (a11_1[b] + w11)
+            n12 = 0.5 * (a12_1[b] + w12)
+            n22 = 0.5 * (a22_1[b] + w22)
+            g1 = -0.5 * (wbx - bx1[b])
+            g2 = -0.5 * (wby - by1[b])
+            if n:
+                g1 = g1 + n11 * du[b] + n12 * dv[b]
+                g2 = g2 + n12 * du[b] + n22 * dv[b]
             # Least squares over the neighborhood: box-average the normal
             # products A'A and A'db rather than the raw systems, so weak or
             # sign-flipping pixels cannot cancel their neighbors into a

@@ -30,18 +30,22 @@ def flow_hue_degrees(u, v):
     return np.where(hue >= 360.0, hue - 360.0, hue)
 
 
+# per hue sector of 60 degrees, the component that r, g and b take: 0 = v, 1 = p, 2 = q,
+# 3 = t. Sector 6 is sector 0 again: (h % 360) / 60 rounds up to 6.0 for h just below 0.
+_SECTOR_RGB = np.array([[0, 3, 1], [2, 0, 1], [1, 0, 3], [1, 2, 0], [3, 1, 0], [0, 1, 2], [0, 3, 1]])
+
+
 def _hsv_to_rgb(h_deg, s, v):
     """Vectorized HSV -> RGB, hue in degrees, s and v in [0, 1]."""
     h6 = (h_deg % 360.0) / 60.0
-    i = np.floor(h6).astype(int) % 6
-    f = h6 - np.floor(h6)
-    p = v * (1.0 - s)
-    q = v * (1.0 - s * f)
-    t = v * (1.0 - s * (1.0 - f))
-    r = np.choose(i, [v, q, p, p, t, v])
-    g = np.choose(i, [t, v, v, q, p, p])
-    b = np.choose(i, [p, p, t, v, v, q])
-    return np.stack([r, g, b], axis=-1)
+    sector = np.floor(h6)
+    f = h6 - sector
+    v = np.broadcast_to(v, f.shape)
+    components = np.stack([v, v * (1.0 - s), v * (1.0 - s * f), v * (1.0 - s * (1.0 - f))], axis=-1)
+    # a NaN hue takes sector 6 rather than an index out of the table
+    pick = _SECTOR_RGB[np.fmin(sector, 6.0).astype(np.intp)]
+    pick += np.arange(0, components.size, 4).reshape(f.shape + (1,))
+    return components.reshape(-1)[pick]
 
 
 def flow_to_hsv(flow: FlowField, max_magnitude: float | None = None) -> np.ndarray:

@@ -1,10 +1,12 @@
 """Minimal PNG / PPM / PGM reading and writing.
 
 Only what the CLI needs: 8-bit grayscale and RGB, non-interlaced. PNG
-writing uses filter type 0 on every row, so output bytes are fully
-deterministic for identical pixel data. The reader handles filter types
-0-4 and strips alpha channels; anything fancier (palette, 16-bit,
-interlace) raises with a hint to convert to PPM.
+writing uses filter type 2 (Up: each byte minus the byte above it) on
+every row, so output bytes are fully deterministic for identical pixel
+data, and the smooth images the CLI writes compress smaller and faster
+than unfiltered rows. The reader handles filter types 0-4 and strips
+alpha channels; anything fancier (palette, 16-bit, interlace) raises
+with a hint to convert to PPM.
 """
 
 import struct
@@ -41,13 +43,13 @@ def write_png(path, img):
     else:
         raise ImageFormatError(f"expected (H,W) or (H,W,3) uint8, got shape {img.shape}")
     h, w = img.shape[:2]
-    raw = bytearray()
     flat = img.reshape(h, w * channels)
-    for row in range(h):
-        raw.append(0)  # filter type 0
-        raw.extend(flat[row].tobytes())
+    raw = np.empty((h, 1 + w * channels), dtype=np.uint8)
+    raw[:, 0] = 2  # filter type Up; the row above the first is zeros
+    raw[0, 1:] = flat[0]
+    np.subtract(flat[1:], flat[:-1], out=raw[1:, 1:])  # modulo 256
     ihdr = struct.pack(">IIBBBBB", w, h, 8, color_type, 0, 0, 0)
-    data = _PNG_SIG + _chunk(b"IHDR", ihdr) + _chunk(b"IDAT", zlib.compress(bytes(raw), 6)) + _chunk(b"IEND", b"")
+    data = _PNG_SIG + _chunk(b"IHDR", ihdr) + _chunk(b"IDAT", zlib.compress(raw, 6)) + _chunk(b"IEND", b"")
     with open(path, "wb") as f:
         f.write(data)
 

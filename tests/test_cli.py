@@ -218,6 +218,27 @@ class TestFlowvizCommand:
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the CLI tunes only glibc's malloc")
+class TestParserReuse:
+    def test_each_call_parses_its_own_flags_and_defaults(self, tmp_path, mini_dataset, capsys):
+        # one parser serves every call of a process, so no call may see an earlier call's flags
+        assert cli.build_parser() is cli.build_parser()
+        ckpt = _micro_checkpoint(tmp_path / "micro.ckpt")
+        kp = Path(mini_dataset).parent / "keypoints" / "synth_000_c00.json"
+        size = ("--frame-width", 640, "--frame-height", 480)
+        assert run_cli("predict", "-m", ckpt, "-k", kp, *size, "-o", tmp_path / "p.jsonl") == 0
+        assert capsys.readouterr().out == ""
+        assert run_cli("predict", "-m", ckpt, *size) == 2
+        assert "the following arguments are required: -k/--keypoints" in capsys.readouterr().err
+        a, b = tmp_path / "a.png", tmp_path / "b.png"
+        _texture_png(a, size=100)
+        _texture_png(b, shift=(1.0, 0.0), size=100)
+        assert run_cli("flowviz", a, b, "-o", tmp_path / "viz") == 0
+        assert capsys.readouterr().out.startswith("pair 0: method=lk valid=")  # --method's default
+        assert sorted(p.name for p in (tmp_path / "viz").iterdir()) == ["lk_isolated_000.png", "lk_overlay_000.png"]
+        assert run_cli("predict", "-m", ckpt, "-k", kp, *size) == 0  # -o's default: stdout
+        assert capsys.readouterr().out.splitlines() == (tmp_path / "p.jsonl").read_text().splitlines()
+
+
 class TestMallocThresholds:
     def _dense_argv(self, tmp_path):
         # 256x256 float64 temporaries are 512 KiB, above glibc's default 128 KiB mmap threshold

@@ -9,8 +9,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 from stimkit import flow
 from stimkit.errors import SizeError
 from stimkit.flow import FlowField, farneback_dense, image_gradients, lucas_kanade_grid, polynomial_expansion
-from stimkit.flowviz import flow_hue_degrees, flow_to_hsv, render_arrows
+from stimkit.flowviz import _hsv_to_rgb, flow_hue_degrees, flow_to_hsv, render_arrows
 from stimkit.synth import flow_texture
+
+from numeric_contract import assert_float32_close
 
 
 def texture(h, w, shift=(0.0, 0.0)):
@@ -267,6 +269,45 @@ class TestFlowToHsv:
         with pytest.raises(SizeError):
             flow_to_hsv(sparse)
 
+    def test_sector_table_gives_the_bytes_of_the_choose_reference(self):
+        rng = np.random.default_rng(11)
+        u, v = rng.normal(size=(2, 16, 16))
+        prev = flow_texture(96)[:72]
+        nxt = flow_texture(96, shift=(1.0, -2.0))[:72]
+        prev[:, :24] = nxt[:, :24] = 0.5
+        pinned = farneback_dense(prev, nxt)
+        fields = [self._dense(u, v), self._dense(-v, u), pinned]  # the rotating field and the pinned dense field
+        for field in fields:
+            fu, fv, valid = field.grids()
+            hue = flow_hue_degrees(fu, fv)
+            intensity = np.where(valid, np.clip(np.hypot(fu, fv) / 5.0, 0.0, 1.0), 0.0)
+            assert _hsv_to_rgb(hue, 1.0, intensity).tobytes() == reference_hsv_to_rgb(hue, 1.0, intensity).tobytes()
+        # every sector boundary, a hue that wraps to 360.0, and saturations below 1
+        hue = np.array([0.0, 60.0, 120.0, 180.0, 240.0, 300.0, 359.99999999999994, -1e-300, -0.0, 725.0])
+        sat = np.linspace(0.0, 1.0, len(hue))
+        assert _hsv_to_rgb(hue, sat, 0.75).tobytes() == reference_hsv_to_rgb(hue, sat, 0.75).tobytes()
+
+
+def reference_hsv_to_rgb(h_deg, s, v):
+    """HSV -> RGB through np.choose, the kernel the sector table replaced."""
+    h6 = (h_deg % 360.0) / 60.0
+    i = np.floor(h6).astype(int) % 6
+    f = h6 - np.floor(h6)
+    p = v * (1.0 - s)
+    q = v * (1.0 - s * f)
+    t = v * (1.0 - s * (1.0 - f))
+    r = np.choose(i, [v, q, p, p, t, v])
+    g = np.choose(i, [t, v, v, q, p, p])
+    b = np.choose(i, [p, p, t, v, v, q])
+    return np.stack([r, g, b], axis=-1)
+
+
+class TestFlowField:
+    def test_dense_points_are_the_pixel_grid_as_x_y(self):
+        field = FlowField.dense(np.zeros((3, 5)), np.zeros((3, 5)), np.ones((3, 5), bool))
+        ys, xs = np.mgrid[0:3, 0:5]
+        assert field.points.tobytes() == np.stack([xs.ravel(), ys.ravel()], axis=1).astype(np.float64).tobytes()
+
 
 class TestRenderArrows:
     def _sparse(self, vectors, valid=None):
@@ -331,7 +372,8 @@ class TestAutoNormalization:
 
 class TestPinnedDense:
     def test_dense_vectors_valid_and_hsv_bytes_are_pinned(self):
-        # Dense flow as produced with numpy 2.4.6. The frames are cropped to
+        # Dense flow as produced with numpy 2.4.6 and OpenBLAS 0.3.31, whose
+        # kernels the expansion's products take. The frames are cropped to
         # 72x96 so a height/width mix-up in the expansion, warp or box filter
         # changes the bytes, and a flat strip leaves some pixels invalid.
         prev = flow_texture(96)[:72]
@@ -340,15 +382,49 @@ class TestPinnedDense:
         field = farneback_dense(prev, nxt)
         digests = [hashlib.sha256(a.tobytes()).hexdigest() for a in (field.vectors, field.valid, flow_to_hsv(field))]
         assert digests == [
-            "f4c5062a8c6e5f33dbed7de064cfc035418fa61a861b921ec9b4a4d1e41145e6",
+            "742ee37aa660b4587520267ea449f15691195fcb57ab74e31043bb58a708d318",
             "5c7d24a936dabee99aa9ead972f311b14b2ce2bb3d9d02fd82faac2ce6d9f0cb",
-            "ba8580e37788a45e0b3ed9435b98841e7f55863386c6cc46d16c997c6cf3408e",
+            "4b2643d5651a36b84f03c91f139263cb72255e4628c5e5f08b180f65eab18bba",
         ]
 
 
-# The box filter and the dense iteration as they were before row bands,
-# kept as the byte references: one sliding_window_view sum per axis, and
-# every step of an iteration over the whole image at once.
+# The kernels that the expansion, the box filter and the dense iteration
+# replaced, kept as references: eight whole-image correlations through
+# sliding-window products, one sliding_window_view sum per axis, and every
+# step of an iteration over the whole image at once.
+
+
+def reference_correlate1d(img, kernel, axis):
+    half = len(kernel) // 2
+    pad = [(0, 0), (0, 0)]
+    pad[axis] = (half, half)
+    padded = np.pad(img, pad, mode="reflect")
+    windows = sliding_window_view(padded, len(kernel), axis=axis)
+    return windows @ kernel
+
+
+def reference_polynomial_expansion(img):
+    sigma = flow.EXPANSION_SIGMA
+    half = max(1, int(round(2.0 * sigma)))
+    xs = np.arange(-half, half + 1, dtype=np.float64)
+    g = np.exp(-(xs**2) / (2.0 * sigma * sigma))
+    g /= g.sum()
+    xg = xs * g
+    x2g = xs * xs * g
+    s2 = float(np.sum(x2g))
+    s4 = float(np.sum(xs**4 * g))
+    rows_g = reference_correlate1d(img, g, 0)
+    rows_xg = reference_correlate1d(img, xg, 0)
+    m00 = reference_correlate1d(rows_g, g, 1)
+    mx = reference_correlate1d(rows_g, xg, 1)
+    my = reference_correlate1d(rows_xg, g, 1)
+    mxx = reference_correlate1d(rows_g, x2g, 1)
+    myy = reference_correlate1d(reference_correlate1d(img, x2g, 0), g, 1)
+    mxy = reference_correlate1d(rows_xg, xg, 1)
+    minv = np.linalg.inv(np.array([[1.0, s2, s2], [s2, s4, s2 * s2], [s2, s2 * s2, s4]]))
+    axx = minv[1, 0] * m00 + minv[1, 1] * mxx + minv[1, 2] * myy
+    ayy = minv[2, 0] * m00 + minv[2, 1] * mxx + minv[2, 2] * myy
+    return axx, ayy, mxy / (s2 * s2), mx / s2, my / s2
 
 
 def reference_box_sum1d(img, size, axis):
@@ -366,6 +442,14 @@ def reference_box_filter(img, size, counts):
 
 def reference_box_counts(shape, size):
     return reference_box_sum1d(reference_box_sum1d(np.ones(shape), size, 0), size, 1)
+
+
+def banded_box_filter(img, size, counts):
+    """flow._box_bands on one image."""
+    out = np.empty(counts.shape)
+    for rows, means in flow._box_bands(img[None], size, counts):
+        out[rows] = means[0]
+    return out
 
 
 def reference_bilinear_taps(sx, sy):
@@ -387,11 +471,13 @@ def reference_bilinear_grid(field, taps):
     return flat[i00] * gx * gy + flat[i01] * fx * gy + flat[i10] * gx * fy + flat[i11] * fx * fy
 
 
-def reference_farneback(prev, nxt, avg_window, iterations):
-    """(du, dv, valid) of farneback_dense, one whole-image step after another."""
+def reference_farneback(prev, nxt, avg_window, iterations, expansion=reference_polynomial_expansion,
+                        box_filter=reference_box_filter):
+    """(du, dv, valid) of farneback_dense, one whole-image step after another;
+    every pass, the first too, warps by the displacement so far."""
     h, w = prev.shape
-    axx1, ayy1, axy1, bx1, by1 = polynomial_expansion(prev)
-    axx2, ayy2, axy2, bx2, by2 = polynomial_expansion(nxt)
+    axx1, ayy1, axy1, bx1, by1 = expansion(prev)
+    axx2, ayy2, axy2, bx2, by2 = expansion(nxt)
     a11_1, a12_1, a22_1 = axx1, 0.5 * axy1, ayy1
     a11_2, a12_2, a22_2 = axx2, 0.5 * axy2, ayy2
     du = np.zeros((h, w))
@@ -406,11 +492,11 @@ def reference_farneback(prev, nxt, avg_window, iterations):
         n22 = 0.5 * (a22_1 + reference_bilinear_grid(a22_2, taps))
         g1 = -0.5 * (reference_bilinear_grid(bx2, taps) - bx1) + n11 * du + n12 * dv
         g2 = -0.5 * (reference_bilinear_grid(by2, taps) - by1) + n12 * du + n22 * dv
-        m11 = reference_box_filter(n11 * n11 + n12 * n12, avg_window, counts)
-        m12 = reference_box_filter(n12 * (n11 + n22), avg_window, counts)
-        m22 = reference_box_filter(n12 * n12 + n22 * n22, avg_window, counts)
-        r1 = reference_box_filter(n11 * g1 + n12 * g2, avg_window, counts)
-        r2 = reference_box_filter(n12 * g1 + n22 * g2, avg_window, counts)
+        m11 = box_filter(n11 * n11 + n12 * n12, avg_window, counts)
+        m12 = box_filter(n12 * (n11 + n22), avg_window, counts)
+        m22 = box_filter(n12 * n12 + n22 * n22, avg_window, counts)
+        r1 = box_filter(n11 * g1 + n12 * g2, avg_window, counts)
+        r2 = box_filter(n12 * g1 + n22 * g2, avg_window, counts)
         det = m11 * m22 - m12 * m12
         valid = np.abs(det) >= flow.DET_EPS * flow.DET_EPS
         safe = np.where(valid, det, 1.0)
@@ -423,7 +509,9 @@ def reference_farneback(prev, nxt, avg_window, iterations):
 # 64 rows are two whole bands
 BAND_SHAPES = [(16, 16), (33, 47), (257, 31), (72, 96), (64, 40)]
 BOX_WIDTHS = list(range(1, 32))
-ROW_PASS_WIDTHS = list(range(8, 16))  # the widths _row_sums takes
+# no motion, subpixel motions, a whole-pixel motion, and one that samples past the border
+DENSE_SHIFTS = [(0.0, 0.0), (1.5, -0.5), (1.0, -2.0), (-4.0, 3.0), (7.5, 6.25)]
+VECTOR_TOL_PX = 1e-9  # the dense vectors' bound against the whole-image reference
 
 
 def signed_zero_image(shape, seed):
@@ -435,35 +523,53 @@ def signed_zero_image(shape, seed):
     return img
 
 
-class TestBoxFilterBytes:
-    """The banded box filter against the sliding_window_view sums, byte for byte.
+def dense_pair(shape, shift, flat_strip):
+    """Two frames of flow_texture cropped to ``shape``, the second shifted; a flat strip
+    (equal in both frames) leaves pixels invalid and zero products."""
+    h, w = shape
+    prev = flow_texture(max(shape))[:h, :w]
+    nxt = flow_texture(max(shape), shift=shift)[:h, :w]
+    if flat_strip:
+        prev[:, : w // 4] = nxt[:, : w // 4] = 0.5
+    return prev, nxt
 
-    numpy's reduction order is an implementation detail; a numpy upgrade
-    that changes it fails here.
-    """
+
+class TestExpansionContract:
+    @pytest.mark.parametrize("shape", BAND_SHAPES + [(3, 3), (4, 7), (7, 4)])
+    def test_matches_the_correlation_reference(self, shape):
+        h, w = shape
+        images = [flow_texture(max(shape))[:h, :w], np.random.default_rng(4).random(shape)]
+        if min(shape) > 7:
+            # Under 7 pixels the reflected border repeats the image, and the
+            # antisymmetric sums of a wide-range image cancel: at 3x3, bx is
+            # 1e-2 of its terms, and the old kernel is 129 eps off its exact
+            # value, this one 125, so neither is the other's reference.
+            images.append(signed_zero_image(shape, 3))
+        for img in images:
+            got, want = polynomial_expansion(img), reference_polynomial_expansion(img)
+            for name, a, b in zip(("axx", "ayy", "axy", "bx", "by"), got, want):
+                assert_float32_close(a, b, f"{name} at {shape}")
+
+
+class TestBoxFilterContract:
+    """The tree-summed box filter against the sliding_window_view sums."""
 
     @pytest.mark.parametrize("size", BOX_WIDTHS)
-    def test_column_pass_matches_axis0_sum(self, size):
+    def test_tree_sums_match_the_axis_sums(self, size):
+        half = size // 2
         for n, shape in enumerate(BAND_SHAPES):
             img = signed_zero_image(shape, n)
-            ref = reference_box_sum1d(img, size, 0)
-            got = np.empty_like(ref)
-            for r0 in range(0, len(ref), flow._BAND_ROWS):
-                flow._column_sums(img, size, r0, got[r0 : r0 + flow._BAND_ROWS])
-            assert got.tobytes() == ref.tobytes(), shape
+            down = np.pad(img, [(half, half), (0, 0)])
+            got = np.empty((len(down) - size + 1, shape[1]))
+            flow._tree_sums(down, size, got)
+            assert_float32_close(got, reference_box_sum1d(img, size, 0), f"down the rows at {shape}")
+            along = np.pad(img, [(0, 0), (half, half)])  # rows laid end to end, as _box_bands lays them
+            sums = np.empty(along.size)
+            flow._tree_sums(along.ravel(), size, sums[: along.size - size + 1])
+            got = sums.reshape(along.shape)[:, : along.shape[1] - size + 1]
+            assert_float32_close(got, reference_box_sum1d(img, size, 1), f"along the rows at {shape}")
 
-    @pytest.mark.parametrize("size", ROW_PASS_WIDTHS)
-    def test_row_pass_matches_axis1_sum(self, size):
-        for n, shape in enumerate(BAND_SHAPES):
-            img = signed_zero_image(shape, n) + 0.0  # the row pass is only given sums free of -0.0
-            ref = reference_box_sum1d(img, size, 1)
-            padded = np.pad(img, [(0, 0), (size // 2, size // 2)])
-            sums = np.empty(padded.size)
-            flow._row_sums(padded.ravel(), size, sums[: padded.size - size + 1])
-            got = sums.reshape(padded.shape)[:, : ref.shape[1]]
-            assert got.tobytes() == ref.tobytes(), shape
-
-    @pytest.mark.parametrize("size", ROW_PASS_WIDTHS)
+    @pytest.mark.parametrize("size", BOX_WIDTHS)
     def test_banded_means_match_box_filter(self, size):
         for n, shape in enumerate(BAND_SHAPES):
             images = np.stack([signed_zero_image(shape, n), signed_zero_image(shape, n + 10)])
@@ -473,36 +579,32 @@ class TestBoxFilterBytes:
             for rows, means in flow._box_bands(images, size, counts):
                 got[:, rows] = means
             for img, mean in zip(images, got):
-                assert mean.tobytes() == reference_box_filter(img, size, counts).tobytes(), shape
+                assert_float32_close(mean, reference_box_filter(img, size, counts), f"{shape}")
 
 
-class TestDenseBytes:
+class TestDenseContract:
+    @pytest.mark.parametrize("flat_strip", [False, True], ids=["textured", "flat-strip"])
+    @pytest.mark.parametrize("shift", DENSE_SHIFTS)
     @pytest.mark.parametrize("shape", BAND_SHAPES)
-    def test_banded_iteration_matches_whole_image_steps(self, shape):
-        h, w = shape
-        prev = flow_texture(max(shape))[:h, :w]
-        nxt = flow_texture(max(shape), shift=(1.5, -0.5))[:h, :w]
-        prev[:, : w // 4] = nxt[:, : w // 4] = 0.5  # a flat strip: invalid pixels and zero products
+    def test_vectors_match_the_whole_image_steps(self, shape, shift, flat_strip):
+        prev, nxt = dense_pair(shape, shift, flat_strip)
         u, v, valid = farneback_dense(prev, nxt).grids()
         ref_u, ref_v, ref_valid = reference_farneback(prev, nxt, avg_window=15, iterations=3)
-        assert u.tobytes() == ref_u.tobytes()
-        assert v.tobytes() == ref_v.tobytes()
         assert valid.tobytes() == ref_valid.tobytes()
+        assert np.abs(u - ref_u).max() <= VECTOR_TOL_PX
+        assert np.abs(v - ref_v).max() <= VECTOR_TOL_PX
 
-    @pytest.mark.parametrize(
-        "shift", [(0.0, 0.0), (-4.0, 3.0), (7.5, 6.25)], ids=["still", "whole-pixel", "past-the-border"]
-    )
+    @pytest.mark.parametrize("flat_strip", [False, True], ids=["textured", "flat-strip"])
+    @pytest.mark.parametrize("shift", DENSE_SHIFTS)
     @pytest.mark.parametrize("shape", BAND_SHAPES)
-    def test_banded_iteration_matches_at_other_shifts(self, shape, shift):
-        # no motion, a whole-pixel motion, and one that samples past the border
-        h, w = shape
-        prev = flow_texture(max(shape))[:h, :w]
-        nxt = flow_texture(max(shape), shift=shift)[:h, :w]
+    def test_first_pass_is_the_warp_at_zero_displacement(self, shape, shift, flat_strip, monkeypatch):
+        # the first pass reads the second frame's fields unwarped and drops the du, dv terms;
+        # the reference warps by du = dv = 0 and adds them, with the same expansion and box filter
+        prev, nxt = dense_pair(shape, shift, flat_strip)
+        monkeypatch.setattr(flow, "ITERATIONS", 1)
         u, v, valid = farneback_dense(prev, nxt).grids()
-        ref_u, ref_v, ref_valid = reference_farneback(prev, nxt, avg_window=15, iterations=3)
-        assert u.tobytes() == ref_u.tobytes()
-        assert v.tobytes() == ref_v.tobytes()
-        assert valid.tobytes() == ref_valid.tobytes()
+        ref = reference_farneback(prev, nxt, 15, 1, expansion=polynomial_expansion, box_filter=banded_box_filter)
+        assert [u.tobytes(), v.tobytes(), valid.tobytes()] == [a.tobytes() for a in ref]
 
     def test_tracemalloc_peak_at_640x480_is_bounded(self):
         # the whole-image iteration peaked at 96.4 MiB; one gather from a stacked

@@ -1,3 +1,6 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -32,6 +35,17 @@ class TestPng:
         imageio.write_png(a, rgb)
         imageio.write_png(b, rgb)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_rows_are_written_with_the_up_filter(self, tmp_path, rgb, gray):
+        for name, img in (("rgb.png", rgb), ("gray.png", gray)):
+            p = tmp_path / name
+            imageio.write_png(p, img)
+            blob = p.read_bytes()
+            start = blob.index(b"IDAT") + 4
+            (length,) = struct.unpack(">I", blob[start - 8 : start - 4])
+            rows = np.frombuffer(zlib.decompress(blob[start : start + length]), np.uint8).reshape(img.shape[0], -1)
+            assert np.all(rows[:, 0] == 2)  # filter type Up on every row
+            assert np.array_equal(imageio.read_png(p), img)
 
     def test_filtered_png_decodes(self, tmp_path, rgb):
         # round-trip through PIL (which uses adaptive filters) if available
