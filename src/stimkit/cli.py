@@ -14,6 +14,7 @@ import ctypes
 import functools
 import json
 import logging
+import math
 import platform
 import sys
 from dataclasses import replace
@@ -24,18 +25,7 @@ import numpy as np
 from . import imageio
 from .config import load_run_config
 from .data import WindowParams, build_dataset, clip_windows
-from .errors import (
-    ConfigError,
-    ConflictError,
-    InvalidSequenceError,
-    KeypointFormatError,
-    KeypointParseError,
-    NumericError,
-    SchemaError,
-    SizeError,
-    StimkitError,
-    ValidationError,
-)
+from .errors import ConfigError, KeypointParseError, NumericError, SchemaError, StimkitError
 from .evaluate import check_fold_count, confusion, cross_validate, fit, precision_recall_f1, score
 from .flow import farneback_dense, lucas_kanade_grid
 from .flowviz import flow_to_hsv, render_arrows
@@ -44,7 +34,7 @@ from .nn.train import classify
 from .pose import load_clip_frames, load_manifest
 from .raster import RasterSpec
 from .spec import build_spec, json_value
-from .synth import gen_dataset
+from .synth import MAX_CLIPS_PER_SUBJECT, MAX_SUBJECTS, gen_dataset
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -131,14 +121,7 @@ def _write_json(path: Path, obj) -> None:
 
 
 def cmd_import(args) -> int:
-    if not (np.isfinite(args.fps) and args.fps > 0):
-        raise ConfigError("--fps", f"must be finite and > 0, got {args.fps}")
-    for flag, value in (("--frame-width", args.frame_width), ("--frame-height", args.frame_height)):
-        if value < 0:
-            raise ConfigError(flag, f"must be >= 0 (0 infers it), got {value}")
     src = Path(args.openpose_dir)
-    if not src.is_dir():
-        raise _UsageError(f"{src}: not a directory")
     clip_dirs = sorted(p for p in src.iterdir() if p.is_dir())
     if not clip_dirs:
         raise _UsageError(f"{src}: no clip subdirectories found")
@@ -189,15 +172,9 @@ def cmd_import(args) -> int:
 
 
 def cmd_flowviz(args) -> int:
-    if len(args.frames) < 2:
-        raise _UsageError("flowviz needs at least 2 frames")
-    if not np.isfinite(args.scale):
-        raise ConfigError("--scale", f"must be finite, got {args.scale}")
-    if args.spacing < 1:
-        raise ConfigError("--spacing", f"must be >= 1, got {args.spacing}")
+    images = [imageio.to_gray01(imageio.read_image(p)) for p in args.frames]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    images = [imageio.to_gray01(imageio.read_image(p)) for p in args.frames]
     ext = "ppm" if args.ppm else "png"
 
     for n, (prev, nxt) in enumerate(zip(images, images[1:])):
@@ -221,15 +198,6 @@ def _to_u8(img01):
 
 
 def cmd_synth(args) -> int:
-    if args.seed < 0:
-        raise ConfigError("--seed", f"must be >= 0, got {args.seed}")
-    # ids pad a subject to 3 digits and a clip to 2, so they sort in order up to these counts
-    counts = (("--subjects", args.subjects, 1000), ("--clips-per-subject", args.clips_per_subject, 100))
-    for flag, count, most in counts:
-        if not 1 <= count <= most:
-            raise ConfigError(flag, f"must be in 1..{most}, got {count}")
-    if not (np.isfinite(args.drift) and args.drift >= 0):
-        raise ConfigError("--drift", f"must be finite and >= 0, got {args.drift}")
     manifest = gen_dataset(
         args.out,
         n_subjects=args.subjects,
@@ -338,15 +306,17 @@ def _frame_size(args, checkpoint) -> tuple:
     flags = (args.frame_width, args.frame_height)
     if flags.count(None) == 1:
         raise _UsageError("--frame-width and --frame-height must be given together")
-    size = flags if None not in flags else checkpoint.training_metadata.get("frame_size")
+    if None not in flags:
+        return (float(flags[0]), float(flags[1]))
+    size = checkpoint.training_metadata.get("frame_size")
     if size is None:
         raise _UsageError(f"{args.model}: no training frame size recorded; pass --frame-width and --frame-height")
     try:
         size = json_value(size, (1.0, 1.0), "training_metadata.frame_size")  # a recorded size is any JSON value
+        if min(size) <= 0:
+            raise ConfigError("training_metadata.frame_size", f"must be positive, got {size[0]:g}x{size[1]:g}")
     except ConfigError as e:
         raise SchemaError(f"{args.model}: corrupt checkpoint frame size metadata: {e}") from e
-    if min(size) <= 0:
-        raise _UsageError(f"frame size must be positive, got {size[0]:g}x{size[1]:g}")
     return size
 
 
@@ -382,6 +352,34 @@ def cmd_predict(args) -> int:
     return EXIT_OK
 
 
+def _rule(parse, ok, rule):
+    """An argparse ``type=``: the ``parse``d text, rejected as "must be <rule>" unless ``ok`` holds."""
+    def check(text):
+        with contextlib.suppress(ValueError):
+            value = parse(text)
+            if ok(value):
+                return value
+        raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+    return check
+
+
+def _int_in(low, high):
+    return _rule(int, lambda v: low <= v <= high, f"an integer in {low}..{high}")
+
+
+_MAX_SIDE = 2**31 - 1  # PNG's largest side
+_PATH = _rule(str, lambda v: v and "\0" not in v, "a non-empty path without NUL")
+_POSITIVE = _int_in(1, _MAX_SIDE)
+
+
+class _Pairs(argparse.Action):
+    """Two or more positional items, so that they make at least one consecutive pair."""
+    def __call__(self, parser, namespace, values, option_string=None):
+        if len(values) < 2:
+            raise argparse.ArgumentError(self, f"must be 2 or more frames, got {len(values)}")
+        setattr(namespace, self.dest, values)
+
+
 @functools.cache  # parsing leaves the parser as it was, so one serves every call in a process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -394,46 +392,48 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("import", help="consolidate per-frame keypoint JSON dirs into a dataset skeleton")
-    p.add_argument("openpose_dir", help="directory with one subdirectory of per-frame JSON files per clip")
-    p.add_argument("-o", "--out", required=True, help="output dataset directory")
-    p.add_argument("--fps", type=float, default=30.0)
-    p.add_argument("--frame-width", type=int, default=0, help="source frame width (default: infer)")
-    p.add_argument("--frame-height", type=int, default=0, help="source frame height (default: infer)")
+    p.add_argument("openpose_dir", type=_PATH, help="directory with one subdirectory of per-frame JSON files per clip")
+    p.add_argument("-o", "--out", type=_PATH, required=True, help="output dataset directory")
+    p.add_argument("--fps", type=_rule(float, lambda v: 0 < v < math.inf, "a finite number > 0"), default=30.0)
+    p.add_argument("--frame-width", type=_int_in(0, _MAX_SIDE), default=0, help="source frame width (default: infer)")
+    p.add_argument("--frame-height", type=_int_in(0, _MAX_SIDE), default=0, help="source frame height (default: infer)")
     p.set_defaults(func=cmd_import)
 
     p = sub.add_parser("flowviz", help="render optical flow for consecutive image frames")
-    p.add_argument("frames", nargs="+", help="2+ image files (PNG/PPM/PGM), in temporal order")
+    p.add_argument("frames", nargs="+", type=_PATH, action=_Pairs,
+                   help="2+ image files (PNG/PPM/PGM), in temporal order")
     p.add_argument("--method", choices=("lk", "dense"), default="lk")
-    p.add_argument("-o", "--out", required=True)
-    p.add_argument("--spacing", type=int, default=10, help="lattice spacing for lk")
-    p.add_argument("--scale", type=float, default=1.0, help="arrow length multiplier")
+    p.add_argument("-o", "--out", type=_PATH, required=True)
+    p.add_argument("--spacing", type=_POSITIVE, default=10, help="lattice spacing for lk")
+    p.add_argument("--scale", type=_rule(float, math.isfinite, "a finite number"), default=1.0, help="arrow length multiplier")
     p.add_argument("--ppm", action="store_true", help="write PPM instead of PNG")
     p.add_argument("--dump-flow", action="store_true", help="also dump raw flow fields as JSON")
     p.set_defaults(func=cmd_flowviz)
 
     p = sub.add_parser("synth", help="generate the synthetic oracle dataset")
-    p.add_argument("-o", "--out", required=True)
-    p.add_argument("--subjects", type=int, default=12)
-    p.add_argument("--clips-per-subject", type=int, default=6)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--drift", type=float, default=1.5, help="camera random-walk step sigma, px/frame")
+    p.add_argument("-o", "--out", type=_PATH, required=True)
+    p.add_argument("--subjects", type=_int_in(1, MAX_SUBJECTS), default=12)
+    p.add_argument("--clips-per-subject", type=_int_in(1, MAX_CLIPS_PER_SUBJECT), default=6)
+    p.add_argument("--seed", type=_rule(int, lambda v: v >= 0, "an integer >= 0"), required=True)
+    p.add_argument("--drift", type=_rule(float, lambda v: 0 <= v < math.inf, "a finite number >= 0"), default=1.5,
+                   help="camera random-walk step sigma, px/frame")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train one model on every window of the dataset")
-    p.add_argument("-c", "--config", required=True)
+    p.add_argument("-c", "--config", type=_PATH, required=True)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("cv", help="subject-disjoint k-fold cross-validation")
-    p.add_argument("-c", "--config", required=True)
+    p.add_argument("-c", "--config", type=_PATH, required=True)
     p.set_defaults(func=cmd_cv)
 
     p = sub.add_parser("predict", help="per-window probabilities for one clip")
-    p.add_argument("-m", "--model", required=True, help="checkpoint file")
-    p.add_argument("-k", "--keypoints", required=True, help="keypoint file or directory")
-    p.add_argument("--hop", type=int, default=None, help="frames between window starts (default: from checkpoint)")
-    p.add_argument("--frame-width", type=int, default=None, help="source frame width (default: from checkpoint)")
-    p.add_argument("--frame-height", type=int, default=None, help="source frame height (default: from checkpoint)")
-    p.add_argument("-o", "--out", default="", help="write JSON lines here instead of stdout")
+    p.add_argument("-m", "--model", type=_PATH, required=True, help="checkpoint file")
+    p.add_argument("-k", "--keypoints", type=_PATH, required=True, help="keypoint file or directory")
+    p.add_argument("--hop", type=_POSITIVE, help="frames between window starts (default: from checkpoint)")
+    p.add_argument("--frame-width", type=_POSITIVE, help="source frame width (default: from checkpoint)")
+    p.add_argument("--frame-height", type=_POSITIVE, help="source frame height (default: from checkpoint)")
+    p.add_argument("-o", "--out", type=_PATH, help="write JSON lines here instead of stdout")
     p.set_defaults(func=cmd_predict)
 
     return parser
@@ -441,24 +441,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     _keep_freed_memory()
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_CONFIG if e.code not in (0, None) else EXIT_OK
     try:
         with _log_level(args.verbose, args.quiet):
             return args.func(args)
-    except (SchemaError, ValidationError, ConflictError, KeypointFormatError,
-            InvalidSequenceError, SizeError, _UsageError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
     except NumericError as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
     except (OSError, KeypointParseError, imageio.ImageFormatError) as e:
         print(f"i/o failure: {e}", file=sys.stderr)
         return EXIT_IO
+    except StimkitError as e:  # every other package error is a configuration or usage problem
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -56,47 +56,36 @@ def write_png(path, img):
 
 def _unfilter(raw, h, w, channels):
     stride = w * channels
-    bpp = channels
-    out = np.zeros((h, stride), dtype=np.uint8)
-    pos = 0
-    prev = np.zeros(stride, dtype=np.intp)
-    for row in range(h):
-        ftype = raw[pos]
-        pos += 1
-        line = np.frombuffer(raw, dtype=np.uint8, count=stride, offset=pos).astype(np.intp)
-        pos += stride
-        if ftype == 0:
-            cur = line
-        elif ftype == 1:  # Sub
-            cur = line.copy()
-            for i in range(bpp, stride):
-                cur[i] = (cur[i] + cur[i - bpp]) & 0xFF
-        elif ftype == 2:  # Up
-            cur = (line + prev) & 0xFF
-        elif ftype == 3:  # Average
-            cur = line.copy()
+    rows = np.frombuffer(raw, dtype=np.uint8, count=h * (1 + stride)).reshape(h, 1 + stride)
+    ftypes = rows[:, 0]
+    if ftypes.max() > 4:
+        raise ImageFormatError(f"unsupported PNG filter type {ftypes[ftypes > 4][0]}")
+    out = rows[:, 1:].copy()
+    row = 0
+    while row < h:
+        ftype, end = ftypes[row], row + 1
+        if ftype == 2:  # Up: a run of Up rows sums down the columns, from the row above the run
+            while end < h and ftypes[end] == 2:
+                end += 1
+            start = max(row - 1, 0)
+            np.cumsum(out[start:end], axis=0, dtype=np.uint8, out=out[start:end])
+        elif ftype == 1:  # Sub: each pixel sums along the row, per channel
+            np.cumsum(out[row].reshape(w, channels), axis=0, dtype=np.uint8, out=out[row].reshape(w, channels))
+        elif ftype >= 3:
+            cur = out[row].tolist()
+            prev = out[row - 1].tolist() if row else [0] * stride
             for i in range(stride):
-                left = cur[i - bpp] if i >= bpp else 0
-                cur[i] = (cur[i] + (left + prev[i]) // 2) & 0xFF
-        elif ftype == 4:  # Paeth
-            cur = line.copy()
-            for i in range(stride):
-                a = cur[i - bpp] if i >= bpp else 0
+                a = cur[i - channels] if i >= channels else 0
                 b = prev[i]
-                c = prev[i - bpp] if i >= bpp else 0
-                p = a + b - c
-                pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
-                if pa <= pb and pa <= pc:
-                    pred = a
-                elif pb <= pc:
-                    pred = b
-                else:
-                    pred = c
+                if ftype == 3:  # Average
+                    pred = (a + b) // 2
+                else:  # Paeth
+                    c = prev[i - channels] if i >= channels else 0
+                    pa, pb, pc = abs(b - c), abs(a - c), abs(a + b - 2 * c)
+                    pred = a if pa <= pb and pa <= pc else b if pb <= pc else c
                 cur[i] = (cur[i] + pred) & 0xFF
-        else:
-            raise ImageFormatError(f"unsupported PNG filter type {ftype}")
-        out[row] = cur.astype(np.uint8)
-        prev = cur
+            out[row] = cur
+        row = end
     return out.reshape((h, w, channels))
 
 

@@ -117,10 +117,16 @@ def clip_rng(seed: int, clip_id: str) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, zlib.crc32(clip_id.encode())))))
 
 
+# Ids pad a subject to 3 digits (synth_{i:03d}) and a clip to 2 ({subject}_c{k:02d}), so they sort in order up to
+# these counts.
+MAX_SUBJECTS = 1000
+MAX_CLIPS_PER_SUBJECT = 100
+
+
 def gen_profiles(n_subjects: int, rng: np.random.Generator) -> list[SubjectProfile]:
     """Draw n subject profiles from the documented ranges."""
-    if n_subjects < 1:
-        raise ValidationError(f"n_subjects must be >= 1, got {n_subjects}")
+    if not 1 <= n_subjects <= MAX_SUBJECTS:
+        raise ValidationError(f"n_subjects must be in 1..{MAX_SUBJECTS}, got {n_subjects}")
     profiles = []
     for i in range(n_subjects):
         profiles.append(
@@ -230,8 +236,8 @@ def gen_dataset(
     the rest negative (stable). Frequency, amplitude, and clip length are
     drawn per clip; camera drift applies equally to both classes.
     """
-    if clips_per_subject < 1:
-        raise ValidationError(f"clips_per_subject must be >= 1, got {clips_per_subject}")
+    if not 1 <= clips_per_subject <= MAX_CLIPS_PER_SUBJECT:
+        raise ValidationError(f"clips_per_subject must be in 1..{MAX_CLIPS_PER_SUBJECT}, got {clips_per_subject}")
     _check_drift(camera_drift_sigma)
     profiles = gen_profiles(n_subjects, clip_rng(seed, "profiles"))
     out_dir = Path(out_dir)

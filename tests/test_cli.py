@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -5,13 +6,18 @@ import logging
 import math
 import platform
 import resource
+import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from stimkit import cli, imageio
 from stimkit.cli import main
+from stimkit.errors import StimkitError
 from stimkit.nn import ops
 from stimkit.nn.checkpoint import ModelCheckpoint, save_checkpoint
 from stimkit.nn.gradcheck import micro_config
@@ -31,6 +37,16 @@ def _micro_checkpoint(path, **metadata):
     return path
 
 
+def _make_clip_dir(root, name, n_frames=3):
+    clip = root / name
+    clip.mkdir(parents=True)
+    for i in range(n_frames):
+        flat = [0.0] * 75
+        flat[0:3] = [100.0 + i, 50.0, 0.9]  # nose
+        flat[3:6] = [100.0 + i, 90.0, 0.9]  # neck
+        (clip / f"frame_{i:06d}.json").write_text(json.dumps({"people": [{"pose_keypoints_2d": flat}]}))
+
+
 def _texture_png(path, shift=(0.0, 0.0), size=64):
     ys, xs = np.mgrid[0:size, 0:size].astype(np.float64)
     xs -= shift[0]
@@ -48,34 +64,6 @@ class TestSynthCommand:
         for p in sorted((d1 / "keypoints").iterdir()):
             assert p.read_bytes() == (d2 / "keypoints" / p.name).read_bytes()
 
-    def test_negative_seed_exits_2_naming_flag(self, tmp_path, capsys):
-        # numpy's SeedSequence once rejected it with a raw ValueError: exit 1
-        assert run_cli("synth", "-o", tmp_path / "d", "--subjects", 1, "--seed", -1) == 2
-        assert "--seed: must be >= 0" in capsys.readouterr().err
-        assert not (tmp_path / "d").exists()
-
-    @pytest.mark.parametrize("argv, flag", [
-        (["--subjects", "0"], "--subjects"),
-        (["--subjects", "1001"], "--subjects"),
-        # once drew subject profiles without end
-        (["--subjects=18446744073709551616"], "--subjects"),
-        (["--clips-per-subject", "0"], "--clips-per-subject"),
-        (["--clips-per-subject", "-2"], "--clips-per-subject"),
-        (["--clips-per-subject", "101"], "--clips-per-subject"),
-        (["--drift=-1"], "--drift"),
-        (["--drift", "nan"], "--drift"),
-        (["--drift", "inf"], "--drift"),
-    ])
-    def test_bad_count_or_drift_exits_2_naming_the_flag(self, tmp_path, capsys, monkeypatch, argv, flag):
-        # the counts and drift were once checked inside gen_dataset, under its own argument names
-        def unreachable(*args, **kwargs):
-            raise AssertionError("gen_dataset ran")
-
-        monkeypatch.setattr(cli, "gen_dataset", unreachable)
-        assert run_cli("synth", "-o", tmp_path / "d", *argv, "--seed", 1) == 2
-        assert f"error: {flag}: must be" in capsys.readouterr().err
-        assert not (tmp_path / "d").exists()
-
     def test_largest_counts_are_accepted(self, tmp_path, capsys, monkeypatch):
         made = []
         monkeypatch.setattr(cli, "gen_dataset", lambda out, **kwargs: made.append(kwargs) or out)
@@ -84,21 +72,10 @@ class TestSynthCommand:
 
 
 class TestImportCommand:
-    def _make_clip_dir(self, root, name, n_frames=3):
-        clip = root / name
-        clip.mkdir(parents=True)
-        for i in range(n_frames):
-            flat = [0.0] * 75
-            flat[0:3] = [100.0 + i, 50.0, 0.9]  # nose
-            flat[3:6] = [100.0 + i, 90.0, 0.9]  # neck
-            (clip / f"frame_{i:06d}.json").write_text(
-                json.dumps({"people": [{"pose_keypoints_2d": flat}]})
-            )
-
     def test_two_clips_make_unset_manifest(self, tmp_path, capsys):
         src = tmp_path / "src"
-        self._make_clip_dir(src, "clip_a")
-        self._make_clip_dir(src, "clip_b", n_frames=4)
+        _make_clip_dir(src, "clip_a")
+        _make_clip_dir(src, "clip_b", n_frames=4)
         out = tmp_path / "out"
         assert run_cli("import", src, "-o", out) == 0
         printed = capsys.readouterr().out
@@ -109,7 +86,7 @@ class TestImportCommand:
 
     def test_rerun_is_idempotent(self, tmp_path):
         src = tmp_path / "src"
-        self._make_clip_dir(src, "clip_a")
+        _make_clip_dir(src, "clip_a")
         out = tmp_path / "out"
         run_cli("import", src, "-o", out)
         first = {p.name: p.read_bytes() for p in out.rglob("*.json")}
@@ -121,28 +98,6 @@ class TestImportCommand:
         src = tmp_path / "empty"
         src.mkdir()
         assert run_cli("import", src, "-o", tmp_path / "out") == 2
-
-    @pytest.mark.parametrize(
-        "flag,value",
-        [
-            ("--fps", "nan"),
-            ("--fps", "inf"),
-            ("--fps", "-inf"),
-            ("--fps", "0"),
-            ("--fps", "-1"),
-            ("--frame-width", "-5"),
-            ("--frame-height", "-5"),
-        ],
-    )
-    def test_bad_flag_exits_2_before_the_output_dir_is_made(self, tmp_path, capsys, flag, value):
-        # each once exited 0, writing a manifest that load_manifest rejects; "--fps=-inf" and not
-        # "--fps -inf", which argparse rejects as a missing value before cmd_import checks it
-        src = tmp_path / "src"
-        self._make_clip_dir(src, "clip_a")
-        assert run_cli("import", src, "-o", tmp_path / "out", f"{flag}={value}") == 2
-        assert flag in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
 
 class TestFlowvizCommand:
     def test_six_frames_make_five_pairs(self, tmp_path):
@@ -180,16 +135,6 @@ class TestFlowvizCommand:
         _texture_png(a)
         assert run_cli("flowviz", a, "-o", tmp_path / "viz") == 2
 
-    @pytest.mark.parametrize("scale", ["nan", "inf", "-inf"])
-    def test_non_finite_scale_exits_2_before_the_output_dir_is_made(self, tmp_path, capsys, scale):
-        # each once exited 0, drawing arrow panels with every segment dropped
-        a, b = tmp_path / "a.png", tmp_path / "b.png"
-        _texture_png(a)
-        _texture_png(b, shift=(1.0, 0.0))
-        assert run_cli("flowviz", a, b, "-o", tmp_path / "viz", f"--scale={scale}") == 2
-        assert "--scale" in capsys.readouterr().err
-        assert not (tmp_path / "viz").exists()
-
     @pytest.mark.parametrize("scale", ["0", "-1"])
     def test_zero_and_negative_scale_are_accepted(self, tmp_path, scale):
         a, b = tmp_path / "a.png", tmp_path / "b.png"
@@ -197,17 +142,6 @@ class TestFlowvizCommand:
         _texture_png(b, shift=(1.0, 0.0))
         assert run_cli("flowviz", a, b, "-o", tmp_path / "viz", f"--scale={scale}") == 0
         assert (tmp_path / "viz" / "lk_isolated_000.png").exists()
-
-    @pytest.mark.parametrize("method", ["lk", "dense"])
-    @pytest.mark.parametrize("spacing", ["0", "-3"])
-    def test_spacing_below_one_exits_2_before_the_output_dir_is_made(self, tmp_path, capsys, spacing, method):
-        # lk once exited 2 only after making the output directory; dense exited 0, ignoring it
-        a, b = tmp_path / "a.png", tmp_path / "b.png"
-        _texture_png(a)
-        _texture_png(b, shift=(1.0, 0.0))
-        assert run_cli("flowviz", a, b, "--method", method, "-o", tmp_path / "viz", f"--spacing={spacing}") == 2
-        assert "--spacing" in capsys.readouterr().err
-        assert not (tmp_path / "viz").exists()
 
     def test_spacing_one_is_accepted(self, tmp_path):
         a, b = tmp_path / "a.png", tmp_path / "b.png"
@@ -430,14 +364,6 @@ class TestPredictCommand:
         assert run_cli("predict", "-m", cut, "-k", kp) == 2
         assert ": truncated checkpoint" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag, value", [("--hop", 0)])
-    def test_window_flag_below_range_exits_2(self, tmp_path, mini_dataset, capsys, flag, value):
-        # --hop 0 once sampled windows forever
-        ckpt = _micro_checkpoint(tmp_path / "micro.ckpt", frame_size=[640, 480])
-        kp = Path(mini_dataset).parent / "keypoints" / "synth_000_c00.json"
-        assert run_cli("predict", "-m", ckpt, "-k", kp, flag, value) == 2
-        assert f"window {flag[2:]} must be >=" in capsys.readouterr().err
-
     @pytest.mark.parametrize("flag, value", [("--T", 2), ("--stride", 3)])
     def test_window_is_the_trained_window_only(self, tmp_path, mini_dataset, capsys, flag, value):
         # --stride once served windows at a sampling the model never saw; --T could only repeat config.T
@@ -499,6 +425,14 @@ class TestPredictCommand:
         assert run_cli("predict", "-m", ckpt, "-k", kp) == 2
         err = capsys.readouterr().err
         assert f"{ckpt}: corrupt checkpoint {key} metadata: {path}" in err
+
+    def test_non_positive_recorded_frame_size_is_corrupt_metadata(self, tmp_path, mini_dataset, capsys):
+        # the flags are checked by their types; a recorded size is checked as checkpoint metadata
+        ckpt = _micro_checkpoint(tmp_path / "micro.ckpt", frame_size=[0, 480])
+        kp = Path(mini_dataset).parent / "keypoints" / "synth_000_c00.json"
+        assert run_cli("predict", "-m", ckpt, "-k", kp) == 2
+        assert (f"{ckpt}: corrupt checkpoint frame size metadata: training_metadata.frame_size: must be positive, "
+                "got 0x480") in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [(), ("--frame-width", 640), ("--frame-height", 480)])
     def test_frame_size_needs_both_flags_or_a_recorded_size(self, tmp_path, mini_dataset, capsys, flags):
@@ -626,6 +560,169 @@ class TestExitCodes:
 
     def test_unknown_subcommand_exits_2(self, capsys):
         assert run_cli("frobnicate") == 2
+
+    # the documented code of every package error class; a new class needs a row here
+    CODES = {"StimkitError": 2, "KeypointParseError": 4, "KeypointFormatError": 2, "SchemaError": 2,
+             "ConflictError": 2, "ValidationError": 2, "ConfigError": 2, "SizeError": 2,
+             "InvalidSequenceError": 2, "NumericError": 3, "ImageFormatError": 4, "_UsageError": 2}
+
+    def test_every_error_class_exits_with_its_documented_code(self, monkeypatch, capsys):
+        classes, todo = [], [StimkitError]
+        while todo:
+            cls = todo.pop()
+            classes.append(cls)
+            todo.extend(cls.__subclasses__())
+        assert sorted(c.__name__ for c in classes) == sorted(self.CODES)
+        ctor_args = {"KeypointParseError": ("clip.json", 7, "bad"), "ConfigError": ("field", "bad")}
+        for cls in classes:
+            def raise_it(path, cls=cls):
+                raise cls(*ctor_args.get(cls.__name__, ("bad",)))
+
+            monkeypatch.setattr(cli, "load_run_config", raise_it)  # the first call of `stimkit train`
+            assert run_cli("train", "-c", "run.json") == self.CODES[cls.__name__], cls
+            assert "bad" in capsys.readouterr().err
+
+
+BIG = str(2**64)
+# every value is passed as `--flag=value`, so "-inf" is not taken for a flag
+VOCAB = ("nan", "inf", "-inf", "0", "-1", BIG, "", "a\0b")
+NAMES = frozenset(VOCAB[:6])  # any non-empty text without NUL names a path
+
+
+class Row(NamedTuple):
+    accepts: frozenset = frozenset()  # the values the flag's rule lets through; all other values exit 2
+    code: int = 0  # the exit code of an accepted value: 4 for an input path that names no file
+    rejects: tuple = ()  # values tried besides VOCAB and `accepts`
+
+
+# one row per argument of every subcommand, keyed the way argparse names it in its errors
+FLAG_TABLE = {
+    ("stimkit", "-v/--verbose"): Row(),
+    ("stimkit", "-q/--quiet"): Row(),
+    ("import", "openpose_dir"): Row(NAMES, 4),
+    ("import", "-o/--out"): Row(NAMES),
+    ("import", "--fps"): Row(frozenset({BIG, "0.5"})),
+    ("import", "--frame-width"): Row(frozenset({"0", "2147483647"}), rejects=("2147483648",)),
+    ("import", "--frame-height"): Row(frozenset({"0", "2147483647"}), rejects=("2147483648",)),
+    ("flowviz", "frames"): Row(NAMES, 4),
+    ("flowviz", "--method"): Row(frozenset({"lk", "dense"})),
+    ("flowviz", "-o/--out"): Row(NAMES),
+    ("flowviz", "--spacing"): Row(frozenset({"1", "2147483647"}), rejects=("-3", str(2**63))),
+    ("flowviz", "--scale"): Row(frozenset({"0", "-1", BIG})),
+    ("flowviz", "--ppm"): Row(),
+    ("flowviz", "--dump-flow"): Row(),
+    ("synth", "-o/--out"): Row(NAMES),
+    ("synth", "--subjects"): Row(frozenset({"1"}), rejects=("1001",)),
+    ("synth", "--clips-per-subject"): Row(frozenset({"1"}), rejects=("-2", "101")),
+    ("synth", "--seed"): Row(frozenset({"0", BIG})),
+    ("synth", "--drift"): Row(frozenset({"0", BIG})),
+    ("train", "-c/--config"): Row(NAMES, 4),
+    ("cv", "-c/--config"): Row(NAMES, 4),
+    ("predict", "-m/--model"): Row(NAMES, 4),
+    ("predict", "-k/--keypoints"): Row(NAMES, 4),
+    ("predict", "--hop"): Row(frozenset({"1", "2147483647"}), rejects=("2147483648",)),
+    ("predict", "--frame-width"): Row(frozenset({"1", "2147483647"}), rejects=("2147483648",)),
+    ("predict", "--frame-height"): Row(frozenset({"1", "2147483647"}), rejects=("2147483648",)),
+    ("predict", "-o/--out"): Row(NAMES),
+}
+
+
+def _arguments():
+    """Every argument of ``build_parser()`` but -h, keyed by command and the name argparse gives it in errors."""
+    parsers = {"stimkit": cli.build_parser()}
+    for action in parsers["stimkit"]._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            parsers.update(action.choices)
+    return {(cmd, "/".join(a.option_strings) or a.dest): a for cmd, p in parsers.items() for a in p._actions
+            if not isinstance(a, (argparse._HelpAction, argparse._SubParsersAction))}
+
+
+@pytest.fixture(scope="module")
+def valid_argv(tmp_path_factory, mini_dataset):
+    """Per command, options and positionals that run it; every output path is relative."""
+    root = tmp_path_factory.mktemp("flag_inputs")
+    _make_clip_dir(root / "openpose", "clip_a")
+    frames = [root / "a.png", root / "b.png"]
+    _texture_png(frames[0], size=32)
+    _texture_png(frames[1], shift=(1.0, 0.0), size=32)
+    ckpt = _micro_checkpoint(root / "micro.ckpt", frame_size=[640, 480])
+    kp = Path(mini_dataset).parent / "keypoints" / "synth_000_c00.json"
+    config = root / "run.json"
+    config.write_text(json.dumps({"manifest": str(mini_dataset), "output_dir": "out", "seed": 1}))
+    return {
+        "import": (["--out=out"], [root / "openpose"]),
+        "flowviz": (["--out=out"], frames),
+        "synth": (["--out=out", "--subjects=1", "--clips-per-subject=1", "--seed=1"], []),
+        "train": ([f"--config={config}"], []),
+        "cv": ([f"--config={config}"], []),
+        "predict": ([f"--model={ckpt}", f"--keypoints={kp}", "--frame-width=640", "--frame-height=480",
+                     "--out=out.jsonl"], []),
+    }
+
+
+def _run_with(valid_argv, key, value):
+    """Run ``key``'s command on valid argv with ``key`` set to ``value``, in an empty working directory.
+
+    Returns the exit code, stderr and the names the run left in that directory.
+    """
+    cmd, name = key
+    action = _arguments()[key]
+    options, positionals = valid_argv["synth" if cmd == "stimkit" else cmd]
+    if action.option_strings:
+        flag = f"{action.option_strings[-1]}={value}"
+        argv = [flag, "synth", *options] if cmd == "stimkit" else [cmd, *options, flag]
+    else:
+        argv, positionals = [cmd, *options], [value, *positionals[1:]]
+    if positionals:
+        argv += ["--", *positionals]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as work, contextlib.chdir(work):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([str(a) for a in argv])
+        return code, err.getvalue(), sorted(p.name for p in Path(work).iterdir())
+
+
+def _flag_table_docs():
+    """(command, argument) of each row of docs/formats.md's command-line flag table."""
+    text = (Path(__file__).parents[1] / "docs" / "formats.md").read_text()
+    section = text.split("## Command-line flags", 1)[1].split("\n## ", 1)[0]
+    cells = [line.split("|")[1:3] for line in section.splitlines() if line.startswith("| `")]
+    return {(cmd.strip().strip("`"), name.strip().strip("`")) for cmd, name in cells}
+
+
+class TestFlagTable:
+    """Each argument's rule is its argparse type: a value that breaks it exits 2 naming the argument, before
+    the command runs, and every other value runs the command to exit 0 (or 4 for an input path naming no file)."""
+
+    def test_every_argument_has_a_row(self):
+        assert set(_arguments()) == set(FLAG_TABLE)
+
+    def test_every_argument_has_a_docs_row(self):
+        assert _flag_table_docs() == set(_arguments())
+
+    @pytest.mark.parametrize("key", sorted(FLAG_TABLE), ids=" ".join)
+    def test_each_value_exits_by_the_rule(self, valid_argv, key):
+        row = FLAG_TABLE[key]
+        for value in dict.fromkeys((*VOCAB, *sorted(row.accepts), *row.rejects)):
+            code, err, left = _run_with(valid_argv, key, value)
+            if value in row.accepts:
+                assert code == row.code, (value, err)
+            else:
+                assert code == 2 and f"argument {key[1]}: " in err, (value, err)
+            if code:
+                assert left == [], (value, left)
+
+    @given(data=st.data())
+    def test_drawn_values_keep_the_contract(self, valid_argv, data):
+        key = data.draw(st.sampled_from(sorted(FLAG_TABLE)))
+        value = data.draw(st.sampled_from(VOCAB) | st.integers().map(str) | st.floats().map(repr)
+                          | st.text("ab01-_.e+ \0", max_size=6).filter(lambda v: set(v) != {"."}))
+        code, err, left = _run_with(valid_argv, key, value)
+        assert code in (0, 2, FLAG_TABLE[key].code), (value, err)
+        if code == 2:
+            assert f"argument {key[1]}: " in err, (value, err)
+        if code:
+            assert left == [], (value, left)
 
 
 _CLIP = {"id": "a", "subject": "s", "label": "positive", "fps": 30, "keypoints": "k.json",

@@ -19,7 +19,37 @@ def gray():
     return rng.integers(0, 256, size=(17, 13), dtype=np.uint8)
 
 
+def _png_with_filters(img, ftypes, color_type):
+    """PNG bytes of uint8 (H, W, C) ``img`` whose row r is filtered with type ``ftypes[r]``, from the pixels."""
+    h, w, c = img.shape
+    flat = img.reshape(h, w * c).astype(np.int64)
+    rows = []
+    for r, ftype in enumerate(ftypes):
+        x = flat[r]
+        up = flat[r - 1] if r else np.zeros_like(x)
+        left = np.concatenate([np.zeros(c, np.int64), x[:-c]])
+        corner = np.concatenate([np.zeros(c, np.int64), up[:-c]])
+        p = left + up - corner
+        pa, pb, pc = abs(p - left), abs(p - up), abs(p - corner)
+        paeth = np.where((pa <= pb) & (pa <= pc), left, np.where(pb <= pc, up, corner))
+        pred = (0, left, up, (left + up) // 2, paeth)[ftype]
+        rows.append(bytes([ftype]) + ((x - pred) % 256).astype(np.uint8).tobytes())
+    ihdr = struct.pack(">IIBBBBB", w, h, 8, color_type, 0, 0, 0)
+    return (imageio._PNG_SIG + imageio._chunk(b"IHDR", ihdr) + imageio._chunk(b"IDAT", zlib.compress(b"".join(rows)))
+            + imageio._chunk(b"IEND", b""))
+
+
 class TestPng:
+    @pytest.mark.parametrize("color_type, channels", [(0, 1), (4, 2), (2, 3), (6, 4)], ids=["gray", "gray_alpha", "rgb", "rgba"])
+    def test_every_filter_type_decodes(self, tmp_path, color_type, channels):
+        # the writer uses only Up rows, so these are the only rows of types 1, 3 and 4 read here
+        img = np.random.default_rng(channels).integers(0, 256, size=(14, 9, channels), dtype=np.uint8)
+        ftypes = (2, 2, 0, 1, 3, 4, 2, 2, 2, 1, 4, 3, 0, 2)  # Up first, Up runs after other types, Up last
+        p = tmp_path / "f.png"
+        p.write_bytes(_png_with_filters(img, ftypes, color_type))
+        expected = img[:, :, :3] if channels >= 3 else img[:, :, 0]  # alpha is dropped
+        assert np.array_equal(imageio.read_png(p), expected)
+
     def test_rgb_round_trip(self, tmp_path, rgb):
         p = tmp_path / "x.png"
         imageio.write_png(p, rgb)

@@ -22,6 +22,8 @@ from stimkit.synth import (
     FPS,
     FRAME_HEIGHT,
     HEAD_TEMPLATE,
+    MAX_CLIPS_PER_SUBJECT,
+    MAX_SUBJECTS,
     MotionParams,
     SubjectProfile,
     _frame_document,
@@ -60,9 +62,18 @@ class TestGenProfiles:
         assert a == b
         assert len({p.base_position for p in a}) == 12
 
-    def test_zero_subjects_rejected(self):
-        with pytest.raises(ValidationError):
-            gen_profiles(0, clip_rng(0, "profiles"))
+    @pytest.mark.parametrize("n", [0, MAX_SUBJECTS + 1])
+    def test_subject_count_outside_the_id_width_rejected(self, n):
+        with pytest.raises(ValidationError, match=f"n_subjects must be in 1..{MAX_SUBJECTS}"):
+            gen_profiles(n, clip_rng(0, "profiles"))
+
+    @pytest.mark.parametrize("counts", [dict(n_subjects=2**64), dict(clips_per_subject=0),
+                                        dict(clips_per_subject=MAX_CLIPS_PER_SUBJECT + 1)])
+    def test_dataset_counts_outside_the_id_widths_rejected_before_writing(self, tmp_path, counts):
+        # n_subjects=2**64 once drew profiles without end
+        with pytest.raises(ValidationError, match=f"{next(iter(counts))} must be in 1.."):
+            gen_dataset(tmp_path / "d", **counts)
+        assert not (tmp_path / "d").exists()
 
     def test_different_seeds_differ(self):
         a = gen_profiles(3, clip_rng(1, "profiles"))
