@@ -1,17 +1,20 @@
 """Command-line surface: import, flowviz, synth, train, cv, predict.
 
 Exit codes are a stable contract: 0 success, 2 configuration or usage
-problem, 3 numeric failure, 4 I/O failure. Output files are written via
-temp-file-plus-rename and all content is canonical, so identical inputs
-and seeds reproduce identical bytes.
+problem, 3 numeric failure, 4 I/O failure. Every output file is written
+through :func:`stimkit.spec.write_atomic` (a temp file renamed into place)
+and all content is canonical, so identical inputs and seeds reproduce
+identical bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import ctypes
 import functools
+import io
 import json
 import logging
 import math
@@ -31,10 +34,10 @@ from .flow import farneback_dense, lucas_kanade_grid
 from .flowviz import flow_to_hsv, render_arrows
 from .nn.checkpoint import load_checkpoint, save_checkpoint
 from .nn.train import classify
-from .pose import load_clip_frames, load_manifest
+from .pose import load_clip_frames, load_manifest, write_keypoint_file, write_manifest
 from .raster import RasterSpec
-from .spec import build_spec, json_value
-from .synth import MAX_CLIPS_PER_SUBJECT, MAX_SUBJECTS, gen_dataset
+from .spec import build_spec, json_value, write_atomic
+from .synth import MAX_CLIPS_PER_SUBJECT, MAX_DRIFT, MAX_SUBJECTS, gen_dataset
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -106,14 +109,8 @@ def _log_level(verbose: bool, quiet: bool):
         logger.setLevel(level)
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    tmp = Path(str(path) + ".tmp")
-    tmp.write_text(text)
-    tmp.replace(path)
-
-
 def _write_json(path: Path, obj) -> None:
-    _atomic_write_text(path, json.dumps(obj, sort_keys=True, indent=1) + "\n")
+    write_atomic(path, json.dumps(obj, sort_keys=True, indent=1) + "\n")
 
 
 # ClipRecord validates labels on construction, so load_manifest already
@@ -135,38 +132,19 @@ def cmd_import(args) -> int:
         if not len(frames):
             print(f"{clip_dir.name}: 0 frames, skipped", file=sys.stderr)
             continue
-        docs = []
-        for f in frames:
-            flat = f.ravel().tolist()
-            docs.append({"people": [{"pose_keypoints_2d": flat}] if any(flat) else []})
         pts = frames[frames[:, :, 2] > 0]
         if len(pts):
             max_x = max(max_x, float(pts[:, 0].max()))
             max_y = max(max_y, float(pts[:, 1].max()))
         rel = f"keypoints/{clip_dir.name}.json"
-        _atomic_write_text(out / rel, json.dumps(docs, sort_keys=True, separators=(",", ":")) + "\n")
-        records.append(
-            {
-                "id": clip_dir.name,
-                "subject": "UNSET",
-                "label": "UNSET",
-                "fps": args.fps,
-                "keypoints": rel,
-                "start_frame": 0,
-                "end_frame": len(frames) - 1,
-            }
-        )
+        write_keypoint_file(out / rel, frames)
+        records.append((clip_dir.name, "UNSET", "UNSET", args.fps, rel, 0, len(frames) - 1))
         print(f"{clip_dir.name}: {len(frames)} frames")
 
     if not records:
         raise _UsageError(f"{src}: no usable clips")
-    manifest = {
-        "version": 1,
-        "frame_width": args.frame_width or int(np.ceil(max_x)) + 1,
-        "frame_height": args.frame_height or int(np.ceil(max_y)) + 1,
-        "clips": records,
-    }
-    _write_json(out / "manifest.json", manifest)
+    frame_size = (args.frame_width or int(np.ceil(max_x)) + 1, args.frame_height or int(np.ceil(max_y)) + 1)
+    write_manifest(out / "manifest.json", frame_size, records)
     print(f"wrote {out / 'manifest.json'} (fill in subject/label fields before training)")
     return EXIT_OK
 
@@ -267,15 +245,13 @@ def cmd_cv(args) -> int:
         raster_spec=cfg.raster,
     )
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    rows = report.prediction_rows()
-    _atomic_write_text(
-        cfg.output_dir / "predictions.csv",
-        "\n".join(",".join(str(v) for v in row) for row in rows) + "\n",
-    )
+    rows = io.StringIO()
+    csv.writer(rows, lineterminator="\n").writerows(report.prediction_rows())
+    write_atomic(cfg.output_dir / "predictions.csv", rows.getvalue())
     for fr in report.per_fold:
         save_checkpoint(fr.checkpoint, cfg.output_dir / f"fold_{fr.fold}.ckpt")
     # last, so a report is never left beside missing checkpoints
-    _atomic_write_text(cfg.output_dir / "report.json", report.to_json())
+    write_atomic(cfg.output_dir / "report.json", report.to_json())
 
     print(f"{'fold':<5} {'test subjects':<30} {'tp':>3} {'fp':>3} {'fn':>3} {'tn':>3} "
           f"{'precision':>9} {'recall':>7} {'f1':>7}")
@@ -340,15 +316,15 @@ def cmd_predict(args) -> int:
     if not windows:  # sample_windows has logged why
         return EXIT_OK
 
-    out = open(args.out, "w") if args.out else sys.stdout
-    try:
-        for w, p in zip(windows, score(checkpoint, windows, spec)):
-            line = {"clip": clip, "origin_frame": w.origin_frame, "probability": p,
-                    "predicted": "positive" if classify(p) else "negative"}
-            out.write(json.dumps(line, sort_keys=True) + "\n")
-    finally:
-        if args.out:
-            out.close()
+    lines = "".join(
+        json.dumps({"clip": clip, "origin_frame": w.origin_frame, "probability": p,
+                    "predicted": "positive" if classify(p) else "negative"}, sort_keys=True) + "\n"
+        for w, p in zip(windows, score(checkpoint, windows, spec))
+    )
+    if args.out:
+        write_atomic(args.out, lines)
+    else:
+        sys.stdout.write(lines)
     return EXIT_OK
 
 
@@ -415,8 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subjects", type=_int_in(1, MAX_SUBJECTS), default=12)
     p.add_argument("--clips-per-subject", type=_int_in(1, MAX_CLIPS_PER_SUBJECT), default=6)
     p.add_argument("--seed", type=_rule(int, lambda v: v >= 0, "an integer >= 0"), required=True)
-    p.add_argument("--drift", type=_rule(float, lambda v: 0 <= v < math.inf, "a finite number >= 0"), default=1.5,
-                   help="camera random-walk step sigma, px/frame")
+    p.add_argument("--drift", type=_rule(float, lambda v: 0 <= v <= MAX_DRIFT, f"a number in 0..{MAX_DRIFT:g}"),
+                   default=1.5, help="camera random-walk step sigma, px/frame")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train one model on every window of the dataset")

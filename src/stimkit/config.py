@@ -10,17 +10,16 @@ offending path.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 from .augment import AugmentSpec
 from .data import WindowParams
-from .errors import ConfigError
+from .errors import ConfigError, KeypointParseError
 from .nn.model import ModelConfig
 from .nn.optim import TrainConfig
 from .raster import RasterSpec
-from .spec import build_spec, json_value
+from .spec import build_spec, decode_json, json_value
 
 
 @dataclass(frozen=True)
@@ -90,7 +89,7 @@ def parse_run_config(doc: dict, base_dir: Path) -> RunConfig:
 def load_run_config(path) -> RunConfig:
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise ConfigError("config", f"{path}: malformed JSON at byte {e.pos}: {e.msg}") from e
+        doc = decode_json(path.read_bytes(), path)
+    except KeypointParseError as e:
+        raise ConfigError("config", f"{path}: malformed JSON at byte {e.offset}: {e.reason}") from e
     return parse_run_config(doc, path.parent)

@@ -10,7 +10,10 @@ class StimkitError(Exception):
 
 
 class KeypointParseError(StimkitError):
-    """Malformed keypoint JSON; carries the source name and byte offset."""
+    """Undecodable JSON, from :func:`stimkit.spec.decode_json`; carries the source name, byte offset and reason.
+
+    A keypoint file reports it as is (exit 4); the other JSON readers re-raise it as their own class.
+    """
 
     def __init__(self, source, offset, reason):
         self.source = source

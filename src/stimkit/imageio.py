@@ -15,6 +15,7 @@ import zlib
 import numpy as np
 
 from .errors import StimkitError
+from .spec import write_atomic
 
 
 class ImageFormatError(StimkitError):
@@ -50,8 +51,7 @@ def write_png(path, img):
     np.subtract(flat[1:], flat[:-1], out=raw[1:, 1:])  # modulo 256
     ihdr = struct.pack(">IIBBBBB", w, h, 8, color_type, 0, 0, 0)
     data = _PNG_SIG + _chunk(b"IHDR", ihdr) + _chunk(b"IDAT", zlib.compress(raw, 6)) + _chunk(b"IEND", b"")
-    with open(path, "wb") as f:
-        f.write(data)
+    write_atomic(path, data)
 
 
 def _unfilter(raw, h, w, channels):
@@ -148,9 +148,7 @@ def write_ppm(path, img):
     else:
         raise ImageFormatError(f"expected (H,W) or (H,W,3) uint8, got shape {img.shape}")
     h, w = img.shape[:2]
-    with open(path, "wb") as f:
-        f.write(magic + b"\n%d %d\n255\n" % (w, h))
-        f.write(img.tobytes())
+    write_atomic(path, magic + b"\n%d %d\n255\n" % (w, h) + img.tobytes())
 
 
 def read_ppm(path):

@@ -19,12 +19,11 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from ..errors import ConfigError, SchemaError
-from ..spec import build_spec
+from ..errors import ConfigError, KeypointParseError, SchemaError
+from ..spec import build_spec, decode_json, write_atomic
 from .model import ModelConfig, param_shapes
 
 MAGIC = b"STIMKIT1"
@@ -61,14 +60,7 @@ def save_checkpoint(checkpoint: ModelCheckpoint, path) -> None:
         "parameters": table,
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    tmp = Path(str(path) + ".tmp")
-    with open(tmp, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", len(header_bytes)))
-        f.write(header_bytes)
-        for blob in blobs:
-            f.write(blob)
-    tmp.replace(path)
+    write_atomic(path, b"".join([MAGIC, struct.pack("<I", len(header_bytes)), header_bytes, *blobs]))
 
 
 def _parameter_table(path, entries) -> dict:
@@ -93,9 +85,9 @@ def load_checkpoint(path) -> ModelCheckpoint:
     if 12 + hlen > len(blob):
         raise SchemaError(f"{path}: truncated checkpoint (header of {hlen} bytes runs past end of file)")
     try:
-        header = json.loads(blob[12 : 12 + hlen])
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise SchemaError(f"{path}: corrupt checkpoint header: {e}") from e
+        header = decode_json(blob[12 : 12 + hlen], path)
+    except KeypointParseError as e:
+        raise SchemaError(f"{path}: corrupt checkpoint header: byte {12 + e.offset}: {e.reason}") from e
     if not isinstance(header, dict):
         raise SchemaError(f"{path}: corrupt checkpoint header: not a JSON object")
     if header.get("format_version") != FORMAT_VERSION:

@@ -1,4 +1,4 @@
-"""Keypoint ingestion and head-region feature extraction.
+"""Keypoint files and manifests, read and written here; head-region feature extraction.
 
 The pipeline consumes 25-landmark body keypoints (the common "BODY_25"
 layout emitted by pose estimators): a clip loads as one ``(n, 25, 3)``
@@ -34,7 +34,7 @@ from .errors import (
     SchemaError,
     ValidationError,
 )
-from .spec import json_value
+from .spec import decode_json, json_value, write_atomic
 
 log = logging.getLogger("stimkit.pose")
 
@@ -212,17 +212,7 @@ def import_openpose_frame(raw_json: bytes, frame_index: int = 0, source: str = "
     When several people are present, the one with the largest summed head
     confidence wins; an empty ``people`` array yields an all-absent frame.
     """
-    return parse_pose_document(_decode_json(raw_json, source), frame_index, source)
-
-
-def _decode_json(raw: bytes, source: str):
-    """Decoded JSON, or a KeypointParseError naming the source and byte offset."""
-    try:
-        return json.loads(raw)
-    except json.JSONDecodeError as e:
-        raise KeypointParseError(source, e.pos, e.msg) from e
-    except UnicodeDecodeError as e:
-        raise KeypointParseError(source, e.start, f"not UTF-8 text ({e.reason})") from e
+    return parse_pose_document(decode_json(raw_json, source), frame_index, source)
 
 
 def load_clip_frames(path, frame_range: Optional[tuple[int, int]] = None) -> np.ndarray:
@@ -238,7 +228,7 @@ def load_clip_frames(path, frame_range: Optional[tuple[int, int]] = None) -> np.
         files = sorted(p for p in path.iterdir() if p.suffix == ".json")
         frames = [import_openpose_frame(p.read_bytes(), i, str(p)) for i, p in enumerate(files)]
     else:
-        docs = _decode_json(path.read_bytes(), str(path))
+        docs = decode_json(path.read_bytes(), str(path))
         if not isinstance(docs, list):
             raise KeypointFormatError(f"{path}: consolidated keypoint file must be a JSON array")
         frames = [parse_pose_document(doc, i, str(path)) for i, doc in enumerate(docs)]
@@ -249,16 +239,37 @@ def load_clip_frames(path, frame_range: Optional[tuple[int, int]] = None) -> np.
     return kps
 
 
+def write_keypoint_file(path, frames: np.ndarray) -> None:
+    """Write (n, 25, 3) keypoints as a consolidated keypoint file: compact, sorted JSON, one document per frame.
+
+    A frame with no nonzero value is written as ``{"people": []}``.
+    """
+    flats = np.asarray(frames).reshape(len(frames), -1).tolist()
+    docs = [{"people": [{"pose_keypoints_2d": flat}] if any(flat) else []} for flat in flats]
+    write_atomic(path, json.dumps(docs, sort_keys=True, separators=(",", ":")) + "\n")
+
+
 _MANIFEST_CLIP_FIELDS = ("id", "subject", "label", "fps", "keypoints", "start_frame", "end_frame")
 _MANIFEST_NUMBERS = (("fps", 0.0), ("start_frame", 0), ("end_frame", 0))  # field, default of its JSON kind
 _MANIFEST_HEADER = ("version", "frame_width", "frame_height")  # integers
+
+
+def write_manifest(path, frame_size: tuple[int, int], clips) -> None:
+    """Write a version-1 manifest; each clip is a tuple of its ``_MANIFEST_CLIP_FIELDS`` values, in that order."""
+    doc = {
+        "version": 1,
+        "frame_width": frame_size[0],
+        "frame_height": frame_size[1],
+        "clips": [dict(zip(_MANIFEST_CLIP_FIELDS, clip, strict=True)) for clip in clips],
+    }
+    write_atomic(path, json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
 
 def load_manifest(path) -> Manifest:
     """Load and validate a dataset manifest (schema version 1)."""
     path = Path(path)
     try:
-        doc = _decode_json(path.read_bytes(), str(path))
+        doc = decode_json(path.read_bytes(), str(path))
     except KeypointParseError as e:
         raise SchemaError(f"{path}: malformed JSON at byte {e.offset}: {e.reason}") from e
     if not isinstance(doc, dict):

@@ -7,14 +7,19 @@ JSON type of each value, by the kind of the field's default (integer,
 number, string, number pair, array of nested specs). Ranges and enums are
 the spec's own ``__post_init__`` rules, which name the bare field; any
 failure surfaces as a ``ConfigError`` whose path starts with ``section``.
+
+It also holds the one JSON decoder every reader uses (:func:`decode_json`)
+and the one writer every output file goes through (:func:`write_atomic`).
 """
 
 from __future__ import annotations
 
+import json
 import math
+import os
 from dataclasses import fields, is_dataclass
 
-from .errors import ConfigError
+from .errors import ConfigError, KeypointParseError
 
 
 def _number(value) -> bool:
@@ -68,3 +73,31 @@ def build_spec(cls, doc, section: str, **fixed):
         return cls(**values)
     except ConfigError as e:
         raise ConfigError(f"{section}.{e.field_path}", e.reason) from e
+
+
+def decode_json(raw: bytes, source):
+    """The JSON value of ``raw``, or a KeypointParseError naming ``source``, the byte offset and the reason.
+
+    Keypoint readers let the error through (exit 4); the manifest, run
+    config and checkpoint readers re-raise it as their own class (exit 2).
+    """
+    try:
+        return json.loads(raw)
+    except json.JSONDecodeError as e:
+        raise KeypointParseError(source, e.pos, e.msg) from e
+    except UnicodeDecodeError as e:
+        raise KeypointParseError(source, e.start, f"not UTF-8 text ({e.reason})") from e
+    except RecursionError as e:  # the decoder gives no offset for it
+        raise KeypointParseError(source, 0, "JSON nested too deeply to decode") from e
+
+
+def write_atomic(path, data) -> None:
+    """Write ``data`` (bytes, or text as UTF-8) to ``path`` through a ``.tmp`` file beside it, renamed into place.
+
+    A reader never sees a half-written file; a write that fails leaves the
+    ``.tmp`` file and whatever ``path`` held before.
+    """
+    tmp = f"{os.fspath(path)}.tmp"
+    with open(tmp, "wb") as f:
+        f.write(data.encode() if isinstance(data, str) else data)
+    os.replace(tmp, path)

@@ -18,7 +18,6 @@ baselines are measured and tested on.
 
 from __future__ import annotations
 
-import json
 import math
 import zlib
 from dataclasses import dataclass
@@ -27,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SizeError, ValidationError
-from .pose import HEAD_INDICES, N_BODY_PARTS, ClipRecord
+from .pose import HEAD_INDICES, N_BODY_PARTS, ClipRecord, write_keypoint_file, write_manifest
 
 FRAME_WIDTH = 640
 FRAME_HEIGHT = 480
@@ -107,9 +106,9 @@ class MotionParams:
 
 
 def _check_drift(sigma: float) -> None:
-    # NaN would pass as no drift (it fails `> 0`) and inf would write NaN coordinates
-    if not 0 <= sigma < math.inf:
-        raise ValidationError(f"camera_drift_sigma must be finite and >= 0, got {sigma}")
+    # NaN would pass as no drift (it fails `> 0`); a sigma near the float range overflows the random walk
+    if not 0 <= sigma <= MAX_DRIFT:
+        raise ValidationError(f"camera_drift_sigma must be in [0, {MAX_DRIFT:g}], got {sigma}")
 
 
 def clip_rng(seed: int, clip_id: str) -> np.random.Generator:
@@ -121,6 +120,10 @@ def clip_rng(seed: int, clip_id: str) -> np.random.Generator:
 # these counts.
 MAX_SUBJECTS = 1000
 MAX_CLIPS_PER_SUBJECT = 100
+# Camera random-walk step sigma, px/frame. One step of this size carries the head over a thousand frame
+# widths; far below the float range, it keeps every coordinate of a clip, and its square in the raster's
+# segment lengths, finite.
+MAX_DRIFT = 1e6
 
 
 def gen_profiles(n_subjects: int, rng: np.random.Generator) -> list[SubjectProfile]:
@@ -210,17 +213,11 @@ def gen_clip(
     return kps, record
 
 
-def _frame_document(frame: np.ndarray) -> dict:
+def _rounded(frames: np.ndarray) -> np.ndarray:
+    """``frames`` with every value rounded to 3 decimals, as the keypoint files hold them."""
     # most values are absent parts' zeros, which round() would return
     # unchanged; Python's round on the float, not np.round, fixes the bytes
-    flat = [round(v, 3) if v else v for v in frame.ravel().tolist()]
-    return {"people": [{"pose_keypoints_2d": flat}] if frame[:, 2].any() else []}
-
-
-def write_clip(frames: np.ndarray, path: Path) -> None:
-    """Write (n, 25, 3) keypoints as a consolidated keypoint JSON array, one document per frame."""
-    docs = [_frame_document(f) for f in frames]
-    path.write_text(json.dumps(docs, sort_keys=True, separators=(",", ":")) + "\n")
+    return np.array([round(v, 3) if v else v for v in frames.ravel().tolist()]).reshape(frames.shape)
 
 
 def gen_dataset(
@@ -259,27 +256,11 @@ def gen_dataset(
             n_frames = int(rng.choice(CLIP_LENGTH_CHOICES))
             frames, record = gen_clip(profile, params, n_frames, rng, clip_id)
             rel_path = f"keypoints/{clip_id}.json"
-            write_clip(frames, out_dir / rel_path)
-            manifest_clips.append(
-                {
-                    "id": record.clip_id,
-                    "subject": record.subject_id,
-                    "label": record.label,
-                    "fps": record.fps,
-                    "keypoints": rel_path,
-                    "start_frame": record.frame_range[0],
-                    "end_frame": record.frame_range[1],
-                }
-            )
+            write_keypoint_file(out_dir / rel_path, _rounded(frames))
+            manifest_clips.append((clip_id, record.subject_id, record.label, record.fps, rel_path, *record.frame_range))
 
-    manifest = {
-        "version": 1,
-        "frame_width": FRAME_WIDTH,
-        "frame_height": FRAME_HEIGHT,
-        "clips": manifest_clips,
-    }
     manifest_path = out_dir / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
+    write_manifest(manifest_path, (FRAME_WIDTH, FRAME_HEIGHT), manifest_clips)
     return manifest_path
 
 

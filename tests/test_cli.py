@@ -1,11 +1,13 @@
 import argparse
 import contextlib
+import csv
 import io
 import json
 import logging
 import math
 import platform
 import resource
+import struct
 import tempfile
 from pathlib import Path
 from typing import NamedTuple
@@ -19,7 +21,7 @@ from stimkit import cli, imageio
 from stimkit.cli import main
 from stimkit.errors import StimkitError
 from stimkit.nn import ops
-from stimkit.nn.checkpoint import ModelCheckpoint, save_checkpoint
+from stimkit.nn.checkpoint import MAGIC, ModelCheckpoint, save_checkpoint
 from stimkit.nn.gradcheck import micro_config
 from stimkit.nn.model import init_params
 from stimkit.synth import flow_texture
@@ -309,6 +311,23 @@ class TestCvCommand:
         out = tmp_path / "out"
         assert (out / "fold_0.ckpt").exists()
         assert not (out / "report.json").exists()
+
+    def test_predictions_csv_round_trips_any_clip_id(self, mini_run_config, mini_dataset, tmp_path, capsys):
+        odd = 'a,"b\nc'
+        doc = json.loads(Path(mini_dataset).read_text())
+        doc["clips"][0]["id"] = odd
+        for clip in doc["clips"]:
+            clip["keypoints"] = str(Path(mini_dataset).parent / clip["keypoints"])
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(doc))
+        cfg = json.loads(Path(mini_run_config).read_text())
+        Path(mini_run_config).write_text(json.dumps({**cfg, "manifest": str(manifest), "train": {"epochs": 1}}))
+        assert run_cli("cv", "-c", mini_run_config) == 0
+        with open(tmp_path / "out" / "predictions.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert all(len(row) == 7 and None not in row.values() for row in rows)
+        assert odd in {row["clip_id"] for row in rows}
+        assert {row["clip_id"] for row in rows} <= {clip["id"] for clip in doc["clips"]}
 
     def test_k_below_2_exits_2_naming_cv_k(self, mini_run_config, capsys):
         doc = json.loads(Path(mini_run_config).read_text())
@@ -615,7 +634,7 @@ FLAG_TABLE = {
     ("synth", "--subjects"): Row(frozenset({"1"}), rejects=("1001",)),
     ("synth", "--clips-per-subject"): Row(frozenset({"1"}), rejects=("-2", "101")),
     ("synth", "--seed"): Row(frozenset({"0", BIG})),
-    ("synth", "--drift"): Row(frozenset({"0", BIG})),
+    ("synth", "--drift"): Row(frozenset({"0", "1000000"}), rejects=("1000000.5", "1e308")),
     ("train", "-c/--config"): Row(NAMES, 4),
     ("cv", "-c/--config"): Row(NAMES, 4),
     ("predict", "-m/--model"): Row(NAMES, 4),
@@ -737,9 +756,16 @@ def _people(person):
     return json.dumps([{"people": [person]}]).encode()
 
 
+DEEP = b"[" * 100_000  # deeper than the decoder's recursion limit
+NOT_UTF8 = b'["\xff"]'
+
+
 @pytest.mark.parametrize(
     "reader, blob, code",
     [
+        *((reader, blob, code) for reader, code in (("config", 2), ("manifest", 2), ("checkpoint", 2),
+                                                     ("keypoints", 4), ("frames", 4))
+          for blob in (DEEP, NOT_UTF8)),
         ("manifest", b"[]", 2),
         ("manifest", _manifest(5), 2),
         ("manifest", _manifest({**_CLIP, "fps": "x"}), 2),
@@ -755,20 +781,30 @@ def _people(person):
         ("image", b"P5\n4 4\n255\n" + bytes(3), 4),
         ("image", imageio._PNG_SIG + b"\x00\x00\x00\x0dIHDR\x00\x00\x00\x10", 4),
     ],
-    ids=["manifest_array", "clip_not_object", "fps_string", "fps_null", "start_string", "start_null",
+    ids=[f"{reader}_{kind}" for reader in ("config", "manifest", "checkpoint", "keypoints", "frames")
+         for kind in ("deep", "not_utf8")]
+    + ["manifest_array", "clip_not_object", "fps_string", "fps_null", "start_string", "start_null",
          "start_negative", "label_unset",
          "person_not_object", "keypoints_non_numeric", "keypoints_nested",
          "ppm_header_xx", "ppm_short_payload", "png_truncated"],
 )
 def test_malformed_reader_input_exits_with_contract_code(tmp_path, capsys, reader, blob, code):
-    path = tmp_path / f"input.{'png' if reader == 'image' else 'json'}"
+    path = tmp_path / "clip" / f"input.{'png' if reader == 'image' else 'json'}"  # in a per-frame directory
+    path.parent.mkdir()
+    if reader == "checkpoint":  # the blob is the header
+        blob = MAGIC + struct.pack("<I", len(blob)) + blob
     path.write_bytes(blob)
-    if reader == "manifest":
+    if reader == "config":
+        argv = ("cv", "-c", path)
+    elif reader == "manifest":
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"manifest": str(path), "output_dir": str(tmp_path / "out"), "seed": 1}))
         argv = ("train", "-c", cfg)
-    elif reader == "keypoints":
-        argv = ("predict", "-m", _micro_checkpoint(tmp_path / "micro.ckpt", frame_size=[640, 480]), "-k", path)
+    elif reader == "checkpoint":
+        argv = ("predict", "-m", path, "-k", tmp_path / "unread.json")
+    elif reader in ("keypoints", "frames"):
+        source = path if reader == "keypoints" else path.parent
+        argv = ("predict", "-m", _micro_checkpoint(tmp_path / "micro.ckpt", frame_size=[640, 480]), "-k", source)
     else:
         argv = ("flowviz", path, path, "-o", tmp_path / "flow")
     assert run_cli(*argv) == code

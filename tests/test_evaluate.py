@@ -206,8 +206,8 @@ class TestBoundaryBehavior:
     def test_one_subject_per_class_k2_runs_with_warning(self, tmp_path, caplog):
         # two subjects, one all-positive and one all-negative: every
         # training split is single-class; the run completes but warns
-        from stimkit.synth import MotionParams, clip_rng, gen_clip, gen_profiles, write_clip
-        import json
+        from stimkit.pose import write_keypoint_file, write_manifest
+        from stimkit.synth import MotionParams, clip_rng, gen_clip, gen_profiles
 
         kp_dir = tmp_path / "keypoints"
         kp_dir.mkdir()
@@ -216,22 +216,10 @@ class TestBoundaryBehavior:
         for i, (profile, label) in enumerate(zip(profiles, ("headbanging", "stable"))):
             params = MotionParams(label, camera_drift_sigma=1.0)
             frames, record = gen_clip(profile, params, 45, rng=clip_rng(0, f"c{i}"), clip_id=f"c{i}")
-            write_clip(frames, kp_dir / f"c{i}.json")
-            clips.append(
-                {
-                    "id": record.clip_id,
-                    "subject": record.subject_id,
-                    "label": record.label,
-                    "fps": 30.0,
-                    "keypoints": f"keypoints/c{i}.json",
-                    "start_frame": 0,
-                    "end_frame": 44,
-                }
-            )
+            write_keypoint_file(kp_dir / f"c{i}.json", frames)
+            clips.append((record.clip_id, record.subject_id, record.label, 30.0, f"keypoints/c{i}.json", 0, 44))
         manifest_path = tmp_path / "manifest.json"
-        manifest_path.write_text(
-            json.dumps({"version": 1, "frame_width": 640, "frame_height": 480, "clips": clips})
-        )
+        write_manifest(manifest_path, (640, 480), clips)
         dataset = build_dataset(load_manifest(manifest_path))
 
         with caplog.at_level("WARNING", logger="stimkit.evaluate"):

@@ -43,6 +43,23 @@ def test_every_trace_target_binds_and_unbinds():
         assert all(after[key] is value for key, value in before.items())
 
 
+def test_timed_run_modules_import():
+    # perfbench's untimed modules bind stimkit names at import (nn.train.predict, cli._to_u8,
+    # pose.filter_head, ...), so loading them fails on a rename or removal
+    path, modules = list(sys.path), set(sys.modules)
+    try:
+        sys.path.insert(0, str(ROOT / "perfbench"))
+        workloads = _load("perfbench_workloads", "perfbench/workloads.py")
+        setup_inputs = _load("perfbench_setup_inputs", "perfbench/setup_inputs.py")
+    finally:
+        sys.path[:] = path
+        for name in set(sys.modules) - modules:  # perfbench's own modules, imported by their bare names
+            if Path(getattr(sys.modules[name], "__file__", None) or "/").parent.name in ("perfbench", "benchmarks"):
+                del sys.modules[name]
+    assert callable(workloads.run_cli) and callable(setup_inputs.cli)
+    assert set(setup_inputs.SETUPS) == {"cv-train", "predict-clips", "flow-pairs"}
+
+
 def test_bench_helpers_and_backend_name():
     bench = _load("bench_backends", "benchmarks/bench_backends.py")
     assert callable(bench.timeit)

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -16,6 +17,7 @@ from stimkit.pose import (
     filter_head,
     load_manifest,
     sample_windows,
+    write_keypoint_file,
 )
 from stimkit.synth import (
     CLIP_LENGTH_CHOICES,
@@ -23,10 +25,11 @@ from stimkit.synth import (
     FRAME_HEIGHT,
     HEAD_TEMPLATE,
     MAX_CLIPS_PER_SUBJECT,
+    MAX_DRIFT,
     MAX_SUBJECTS,
     MotionParams,
     SubjectProfile,
-    _frame_document,
+    _rounded,
     clip_rng,
     gen_clip,
     gen_dataset,
@@ -114,6 +117,18 @@ class TestGenClip:
             deltas = f[:, :2] - frames[0, :, :2]
             head = deltas[[0, 1, 15, 16, 17, 18]]
             assert np.allclose(head, head[0], atol=1e-9)
+
+    def test_drift_at_the_bound_keeps_coordinates_finite(self):
+        for seed in range(20):
+            params = MotionParams("stable", camera_drift_sigma=MAX_DRIFT)
+            frames, _ = gen_clip(_quiet_profile(), params, max(CLIP_LENGTH_CHOICES), rng=clip_rng(seed, "x"))
+            assert np.isfinite(_rounded(frames)).all()
+            assert np.isfinite(frames[:, :, :2] ** 2).all()  # the raster squares segment lengths
+
+    @pytest.mark.parametrize("sigma", [-1.0, math.nextafter(MAX_DRIFT, math.inf), 1e308, math.inf, math.nan])
+    def test_drift_outside_the_bound_rejected(self, sigma):
+        with pytest.raises(ValidationError, match=r"camera_drift_sigma must be in \[0, 1e\+06\]"):
+            MotionParams("stable", camera_drift_sigma=sigma)
 
     def test_too_few_frames_rejected(self):
         with pytest.raises(SizeError):
@@ -267,6 +282,17 @@ def _reference_frame_document(frame):
     return {"people": [{"pose_keypoints_2d": flat}] if frame[:, 2].any() else []}
 
 
+def _reference_file(frames):
+    return (json.dumps([_reference_frame_document(f) for f in frames], sort_keys=True, separators=(",", ":"))
+            + "\n").encode()
+
+
+def _written(path, frames):
+    """The bytes gen_dataset writes for ``frames``: rounded, then through the keypoint file writer."""
+    write_keypoint_file(path, _rounded(np.asarray(frames)))
+    return path.read_bytes()
+
+
 _CLIP_CASES = {
     "default": ({}, {}),
     "no_jitter": ({"keypoint_jitter_sigma": 0.0}, {}),
@@ -283,7 +309,7 @@ class TestGenClipBytes:
 
     @pytest.mark.parametrize("n_frames", sorted({35, *CLIP_LENGTH_CHOICES}))
     @pytest.mark.parametrize("case", sorted(_CLIP_CASES))
-    def test_frames_documents_and_draws_match_reference(self, case, n_frames):
+    def test_frames_documents_and_draws_match_reference(self, case, n_frames, tmp_path):
         profile_over, params_over = _CLIP_CASES[case]
         profile = replace(gen_profiles(1, clip_rng(4, "profiles"))[0], **profile_over)
         params = MotionParams(**{"class_name": "headbanging", "frequency": 1.7, "amplitude": 0.12,
@@ -296,22 +322,22 @@ class TestGenClipBytes:
         assert frames.shape == (n_frames, N_BODY_PARTS, 3)  # row t is frame t
         for got, want in zip(frames, want_frames, strict=True):
             assert got.tobytes() == want.tobytes()
-            # repr, not ==: json writes 0.0 and -0.0 differently
-            assert repr(_frame_document(got)) == repr(_reference_frame_document(want))
+        # bytes, not ==: json writes 0.0 and -0.0 differently
+        assert _written(tmp_path / "clip.json", frames) == _reference_file(want_frames)
         if case == "high_dropout":
             assert (frames[:, HEAD_INDICES, 2] == 0).any()
 
-    def test_document_keeps_signed_zeros_and_python_rounding(self):
+    def test_document_keeps_signed_zeros_and_python_rounding(self, tmp_path):
         rng = np.random.default_rng(0)
         kps = rng.normal(0.0, 1e-3, size=(N_BODY_PARTS, 3)) * rng.integers(0, 2, size=(N_BODY_PARTS, 3))
         kps[0] = (-0.0, 0.0, -1e-4)  # -1e-4 rounds to -0.0
         kps[1] = (0.0005, 2.675, 1.0005)  # halfway in decimal, not in binary
         kps[2] = (1e300, -5e-324, 123.4565)
-        doc = _frame_document(kps)
-        assert repr(doc) == repr(_reference_frame_document(kps))
-        assert repr(doc["people"][0]["pose_keypoints_2d"][:3]) == "[-0.0, 0.0, -0.0]"
+        blob = _written(tmp_path / "clip.json", [kps])
+        assert blob == _reference_file([kps])
+        assert repr(json.loads(blob)[0]["people"][0]["pose_keypoints_2d"][:3]) == "[-0.0, 0.0, -0.0]"
         empty = np.zeros((N_BODY_PARTS, 3))
-        assert _frame_document(empty) == _reference_frame_document(empty) == {"people": []}
+        assert _written(tmp_path / "empty.json", [empty]) == _reference_file([empty]) == b'[{"people":[]}]\n'
 
     def test_default_synth_tree_is_pinned(self, tmp_path):
         # the digest of what the per-frame generator wrote for `stimkit synth --seed 1`
