@@ -29,7 +29,7 @@ from . import imageio
 from .config import load_run_config
 from .data import WindowParams, build_dataset, clip_windows
 from .errors import ConfigError, KeypointParseError, NumericError, SchemaError, StimkitError
-from .evaluate import check_fold_count, confusion, cross_validate, fit, precision_recall_f1, score
+from .evaluate import check_fold_count, cross_validate, fit, metrics, score
 from .flow import farneback_dense, lucas_kanade_grid
 from .flowviz import flow_to_hsv, render_arrows
 from .nn.checkpoint import load_checkpoint, save_checkpoint
@@ -211,19 +211,11 @@ def cmd_train(args) -> int:
     summary = {**history, "windows": len(train_windows), "seed": cfg.seed}
     if holdout:
         held = [w for w in dataset.windows if w.subject_id in holdout]
-        preds = score(checkpoint, held, cfg.raster)
-        labels = [int(w.label == "positive") for w in held]
-        cm = confusion(preds, labels)
-        metrics = precision_recall_f1(cm)
-        summary["holdout"] = {
-            "subjects": sorted(holdout),
-            "windows": len(held),
-            "confusion": cm.to_dict(),
-            "precision": metrics.precision,
-            "recall": metrics.recall,
-            "f1": metrics.f1,
-        }
-        print(f"holdout ({','.join(sorted(holdout))}): F1 {metrics.f1:.4f} over {len(held)} windows")
+        result = metrics([classify(p) for p in score(checkpoint, held, cfg.raster)],
+                         [int(w.label == "positive") for w in held])
+        del result["degenerate"]  # history.json's holdout block reports the confusion, P, R and F1 only
+        summary["holdout"] = {"subjects": sorted(holdout), "windows": len(held), **result}
+        print(f"holdout ({','.join(sorted(holdout))}): F1 {result['f1']:.4f} over {len(held)} windows")
     _write_json(cfg.output_dir / "history.json", summary)
     print(f"trained on {len(train_windows)} windows for {cfg.train.epochs} epochs")
     print(f"wrote {ckpt_path}")
@@ -235,7 +227,7 @@ def cmd_cv(args) -> int:
     check_fold_count(cfg.k)  # before any keypoint file is read
     manifest = load_manifest(cfg.manifest_path)
     dataset = build_dataset(manifest, cfg.window)
-    report = cross_validate(
+    report, rows, checkpoints = cross_validate(
         dataset,
         model_config=cfg.model,
         train_config=cfg.train,
@@ -245,24 +237,24 @@ def cmd_cv(args) -> int:
         raster_spec=cfg.raster,
     )
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    rows = io.StringIO()
-    csv.writer(rows, lineterminator="\n").writerows(report.prediction_rows())
-    write_atomic(cfg.output_dir / "predictions.csv", rows.getvalue())
-    for fr in report.per_fold:
-        save_checkpoint(fr.checkpoint, cfg.output_dir / f"fold_{fr.fold}.ckpt")
+    csv_text = io.StringIO()
+    csv.writer(csv_text, lineterminator="\n").writerows(rows)
+    write_atomic(cfg.output_dir / "predictions.csv", csv_text.getvalue())
+    for fold, checkpoint in enumerate(checkpoints):
+        save_checkpoint(checkpoint, cfg.output_dir / f"fold_{fold}.ckpt")
     # last, so a report is never left beside missing checkpoints
-    write_atomic(cfg.output_dir / "report.json", report.to_json())
+    _write_json(cfg.output_dir / "report.json", report)
 
     print(f"{'fold':<5} {'test subjects':<30} {'tp':>3} {'fp':>3} {'fn':>3} {'tn':>3} "
           f"{'precision':>9} {'recall':>7} {'f1':>7}")
-    for fr in report.per_fold:
-        cm = fr.confusion
+    for f in report["folds"]:
+        cm = f["confusion"]
         print(
-            f"{fr.fold:<5} {','.join(fr.test_subjects):<30.30} {cm.tp:>3} {cm.fp:>3} {cm.fn:>3} {cm.tn:>3} "
-            f"{fr.metrics.precision:>9.4f} {fr.metrics.recall:>7.4f} {fr.metrics.f1:>7.4f}"
+            f"{f['fold']:<5} {','.join(f['test_subjects']):<30.30} {cm['tp']:>3} {cm['fp']:>3} {cm['fn']:>3} "
+            f"{cm['tn']:>3} {f['precision']:>9.4f} {f['recall']:>7.4f} {f['f1']:>7.4f}"
         )
-    print(f"mean F1 (windows): {report.mean_f1:.4f}")
-    print(f"mean F1 (clip majority vote): {report.clip_mean_f1:.4f}")
+    print(f"mean F1 (windows): {report['mean_f1']:.4f}")
+    print(f"mean F1 (clip majority vote): {report['clip_mean_f1']:.4f}")
     return EXIT_OK
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -35,97 +35,6 @@ class FoldPlan:
 
     def subjects_in(self, fold: int) -> list[str]:
         return sorted(s for s, f in self.assignments.items() if f == fold)
-
-
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    tp: int = 0
-    fp: int = 0
-    fn: int = 0
-    tn: int = 0
-
-    def __post_init__(self):
-        for name in ("tp", "fp", "fn", "tn"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"confusion.{name}", "counts must be >= 0")
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.fn + self.tn
-
-    def to_dict(self):
-        return {"tp": self.tp, "fp": self.fp, "fn": self.fn, "tn": self.tn}
-
-
-@dataclass(frozen=True)
-class Metrics:
-    precision: float
-    recall: float
-    f1: float
-    degenerate: bool  # any 0/0 encountered; that ratio reported as 0
-
-
-@dataclass
-class FoldResult:
-    fold: int
-    test_subjects: list[str]
-    confusion: ConfusionMatrix
-    metrics: Metrics
-    clip_confusion: ConfusionMatrix
-    clip_metrics: Metrics
-    predictions: list[dict] = field(default_factory=list, repr=False)
-    checkpoint: object = field(default=None, repr=False)  # ModelCheckpoint, not serialized
-
-    def to_dict(self):
-        return {
-            "fold": self.fold,
-            "test_subjects": self.test_subjects,
-            "confusion": self.confusion.to_dict(),
-            "precision": self.metrics.precision,
-            "recall": self.metrics.recall,
-            "f1": self.metrics.f1,
-            "degenerate": self.metrics.degenerate,
-            "clip_confusion": self.clip_confusion.to_dict(),
-            "clip_f1": self.clip_metrics.f1,
-        }
-
-
-@dataclass
-class CvReport:
-    per_fold: list[FoldResult]
-    mean_f1: float
-    clip_mean_f1: float
-    config_fingerprint: str
-    seed: int
-
-    def to_dict(self):
-        return {
-            "folds": [f.to_dict() for f in self.per_fold],
-            "mean_f1": self.mean_f1,
-            "clip_mean_f1": self.clip_mean_f1,
-            "config_fingerprint": self.config_fingerprint,
-            "seed": self.seed,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=1) + "\n"
-
-    def prediction_rows(self) -> list[tuple]:
-        rows = [("fold", "clip_id", "subject_id", "origin_frame", "label", "probability", "predicted")]
-        for fr in self.per_fold:
-            for p in fr.predictions:
-                rows.append(
-                    (
-                        fr.fold,
-                        p["clip_id"],
-                        p["subject_id"],
-                        p["origin_frame"],
-                        p["label"],
-                        f"{p['probability']:.9f}",
-                        p["predicted"],
-                    )
-                )
-        return rows
 
 
 def mean_fold_f1(f1_scores) -> float:
@@ -174,40 +83,25 @@ def subject_disjoint_folds(records, k: int = 3, seed: int = 0, weights: Optional
     return FoldPlan(k=k, assignments=assignments, seed=seed)
 
 
-def confusion(preds, labels) -> ConfusionMatrix:
-    """Count outcomes, each probability thresholded by :func:`classify`."""
-    preds = list(preds)
-    labels = list(labels)
-    if len(preds) != len(labels):
-        raise ConfigError("confusion", f"{len(preds)} predictions vs {len(labels)} labels")
-    tp = fp = fn = tn = 0
-    for p, y in zip(preds, labels):
-        predicted = classify(p)
-        if predicted and y:
-            tp += 1
-        elif predicted and not y:
-            fp += 1
-        elif not predicted and y:
-            fn += 1
-        else:
-            tn += 1
-    return ConfusionMatrix(tp, fp, fn, tn)
+def metrics(predicted, labels) -> dict:
+    """The report's fields for 0/1 predictions against 0/1 labels: confusion counts, P, R and F1.
 
-
-def precision_recall_f1(cm: ConfusionMatrix) -> Metrics:
-    """P, R and their harmonic mean; 0/0 ratios report 0 with a flag."""
-    degenerate = False
-    if cm.tp + cm.fp == 0:
-        precision, degenerate = 0.0, True
-    else:
-        precision = cm.tp / (cm.tp + cm.fp)
-    if cm.tp + cm.fn == 0:
-        recall, degenerate = 0.0, True
-    else:
-        recall = cm.tp / (cm.tp + cm.fn)
-    if precision + recall == 0:
-        return Metrics(precision, recall, 0.0, True)
-    return Metrics(precision, recall, 2.0 * precision * recall / (precision + recall), degenerate)
+    A 0/0 precision or recall is reported as 0, and so is the F1 of P = R = 0;
+    each sets ``degenerate``. All three cases are exactly ``tp == 0``.
+    """
+    pairs = list(zip(predicted, labels, strict=True))
+    tp = sum(1 for p, y in pairs if p and y)
+    fp = sum(1 for p, y in pairs if p and not y)
+    fn = sum(1 for p, y in pairs if y and not p)
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    return {
+        "confusion": {"tp": tp, "fp": fp, "fn": fn, "tn": len(pairs) - tp - fp - fn},
+        "precision": precision,
+        "recall": recall,
+        "f1": 2.0 * precision * recall / (precision + recall) if tp else 0.0,
+        "degenerate": tp == 0,
+    }
 
 
 def config_fingerprint(*dicts) -> str:
@@ -218,20 +112,6 @@ def config_fingerprint(*dicts) -> str:
 def _fold_seeds(seed: int, fold: int) -> tuple[int, int]:
     state = np.random.SeedSequence((seed, fold)).generate_state(2)
     return int(state[0]), int(state[1])
-
-
-def _clip_vote(predictions) -> tuple[list, list]:
-    by_clip: dict[str, list] = {}
-    labels: dict[str, int] = {}
-    for p in predictions:
-        by_clip.setdefault(p["clip_id"], []).append(p["predicted"])
-        labels[p["clip_id"]] = p["label"]
-    votes = []
-    truth = []
-    for clip_id, preds in by_clip.items():
-        votes.append(1.0 if sum(preds) * 2 > len(preds) else 0.0)
-        truth.append(labels[clip_id])
-    return votes, truth
 
 
 def fit(windows, model_config: ModelConfig, train_config: TrainConfig, augment_spec: Optional[AugmentSpec],
@@ -262,12 +142,15 @@ def cross_validate(
     k: int = 3,
     seed: int = 0,
     raster_spec: RasterSpec = RasterSpec(),
-) -> CvReport:
+) -> tuple[dict, list[tuple], list]:
     """Train and score one model per subject-disjoint fold.
 
     Training windows are augmented each epoch; held-out windows are
     evaluated raw. Each fold runs with seeds derived from (seed, fold),
     so folds are independent and the whole report is reproducible.
+
+    Returns the ``report.json`` document, the ``predictions.csv`` rows
+    (header first) and the fold checkpoints, in fold order.
     """
     windows = dataset.windows
     if not windows:
@@ -284,7 +167,9 @@ def cross_validate(
         {"k": k, "seed": seed},
     )
 
-    fold_results = []
+    folds = []
+    rows = [("fold", "clip_id", "subject_id", "origin_frame", "label", "probability", "predicted")]
+    checkpoints = []
     for fold in range(k):
         test_subjects = set(plan.subjects_in(fold))
         train_windows = [w for w in windows if w.subject_id not in test_subjects]
@@ -306,32 +191,22 @@ def cross_validate(
         except ConfigError as e:
             raise ConfigError(f"fold[{fold}].{e.field_path}", e.reason) from e
 
-        predictions = [
-            {"clip_id": w.clip_id, "subject_id": w.subject_id, "origin_frame": w.origin_frame,
-             "label": int(w.label == "positive"), "probability": p, "predicted": classify(p)}
-            for w, p in zip(test_windows, probabilities)
-        ]
+        labels = [int(w.label == "positive") for w in test_windows]
+        predicted = [classify(p) for p in probabilities]
+        votes = {}  # clip id -> (label, window predictions)
+        for w, y, c, p in zip(test_windows, labels, predicted, probabilities):
+            rows.append((fold, w.clip_id, w.subject_id, w.origin_frame, y, f"{p:.9f}", c))
+            votes.setdefault(w.clip_id, (y, []))[1].append(c)
+        clip = metrics([int(sum(v) * 2 > len(v)) for _, v in votes.values()], [y for y, _ in votes.values()])
+        folds.append({"fold": fold, "test_subjects": sorted(test_subjects), **metrics(predicted, labels),
+                      "clip_confusion": clip["confusion"], "clip_f1": clip["f1"]})
+        checkpoints.append(checkpoint)
 
-        cm = confusion([p["probability"] for p in predictions], [p["label"] for p in predictions])
-        votes, truth = _clip_vote(predictions)
-        clip_cm = confusion(votes, truth)
-        fold_results.append(
-            FoldResult(
-                fold=fold,
-                test_subjects=sorted(test_subjects),
-                confusion=cm,
-                metrics=precision_recall_f1(cm),
-                clip_confusion=clip_cm,
-                clip_metrics=precision_recall_f1(clip_cm),
-                predictions=predictions,
-                checkpoint=checkpoint,
-            )
-        )
-
-    return CvReport(
-        per_fold=fold_results,
-        mean_f1=mean_fold_f1(f.metrics.f1 for f in fold_results),
-        clip_mean_f1=mean_fold_f1(f.clip_metrics.f1 for f in fold_results),
-        config_fingerprint=fingerprint,
-        seed=seed,
-    )
+    report = {
+        "folds": folds,
+        "mean_f1": mean_fold_f1(f["f1"] for f in folds),
+        "clip_mean_f1": mean_fold_f1(f["clip_f1"] for f in folds),
+        "config_fingerprint": fingerprint,
+        "seed": seed,
+    }
+    return report, rows, checkpoints

@@ -97,8 +97,14 @@ def render_arrows(
     masks = np.zeros((2, h, w), dtype=bool)  # motion segments, dots
     pts = flow.points[flow.valid]
     if len(pts):
-        segments = np.concatenate([pts, pts + scale * flow.vectors[flow.valid]], axis=1)
-        stamp(masks[:1], 0, segments, 0.5)
+        # a segment whose end or squared length (as stamp computes it) is not finite in float64 is
+        # dropped; its dot is still drawn
+        with np.errstate(over="ignore", invalid="ignore"):
+            segments = np.concatenate([pts, pts + scale * flow.vectors[flow.valid]], axis=1)
+            ux = segments[:, 2] - segments[:, 0]
+            uy = segments[:, 3] - segments[:, 1]
+            finite = np.isfinite(ux * ux + uy * uy)
+        stamp(masks[:1], 0, segments[finite], 0.5)
         stamp(masks[1:], 0, np.concatenate([pts, pts], axis=1), 1.0)
     canvas[masks[0]] = (0.0, 1.0, 0.0)
     canvas[masks[1]] = (1.0, 0.2, 0.2)

@@ -249,8 +249,9 @@ def write_keypoint_file(path, frames: np.ndarray) -> None:
     write_atomic(path, json.dumps(docs, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-_MANIFEST_CLIP_FIELDS = ("id", "subject", "label", "fps", "keypoints", "start_frame", "end_frame")
-_MANIFEST_NUMBERS = (("fps", 0.0), ("start_frame", 0), ("end_frame", 0))  # field, default of its JSON kind
+_MANIFEST_CLIP_FIELDS = {  # field: a value of its JSON kind
+    "id": "", "subject": "", "label": "", "fps": 0.0, "keypoints": "", "start_frame": 0, "end_frame": 0,
+}
 _MANIFEST_HEADER = ("version", "frame_width", "frame_height")  # integers
 
 
@@ -295,24 +296,19 @@ def load_manifest(path) -> Manifest:
             if f not in entry:
                 raise SchemaError(f"{path}: clip record {n}: missing field '{f}'")
         try:
-            fps, start, end = (json_value(entry[f], default, f) for f, default in _MANIFEST_NUMBERS)
+            clip_id, subject, label, fps, keypoints, start, end = (
+                json_value(entry[f], kind, f) for f, kind in _MANIFEST_CLIP_FIELDS.items()
+            )
         except ConfigError as e:
             raise SchemaError(f"{path}: clip record {n}: field '{e.field_path}': {e.reason}") from e
-        clip_id = str(entry["id"])
+        for f in ("id", "subject"):  # csv.writer leaves a bare CR unquoted, and predictions.csv would split there
+            if "\r" in entry[f]:
+                raise SchemaError(f"{path}: clip record {n}: field '{f}': carriage return not allowed")
         if clip_id in seen:
             raise ConflictError(f"{path}: duplicate clip id {clip_id!r}")
         seen.add(clip_id)
         try:
-            records.append(
-                ClipRecord(
-                    clip_id=clip_id,
-                    subject_id=str(entry["subject"]),
-                    label=str(entry["label"]),
-                    fps=fps,
-                    keypoint_source=str(entry["keypoints"]),
-                    frame_range=(start, end),
-                )
-            )
+            records.append(ClipRecord(clip_id, subject, label, fps, keypoints, (start, end)))
         except ValidationError as e:
             raise ValidationError(f"{path}: clip record {n}: {e}") from e
     return Manifest(frame_width=width, frame_height=height, clips=tuple(records), base_dir=path.parent)

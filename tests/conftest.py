@@ -81,3 +81,19 @@ def window_fixture(coords_per_frame, frame_size=(640, 480), label="positive", st
         origin_frame=0,
         frame_size=frame_size,
     )
+
+
+def reference_metrics(predicted, labels):
+    """A report's confusion counts, precision, recall, F1 and 0/0 flag, written out apart from ``evaluate.metrics``.
+
+    A 0/0 precision or recall counts as 0 and flags the result; so does an
+    F1 whose precision and recall are both 0.
+    """
+    cm = {"tp": 0, "fp": 0, "fn": 0, "tn": 0}
+    for p, y in zip(predicted, labels):
+        cm[("t" if p == y else "f") + ("p" if p else "n")] += 1
+    precision = cm["tp"] / (cm["tp"] + cm["fp"]) if cm["tp"] + cm["fp"] else 0.0
+    recall = cm["tp"] / (cm["tp"] + cm["fn"]) if cm["tp"] + cm["fn"] else 0.0
+    f1 = 2.0 * precision * recall / (precision + recall) if precision + recall else 0.0
+    degenerate = cm["tp"] + cm["fp"] == 0 or cm["tp"] + cm["fn"] == 0 or precision + recall == 0
+    return {"confusion": cm, "precision": precision, "recall": recall, "f1": f1, "degenerate": degenerate}

@@ -1,22 +1,19 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from stimkit.augment import AugmentSpec
 from stimkit.data import build_dataset
 from stimkit.errors import ConfigError
-from stimkit.evaluate import (
-    ConfusionMatrix,
-    confusion,
-    cross_validate,
-    mean_fold_f1,
-    precision_recall_f1,
-    subject_disjoint_folds,
-)
+from stimkit.evaluate import cross_validate, mean_fold_f1, metrics, subject_disjoint_folds
 from stimkit.nn.model import ConvBlock, ModelConfig
 from stimkit.nn.optim import TrainConfig
 from stimkit.nn.train import classify
 from stimkit.pose import ClipRecord, load_manifest
 from stimkit.raster import RasterSpec
+
+from conftest import reference_metrics
 
 
 def _records(subjects, n_frames=75):
@@ -71,22 +68,32 @@ class TestSubjectDisjointFolds:
         assert all(a.subjects_in(f) for f in range(3))
 
 
+def _window_metrics(probabilities, labels):
+    """``metrics`` of probabilities, each thresholded by ``classify`` as a fold's windows are."""
+    return metrics([classify(p) for p in probabilities], labels)
+
+
+def _pairs(tp=0, fp=0, fn=0, tn=0):
+    """0/1 predictions and labels that make the given confusion counts."""
+    return [1] * (tp + fp) + [0] * (fn + tn), [1] * tp + [0] * fp + [1] * fn + [0] * tn
+
+
 class TestConfusion:
     def test_all_correct(self):
-        cm = confusion([0.9, 0.1, 0.8, 0.2], [1, 0, 1, 0])
-        assert (cm.tp, cm.fp, cm.fn, cm.tn) == (2, 0, 0, 2)
+        cm = _window_metrics([0.9, 0.1, 0.8, 0.2], [1, 0, 1, 0])["confusion"]
+        assert cm == {"tp": 2, "fp": 0, "fn": 0, "tn": 2}
 
     def test_documented_example(self):
-        cm = confusion([0.9, 0.9, 0.2, 0.6], [1, 1, 0, 0])
-        assert (cm.tp, cm.tn, cm.fp, cm.fn) == (2, 1, 1, 0)
+        cm = _window_metrics([0.9, 0.9, 0.2, 0.6], [1, 1, 0, 0])["confusion"]
+        assert (cm["tp"], cm["tn"], cm["fp"], cm["fn"]) == (2, 1, 1, 0)
 
     def test_empty_inputs_all_zero(self):
-        cm = confusion([], [])
-        assert cm.total == 0
+        cm = metrics([], [])["confusion"]
+        assert cm == {"tp": 0, "fp": 0, "fn": 0, "tn": 0}
 
     def test_exact_threshold_counts_negative(self):
-        cm = confusion([0.5], [1])
-        assert cm.fn == 1 and cm.tp == 0
+        cm = _window_metrics([0.5], [1])["confusion"]
+        assert cm["fn"] == 1 and cm["tp"] == 0
 
     @pytest.mark.parametrize(
         "p,positive",
@@ -100,33 +107,37 @@ class TestConfusion:
         ],
     )
     def test_counts_each_probability_as_classify_labels_it(self, p, positive):
-        # one 0.5 rule for confusion, predict and the CSV, float32 model outputs included
+        # one 0.5 rule for the report, predict and the CSV, float32 model outputs included
         assert classify(p) == int(positive)
-        cm = confusion([p], [1])
-        assert (cm.tp, cm.fn) == ((1, 0) if positive else (0, 1))
+        cm = _window_metrics([p], [1])["confusion"]
+        assert (cm["tp"], cm["fn"]) == ((1, 0) if positive else (0, 1))
 
     def test_total_matches_input_count(self):
         preds = [0.1, 0.6, 0.5, 0.9, 0.3]
-        cm = confusion(preds, [0, 1, 1, 1, 0])
-        assert cm.total == len(preds)
+        cm = _window_metrics(preds, [0, 1, 1, 1, 0])["confusion"]
+        assert sum(cm.values()) == len(preds)
+
+    def test_lengths_must_match(self):
+        with pytest.raises(ValueError):
+            metrics([1, 0], [1])
 
 
 class TestPrecisionRecallF1:
     def test_perfect(self):
-        m = precision_recall_f1(ConfusionMatrix(tp=3, fp=0, fn=0, tn=5))
-        assert m.precision == m.recall == m.f1 == 1.0
-        assert not m.degenerate
+        m = metrics(*_pairs(tp=3, fp=0, fn=0, tn=5))
+        assert m["precision"] == m["recall"] == m["f1"] == 1.0
+        assert not m["degenerate"]
 
     def test_formula_example(self):
-        m = precision_recall_f1(ConfusionMatrix(tp=2, fp=1, fn=1, tn=0))
-        assert np.isclose(m.precision, 2 / 3)
-        assert np.isclose(m.recall, 2 / 3)
-        assert np.isclose(m.f1, 2 / 3)
+        m = metrics(*_pairs(tp=2, fp=1, fn=1, tn=0))
+        assert np.isclose(m["precision"], 2 / 3)
+        assert np.isclose(m["recall"], 2 / 3)
+        assert np.isclose(m["f1"], 2 / 3)
 
     def test_degenerate_zero_over_zero(self):
-        m = precision_recall_f1(ConfusionMatrix(tp=0, fp=0, fn=0, tn=4))
-        assert m.f1 == 0.0 and m.precision == 0.0 and m.recall == 0.0
-        assert m.degenerate
+        m = metrics(*_pairs(tp=0, fp=0, fn=0, tn=4))
+        assert m["f1"] == 0.0 and m["precision"] == 0.0 and m["recall"] == 0.0
+        assert m["degenerate"]
 
     def test_paper_style_mean_aggregation(self):
         mean = mean_fold_f1([0.833, 0.890, 1.000])
@@ -161,45 +172,47 @@ def mini_dataset_module(tmp_path_factory):
 
 class TestCrossValidate:
     def test_fold_subjects_are_disjoint(self, mini_cv_report):
-        _, report = mini_cv_report
-        per_fold = [set(f.test_subjects) for f in report.per_fold]
+        _, (report, _, _) = mini_cv_report
+        per_fold = [set(f["test_subjects"]) for f in report["folds"]]
         for i, a in enumerate(per_fold):
             for b in per_fold[i + 1 :]:
                 assert a & b == set()
 
     def test_every_window_evaluated_exactly_once(self, mini_cv_report):
-        dataset, report = mini_cv_report
-        evaluated = [
-            (p["clip_id"], p["origin_frame"]) for f in report.per_fold for p in f.predictions
-        ]
+        dataset, (_, rows, _) = mini_cv_report
+        evaluated = [(clip_id, origin) for _, clip_id, _, origin, *_ in rows[1:]]
         expected = [(w.clip_id, w.origin_frame) for w in dataset.windows]
         assert sorted(evaluated) == sorted(expected)
 
     def test_mean_f1_is_arithmetic_mean(self, mini_cv_report):
-        _, report = mini_cv_report
-        f1s = [f.metrics.f1 for f in report.per_fold]
-        assert abs(report.mean_f1 - sum(f1s) / len(f1s)) < 1e-12
+        _, (report, _, _) = mini_cv_report
+        f1s = [f["f1"] for f in report["folds"]]
+        assert abs(report["mean_f1"] - sum(f1s) / len(f1s)) < 1e-12
 
     def test_confusion_totals_match_window_counts(self, mini_cv_report):
-        _, report = mini_cv_report
-        for f in report.per_fold:
-            assert f.confusion.total == len(f.predictions)
+        _, (report, rows, _) = mini_cv_report
+        for f in report["folds"]:
+            assert sum(f["confusion"].values()) == sum(1 for row in rows[1:] if row[0] == f["fold"])
 
     def test_report_serializes_with_fingerprint(self, mini_cv_report):
-        _, report = mini_cv_report
-        doc = report.to_dict()
-        assert len(doc["config_fingerprint"]) == 64
-        assert doc["seed"] == 3
-        assert len(doc["folds"]) == 3
+        _, (report, _, checkpoints) = mini_cv_report
+        assert len(report["config_fingerprint"]) == 64
+        assert report["seed"] == 3
+        assert len(report["folds"]) == len(checkpoints) == 3
 
     def test_metrics_invariant_to_prediction_order(self):
         rng = np.random.default_rng(0)
         preds = rng.random(40)
         labels = rng.integers(0, 2, 40)
-        base = precision_recall_f1(confusion(preds, labels))
+        base = _window_metrics(preds, labels)
         perm = rng.permutation(40)
-        shuffled = precision_recall_f1(confusion(preds[perm], labels[perm]))
+        shuffled = _window_metrics(preds[perm], labels[perm])
         assert base == shuffled
+
+    def test_metrics_match_the_reference_on_every_small_confusion(self):
+        for counts in itertools.product(range(3), repeat=4):
+            pairs = _pairs(*counts)
+            assert metrics(*pairs) == reference_metrics(*pairs), counts
 
 
 class TestBoundaryBehavior:
@@ -234,5 +247,5 @@ class TestBoundaryBehavior:
                 seed=0,
                 raster_spec=RasterSpec(width=32, height=32),
             )
-        assert len(report.per_fold) == 2
+        assert len(report[0]["folds"]) == 2
         assert "training split has labels" in caplog.text

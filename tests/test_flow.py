@@ -333,6 +333,14 @@ class TestRenderArrows:
             cols = np.nonzero(green[row])[0]
             assert cols.max() - cols.min() >= 4  # horizontal strokes
 
+    @pytest.mark.parametrize("scale", [1e155, -1e155, 1e308])
+    def test_segment_not_finite_in_float64_is_dropped_and_its_dot_kept(self, scale):
+        # 5e155 px ends are finite but their squared length is not; 5e308 ends are not finite
+        dots = render_arrows(self._sparse(np.zeros((4, 2))), shape=(32, 32))
+        vectors = np.array([[5.0, 0.0], [0.0, 5.0], [-5.0, 5.0], [3.0, -4.0]])
+        img = render_arrows(self._sparse(vectors), shape=(32, 32), scale=scale)
+        assert np.array_equal(img, dots)
+
     def test_isolation_mode_empty_flow_black(self):
         field = FlowField("sparse_grid", np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0, bool))
         img = render_arrows(field, shape=(16, 16))

@@ -157,6 +157,24 @@ class TestLoadManifest:
         with pytest.raises(SchemaError, match=f"field '{field}'"):
             load_manifest(p)
 
+    @pytest.mark.parametrize("field", ["id", "subject", "label", "keypoints"])
+    @pytest.mark.parametrize("value", [None, ["s"], 5, True, {"s": 1}])
+    def test_clip_string_of_wrong_kind_names_the_field(self, tmp_path, field, value):
+        # "id": null once loaded as clip 'None', and "subject": ["s"] as subject "['s']"
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps(self._doc([self._clip("a"), {**self._clip("b"), field: value}])))
+        with pytest.raises(SchemaError) as info:
+            load_manifest(p)
+        assert str(info.value) == f"{p}: clip record 1: field '{field}': string required, got {value!r}"
+
+    @pytest.mark.parametrize("field", ["id", "subject"])
+    def test_carriage_return_in_an_id_names_the_field(self, tmp_path, field):
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps(self._doc([{**self._clip("a"), field: "x\ry"}])))
+        with pytest.raises(SchemaError) as info:
+            load_manifest(p)
+        assert str(info.value) == f"{p}: clip record 0: field '{field}': carriage return not allowed"
+
     @pytest.mark.parametrize("field", ["frame_width", "frame_height"])
     @pytest.mark.parametrize("value", [0, -640])
     def test_frame_size_must_be_positive(self, tmp_path, field, value):
