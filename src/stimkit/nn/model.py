@@ -6,42 +6,30 @@ embeddings run through an LSTM in time order, and the final hidden state
 drives a single sigmoid unit. Probabilities are clipped to
 [1e-7, 1 - 1e-7] so downstream log-losses stay finite.
 
-Every conv block runs on the pool blocks its lit positions reach, over
-a ground frame (Graham's ground state: "Spatially-sparse convolutional
-neural networks", 2014). Block 0's lit positions are the nonzero pixels
-and its ground frame is all zeros; each later block's lit positions are
-the cells the block below reached, and its ground frame is the pooled
-output of the block below's ground. Away from the lit positions a
-block's input equals its ground frame, so a 2x2 pool block whose k x k
-reach holds no lit position pools what the ground frame pools there.
-One conv and one pool call run on tiles: for each reached pool block,
-and for every pool block of the ground frame, the tile of the padded
-input under its reach (4 x 4 for a 3 x 3 kernel), whose valid k x k
-windows are the patches of the four positions the pool reads. Every
-unreached cell copies the ground's pooled value. Each patch is the one
-the whole-frame conv sees at that position, and the ground's tiles keep
-the product above one frame's rows, where it takes the whole-frame
-product's BLAS kernel at the model's shapes: the forward gives the
-bytes of the whole-frame block.
-
-Backward hands each block two things of the gradient of its pooled
-output: its rows at the sites, and per cell its sum over the frames
-where that cell is off the sites, in the wider type ``_wide`` gives.
-The sums are the gradient of the ground's tiles, so one pool and one
-conv backward route the rows and the sums to the weight gradient, which
-sums in float64. A block hands the block below its input gradient in
-the same form (``_input_grad_at``). The weight and bias gradients
-regroup their sums, so they differ from the whole-frame gradients in
-the last bits (the numeric contract in docs/formats.md).
+The conv blocks pass sparse activations (Graham's ground state, 2014,
+in the submanifold form of Graham and van der Maaten, 2017): a
+(1, H, W, C) ground frame that every frame equals off its sites, the
+(m, C) rows at the sites, and the site index (n, i, j). Block 0's sites
+are the nonzero pixels over a blank ground. A block's conv and pool run
+once, on the patches of the pool blocks its sites reach (its output's
+sites) and of every pool block of its ground, gathered through a map
+from each padded input cell to its site row, its ground cell or a zero
+row. The ground's patches keep the product above one frame's rows, on
+the whole-frame BLAS kernel, so the forward has the whole-frame bytes.
+Only the last block's output is made dense, for the embedding. Backward
+takes each block's gradients in the same form, with per-cell sums over
+the frames off the sites in the wider type ``_wide`` gives, summed from
+tile and site rows alone; the weight and bias gradients regroup their
+sums (the numeric contract in docs/formats.md).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import ConfigError, SizeError
 from . import ops
@@ -149,70 +137,86 @@ def parameter_count(params: dict[str, np.ndarray]) -> int:
 
 
 def _wide(dtype):
-    """A float type with more bits than ``dtype``, for sums whose terms largely cancel.
-
-    float64 for float32 terms; for float64 terms numpy's long double (80-bit
-    on x86, float64 again where the platform has nothing wider).
-    """
+    """A float type with more bits than ``dtype``, for sums whose terms largely cancel: float64 for
+    float32 terms, numpy's long double for float64 (80-bit on x86, float64 where there is nothing wider)."""
     return np.float64 if np.dtype(dtype).itemsize < 8 else np.longdouble
 
 
-def _reached(lit, k):
-    """(N, H/2, W/2) mask of the 2x2 pool blocks with a position of ``lit`` (N, H, W) within a k x k patch's reach."""
+def _sites(mask):
+    """The index (n, i, j) of the True cells of an (N, H, W) mask, in row-major order."""
+    q, j = np.divmod(np.flatnonzero(mask), mask.shape[2])
+    n, i = np.divmod(q, mask.shape[1])
+    return n, i, j
+
+
+def _reached(sites, shape, k):
+    """(N, H/2, W/2) mask of the 2x2 pool blocks with a site (n, i, j) of an (N, H, W) input within a k x k patch's reach."""
+    n, i, j = sites
+    frames, h, w = shape
     half = k // 2
-    h, w = lit.shape[1:]
-    lit = np.pad(lit, ((0, 0), (half, half), (half, half)))
-    # pool block (i, j) reaches padded rows 2i .. 2i + 2*half + 1, and columns alike
-    rows = lit[:, 0:h:2].copy()
-    for d in range(1, 2 + 2 * half):
-        rows |= lit[:, d : d + h : 2]
-    reached = rows[:, :, 0:w:2].copy()
-    for d in range(1, 2 + 2 * half):
-        reached |= rows[:, :, d : d + w : 2]
-    return reached
+    # pool block I reaches rows 2I - half .. 2I + 1 + half, so row i is reached from blocks
+    # (i + half) // 2 - half .. (i + half) // 2, and columns alike; ``half`` blocks of margin
+    hp, wp = h // 2 + 2 * half, w // 2 + 2 * half
+    reached = np.zeros((frames, hp, wp), dtype=bool)
+    last = (n * hp + (i + half) // 2 + half) * wp + (j + half) // 2 + half
+    for di in range(half + 1):
+        for dj in range(half + 1):
+            reached.ravel()[last - di * wp - dj] = True
+    return reached[:, half : half + h // 2, half : half + w // 2]
 
 
-def _block_forward(x, ground, w, b, reached, need_cache):
-    """The block on the tiles of the reached pool blocks and of all the ground frame's; returns (pooled, ground, entry).
+@functools.cache
+def _frame_cells(h, wd, k):
+    """An (H, W) frame's cell numbers, padded by k // 2 cells numbered H * W; the offsets of a pool
+    block's 4 k^2 patch taps from its tile's corner, in im2col's (row, column, di, dj) order; and each pool block's taps."""
+    half = k // 2
+    cells = np.full((h + 2 * half, wd + 2 * half), h * wd, dtype=np.int32)
+    cells[half : half + h, half : half + wd] = np.arange(h * wd).reshape(h, wd)
+    step = np.arange(2)[:, None] + np.arange(k)
+    offsets = (step[:, None, :, None] * cells.shape[1] + step[None, :, None, :]).ravel()
+    i, j = np.divmod(np.arange(h // 2 * (wd // 2)), wd // 2)
+    taps = cells.ravel()[(2 * i * cells.shape[1] + 2 * j)[:, None] + offsets].astype(np.intp)
+    cells.flags.writeable = offsets.flags.writeable = taps.flags.writeable = False
+    return cells, offsets, taps
 
-    ``ground`` is the (1, H, W, Cin) frame that ``x`` equals off its lit
-    positions; every unreached cell takes that frame's pooled value.
+
+def _block_forward(x, frames, w, b, need_cache):
+    """The block on the tiles of the reached pool blocks and of all the ground frame's; returns (output, entry).
+
+    ``x`` (over ``frames`` frames) and the output are each (ground, rows, sites).
     """
-    k = w.shape[0]
-    half = k // 2
-    side = 2 + 2 * half
-    # one index over the batch and, as frame N, the ground: the sites come
-    # first, and the ground's tiles keep the product above one frame's rows
-    n, i, j = np.nonzero(np.concatenate([reached, np.ones((1,) + reached.shape[1:], dtype=bool)]))
-    m = np.count_nonzero(reached)
-    sites = n[:m], i[:m], j[:m]
-    xp = np.pad(np.concatenate([x, ground]), ((0, 0), (half, half), (half, half), (0, 0)))
-    # (N + 1, ., ., Cin, side, side) view; the index copies out one tile per pool block
-    tiles = sliding_window_view(xp, (side, side), axis=(1, 2))[n, 2 * i, 2 * j]
-    # a tile's valid k x k windows are the patches of its inner 2x2, rows
-    # over (tile, row, column) and columns over (di, dj, cin) as in im2col
-    patches = sliding_window_view(tiles, (k, k), axis=(2, 3))
-    cols = patches.transpose(0, 2, 3, 4, 5, 1).reshape(-1, k * k * x.shape[3])
-    inner = tiles[:, :, half : half + 2, half : half + 2].transpose(0, 2, 3, 1)
+    ground, rows, lit = x
+    _, h, wd, cin = ground.shape
+    k, half = w.shape[0], w.shape[0] // 2
+    n, i, j = sites = _sites(_reached(lit, (frames, h, wd), k))
+    m = len(n)
+    # each padded input cell's row of ``src``: its site row, its ground row, or the zero row
+    src = np.concatenate([ground.reshape(-1, cin), np.zeros((1, cin), dtype=ground.dtype), rows])
+    numbers, offsets, ground_taps = _frame_cells(h, wd, k)
+    hp, wp = numbers.shape
+    cells = np.tile(numbers, (frames, 1, 1)).ravel()
+    cells[(lit[0] * hp + lit[1] + half) * wp + lit[2] + half] = np.arange(h * wd + 1, len(src))
+    # rows over (tile, row, column) and columns over (di, dj, cin) as in im2col; the
+    # sites' tiles come first, and the ground's keep the product above one frame's rows
+    cols = np.empty((m + len(ground_taps), 4 * k * k, cin), dtype=ground.dtype)
+    np.take(src, cells.take(((n * hp + 2 * i) * wp + 2 * j)[:, None] + offsets), axis=0, out=cols[:m], mode="clip")
+    np.take(src, ground_taps, axis=0, out=cols[m:], mode="clip")
+    inner = cols.reshape(-1, 2, 2, k, k, cin)[:, :, :, half, half]  # a patch's centre tap is its position's input
+    cols = cols.reshape(-1, k * k * cin)
     a = ops.conv2d_forward(inner, w, b, cols=cols)
     np.maximum(a, 0, out=a)
     tile_pooled, idx = ops.maxpool2_forward(a, need_argmax=need_cache)
-    ground = tile_pooled[m:, 0, 0].reshape((1,) + reached.shape[1:] + (w.shape[3],))
-    pooled = np.repeat(ground, len(x), axis=0)
-    pooled[sites] = tile_pooled[:m, 0, 0]
-    return pooled, ground, (x.shape, inner, cols if need_cache else None, sites, tile_pooled, idx)
+    out = tile_pooled[m:, 0, 0].reshape(1, h // 2, wd // 2, -1), tile_pooled[:m, 0, 0], sites
+    return out, ((frames, h, wd), inner, cols if need_cache else None, sites, tile_pooled, idx)
 
 
 def _block_backward(w, entry, dcur, below):
     """(dw, db, input gradient) of a block.
 
-    ``dcur`` is (the gradient of the pooled output at the sites, and per
-    cell its sum over the frames where that cell is off the sites, in the
-    wider type ``_wide`` gives). Those sums are the ground tiles' pooled
-    gradient. The input gradient takes the same form for ``below``, the
-    sites of the block underneath, or is None where there is none.
+    ``dcur`` is the pooled output's gradient at the sites, and per cell its sum in ``_wide`` over the
+    frames off them. The input gradient takes that form at ``below``, the sites of the block underneath.
     """
-    x_shape, inner, cols, sites, tile_pooled, idx = entry
+    shape, inner, cols, sites, tile_pooled, idx = entry
     drows, doff = dcur
     cout = w.shape[3]
     # in the wider type, where the site rows are exact and the sums keep their bits
@@ -223,57 +227,58 @@ def _block_backward(w, entry, dcur, below):
     _, dw, _ = ops.conv2d_backward(inner, w, dz.astype(np.float64, copy=False), need_dx=False, cols=cols)
     if below is None:
         return dw, db, None
-    n, h, wd, _ = x_shape
     m = len(sites[0])
-    # the sites' tiles in place in N frames, and the ground's tiles as one frame
-    frames = np.zeros((n, h // 2, 2, wd // 2, 2, cout), dtype=inner.dtype)
-    frames[sites[0], sites[1], :, sites[2]] = dz[:m]
-    ground = dz[m:].reshape(h // 2, wd // 2, 2, 2, cout).transpose(0, 2, 1, 3, 4).reshape(h, wd, cout)
-    return dw, db, _input_grad_at(frames.reshape(n, h, wd, cout), ground, w, below)
+    return dw, db, _input_grad_at(dz[:m].astype(inner.dtype), dz[m:], shape, sites, w, below)
 
 
-def _input_grad_at(dz, ground, w, sites):
+def _cell_sums(cell, terms, acc):
+    """Per distinct value of ``cell``: the value, the sum in ``acc`` of its ``terms`` rows in their order, and their count."""
+    order = np.argsort(cell, kind="stable")
+    cell = cell[order]
+    starts = np.flatnonzero(np.diff(cell, prepend=-1))
+    sums = np.add.reduceat(terms.astype(acc, copy=False)[order], starts, axis=0)
+    return cell[starts], sums, np.diff(starts, append=len(cell))
+
+
+def _input_grad_at(dz, ground, shape, tiles, w, sites):
     """The input gradient at ``sites`` (n, i, j), and per position its sum over the frames off them.
 
-    ``dz`` holds each frame's gradient inside its reached pool blocks and
-    zero elsewhere, ``ground`` (H, W, Cout) the ground frame's, which is
-    per cell the sum of the frames' gradient where that cell is unreached.
-    A row is the k x k neighbourhood of ``dz`` around its site, taps off
-    the frame zero as in the same-padded lowering, times the rotated
-    kernel: every tap lies in a pool block the site reaches, so the row
-    has the bytes of ``conv2d_backward``'s. The one-frame conv of ``dz``
-    summed over the frames plus ``ground`` is dx summed over the frames,
-    and less the site rows it is the sum off the sites. Both are taken in
-    ``_wide``, so a sum that cancels keeps its last bits.
+    ``dz`` (m, 2, 2, Cout) is the conv output's gradient on the reached pool blocks ``tiles`` (n, I, J)
+    of an (N, H, W) input, and ``ground`` (H/2 * W/2, 2, 2, Cout), in ``_wide``'s type, per cell its sum
+    over the frames where the cell is unreached. A row is ``dz``'s k x k neighbourhood of its site times
+    the rotated kernel; every tap lies in a pool block the site reaches, so it has ``conv2d_backward``'s
+    bytes. The one-frame conv of ``dz`` summed over the frames plus ``ground``, less the site rows, is the
+    sum off the sites; both sums are in ``_wide``, so one that cancels keeps its last bits.
     """
-    k = w.shape[0]
-    half = k // 2
-    h, wd, cout = dz.shape[1:]
+    frames, h, wd = shape
     n, i, j = sites
-    m = len(n)
+    k, cout, half, m = w.shape[0], w.shape[3], w.shape[0] // 2, len(n)
     wrot = np.ascontiguousarray(w[::-1, ::-1].transpose(0, 1, 3, 2)).reshape(-1, w.shape[2])
-    taps = np.arange(k) - half
-    r, c = i[:, None] + taps, j[:, None] + taps
-    flat = (n[:, None, None] * h + np.clip(r, 0, h - 1)[:, :, None]) * wd + np.clip(c, 0, wd - 1)[:, None, :]
-    # the product takes at least one frame's rows, as ``conv2d_backward``'s
-    # whole-frame product does: fewer rows can take another BLAS kernel (one
-    # row another routine) and round differently
-    g = np.empty((max(m, h * wd), k, k, cout), dtype=dz.dtype)
+    # each padded cell's row of ``dz``, four to a tile, or the zero row after them
+    hp, wp = h + 2 * half, wd + 2 * half
+    cells = np.full(frames * hp * wp, 4 * len(dz), dtype=np.int32)
+    corner = (tiles[0] * hp + 2 * tiles[1] + half) * wp + 2 * tiles[2] + half
+    cells[corner[:, None] + [0, 1, wp, wp + 1]] = np.arange(4 * len(dz)).reshape(-1, 4)
+    tap_rows = np.concatenate([dz.reshape(-1, cout), np.zeros((1, cout), dtype=dz.dtype)])
+    # at least one frame's rows, as the whole-frame product has: fewer can take
+    # another BLAS kernel (one row another routine) and round differently
+    g = np.empty((max(m, h * wd), k * k, cout), dtype=dz.dtype)
     g[m:] = 0
-    np.take(dz.reshape(-1, cout), flat, axis=0, out=g[:m], mode="clip")
-    g[:m][((r < 0) | (r >= h))[:, :, None] | ((c < 0) | (c >= wd))[:, None, :]] = 0
+    taps = ((n * hp + i) * wp + j)[:, None] + (np.arange(k)[:, None] * wp + np.arange(k)).ravel()
+    np.take(tap_rows, cells.take(taps), axis=0, out=g[:m], mode="clip")
     g = g.reshape(len(g), -1)
     rows = (g @ wrot)[:m].astype(dz.dtype, copy=False)
-    acc = _wide(dz.dtype)
+    acc = ground.dtype
     wrot = wrot.astype(acc)
-    total = ops.im2col((dz.sum(axis=0, dtype=acc) + ground)[None], k) @ wrot
-    on = np.zeros((len(dz), h, wd), dtype=bool)
-    on[sites] = True
-    at_sites = np.zeros(on.shape + (w.shape[2],), dtype=acc)
-    at_sites[sites] = g[:m].astype(acc) @ wrot
-    off = total.reshape(h, wd, -1) - at_sites.sum(axis=0)
-    off[on.all(axis=0)] = 0  # a position that is a site in every frame has no sum off them
-    return rows, off
+    cell, sums, _ = _cell_sums(tiles[1] * (wd // 2) + tiles[2], dz, acc)
+    total = ground.copy()
+    total[cell] += sums
+    total = total.reshape(h // 2, wd // 2, 2, 2, cout).transpose(0, 2, 1, 3, 4).reshape(1, h, wd, cout)
+    off = ops.im2col(total, k) @ wrot
+    cell, sums, count = _cell_sums(i * wd + j, g[:m].astype(acc) @ wrot, acc)
+    off[cell] -= sums
+    off[cell[count == frames]] = 0  # a position that is a site in every frame has no sum off them
+    return rows, off.reshape(h, wd, -1)
 
 
 def forward_batch(params, config: ModelConfig, x, need_cache: bool = True):
@@ -290,14 +295,17 @@ def forward_batch(params, config: ModelConfig, x, need_cache: bool = True):
     frames = x.reshape((batch * config.T,) + expected[1:])
 
     conv_caches = []
-    cur, ground, lit = frames, np.zeros_like(frames[:1]), (frames != 0).any(axis=3)
-    for n, block in enumerate(config.conv_blocks):
-        lit = _reached(lit, block.kernel)
-        cur, ground, entry = _block_forward(cur, ground, params[f"conv{n}_w"], params[f"conv{n}_b"], lit, need_cache)
+    lit = _sites((frames != 0).any(axis=3))
+    cur = (np.zeros((1,) + expected[1:], dtype=x.dtype), frames[lit], lit)
+    for n in range(len(config.conv_blocks)):
+        cur, entry = _block_forward(cur, len(frames), params[f"conv{n}_w"], params[f"conv{n}_b"], need_cache)
         if need_cache:
             conv_caches.append(entry)
 
-    flat = cur.reshape(batch * config.T, -1)
+    ground, rows, sites = cur
+    pooled = np.repeat(ground, len(frames), axis=0)
+    pooled[sites] = rows
+    flat = pooled.reshape(len(frames), config.flat_features)
     emb, emb_z = ops.dense_forward(flat, params["embed_w"], params["embed_b"], "relu")
     seq = emb.reshape(batch, config.T, config.frame_embedding)
     h_last, lstm_caches = lstm_forward(seq, params["lstm_wx"], params["lstm_wh"], params["lstm_b"])
@@ -306,7 +314,7 @@ def forward_batch(params, config: ModelConfig, x, need_cache: bool = True):
     p = np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
     if not need_cache:
         return p, None
-    cache = (x.shape, frames.shape, conv_caches, cur.shape, flat, emb_z, h_last, lstm_caches, out_z, p)
+    cache = (x.shape, frames.shape, conv_caches, pooled.shape, flat, emb_z, h_last, lstm_caches, out_z, p)
     return p, cache
 
 
@@ -323,18 +331,12 @@ def backward_batch(params, config: ModelConfig, cache, dp):
     grads: dict[str, np.ndarray] = {}
 
     dlogit = (dp * p * (1.0 - p))[:, None]
-    dh_last, grads["out_w"], grads["out_b"] = ops.dense_backward(
-        h_last, params["out_w"], out_z, dlogit, "none"
-    )
-    dseq, grads["lstm_wx"], grads["lstm_wh"], grads["lstm_b"] = lstm_backward(
-        dh_last, lstm_caches, params["lstm_wx"], params["lstm_wh"]
-    )
+    dh_last, grads["out_w"], grads["out_b"] = ops.dense_backward(h_last, params["out_w"], out_z, dlogit, "none")
+    dseq, grads["lstm_wx"], grads["lstm_wh"], grads["lstm_b"] = lstm_backward(dh_last, lstm_caches, params["lstm_wx"],
+                                                                              params["lstm_wh"])
     demb = dseq.reshape(batch * config.T, config.frame_embedding)
-    dflat, grads["embed_w"], grads["embed_b"] = ops.dense_backward(
-        flat, params["embed_w"], emb_z, demb, "relu"
-    )
-    # the top block reads its output gradient at its sites, and per cell
-    # as one sum over the frames where that cell is off them
+    dflat, grads["embed_w"], grads["embed_b"] = ops.dense_backward(flat, params["embed_w"], emb_z, demb, "relu")
+    # the top block's output gradient at its sites, and per cell summed over the frames off them
     dcur = dflat.reshape(pooled_shape)
     sites = conv_caches[-1][3]
     drows = dcur[sites]
@@ -342,9 +344,7 @@ def backward_batch(params, config: ModelConfig, cache, dp):
     dcur = (drows, dcur.sum(axis=0, dtype=_wide(dcur.dtype)))
     for n in range(len(config.conv_blocks) - 1, -1, -1):
         below = conv_caches[n - 1][3] if n else None
-        # each block's entry is popped into its own backward call, so no
-        # array of the block above outlives it here
-        grads[f"conv{n}_w"], grads[f"conv{n}_b"], dcur = _block_backward(
-            params[f"conv{n}_w"], conv_caches.pop(), dcur, below
-        )
+        # each entry is popped into its block's call, so no array of the block above outlives it
+        grads[f"conv{n}_w"], grads[f"conv{n}_b"], dcur = _block_backward(params[f"conv{n}_w"], conv_caches.pop(),
+                                                                          dcur, below)
     return grads

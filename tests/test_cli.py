@@ -21,6 +21,7 @@ from stimkit import cli, imageio
 from stimkit.cli import main
 from stimkit.errors import StimkitError
 from stimkit.nn import ops
+from stimkit.nn import train as train_module
 from stimkit.nn.checkpoint import MAGIC, ModelCheckpoint, save_checkpoint
 from stimkit.nn.gradcheck import micro_config
 from stimkit.nn.model import init_params
@@ -318,7 +319,28 @@ class TestCvCommand:
 
         monkeypatch.setattr(ops, "conv2d_forward", conv2d_forward)
         monkeypatch.setattr(ops, "conv2d_backward", conv2d_backward)
+        # the call counts perfbench's traced cv-train run requires: each conv
+        # and pool op once per block of every forward and backward pass
+        counts = {}
+        for module, name in ((ops, "conv2d_forward"), (ops, "conv2d_backward"), (ops, "maxpool2_forward"),
+                             (ops, "maxpool2_backward"), (train_module, "forward_batch")):
+            def counted(*args, real=getattr(module, name), name=name, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        cfg = json.loads(Path(mini_run_config).read_text())
+        cfg["train"]["epochs"] = 1
+        Path(mini_run_config).write_text(json.dumps(cfg))
         assert run_cli("cv", "-c", mini_run_config) == 0
+        with open(tmp_path / "out" / "predictions.csv", newline="") as f:
+            folds = [row["fold"] for row in csv.DictReader(f)]
+        scored = len(folds)
+        batches = sum(math.ceil((scored - folds.count(str(k))) / cfg["train"]["batch_size"]) for k in range(cfg["k"]))
+        blocks = len(cfg["model"]["conv_blocks"])
+        assert counts == {"conv2d_forward": blocks * (batches + scored), "maxpool2_forward": blocks * (batches + scored),
+                          "conv2d_backward": blocks * batches, "maxpool2_backward": blocks * batches,
+                          "forward_batch": batches + scored}
         kp = Path(mini_dataset).parent / "keypoints" / "synth_000_c00.json"
         assert run_cli("predict", "-m", tmp_path / "out" / "fold_0.ckpt", "-k", kp) == 0
         assert {kind for kind, _ in calls} == {"forward", "backward"}

@@ -9,10 +9,13 @@ their sums and are held to the numeric contract instead, the bias
 against the exact sum of the reference's terms. A block reads its output
 gradient only at its sites and, per cell, as the sum over the frames
 where the cell is off them; the rows of its input gradient at the sites
-of the block below must be the full input gradient's bytes.
+of the block below must be the full input gradient's bytes. Blocks pass
+their activations sparse, as (ground frame, site rows, site index);
+``dense`` makes one whole frames only to compare it with the reference.
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -61,6 +64,25 @@ def lit_of(x):
     return (x != 0).any(axis=3)
 
 
+def reached_of(lit, k):
+    """The pool blocks reached from the True cells of an (N, H, W) mask."""
+    return model._reached(model._sites(lit), lit.shape, k)
+
+
+def block_0_of(x):
+    """Frames as block 0 takes them: a blank ground, and the rows at the nonzero pixels."""
+    lit = model._sites(lit_of(x))
+    return np.zeros_like(x[:1]), x[lit], lit
+
+
+def dense(out, frames):
+    """A block's (ground, rows, sites) output as whole frames."""
+    ground, rows, sites = out
+    pooled = np.repeat(ground, frames, axis=0)
+    pooled[sites] = rows
+    return pooled
+
+
 def sparse_frames(rng, frames, dtype, size=64, max_points=40, binary=True):
     x = np.zeros((frames, size, size, 1), dtype=dtype)
     for f in range(frames):
@@ -83,7 +105,7 @@ def dense_frames(rng, frames, dtype, density, size=64, binary=True):
     if density == "100%":
         mask[:, ::3, ::3] = True
     x = mask.astype(dtype) if binary else (mask * rng.uniform(0.1, 1.0, mask.shape)).astype(dtype)
-    got = model._reached(lit_of(x), 3).mean()
+    got = reached_of(lit_of(x), 3).mean()
     if share == 1.0:
         assert got == 1.0
     else:
@@ -92,9 +114,8 @@ def dense_frames(rng, frames, dtype, density, size=64, binary=True):
 
 
 def tile_forward(x, w, b, need_cache=True):
-    """Block 0 on tiles: its ground frame is zeros and its lit positions the nonzero pixels."""
-    reached = model._reached(lit_of(x), w.shape[0])
-    return model._block_forward(x, np.zeros_like(x[:1]), w, b, reached, need_cache)
+    """Block 0 on tiles: its ground frame is zeros and its sites the nonzero pixels."""
+    return model._block_forward(block_0_of(x), len(x), w, b, need_cache)
 
 
 def at_sites(dcur, sites):
@@ -115,21 +136,21 @@ def sites_of(entry):
 def assert_forward_matches(x, blocks, same_bytes=True):
     """Every block of the chain gives the whole-frame block's bytes (or meets the contract), in training and scoring."""
     for need_cache in (True, False):
-        cur, ground, lit, want = x, np.zeros_like(x[:1]), lit_of(x), x
+        cur, want = block_0_of(x), x
         for n, (w, b) in enumerate(blocks):
-            lit = model._reached(lit, w.shape[0])
-            cur, ground, _ = model._block_forward(cur, ground, w, b, lit, need_cache)
+            cur, _ = model._block_forward(cur, len(x), w, b, need_cache)
+            got = dense(cur, len(x))
             want = reference_block(want, w, b, need_cache)[0]
             name = f"block {n}, need_cache={need_cache}"
             if same_bytes:
-                assert cur.dtype == want.dtype and cur.shape == want.shape
-                assert cur.tobytes() == want.tobytes(), name
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), name
             else:
-                assert_float32_close(cur, want, name)
+                assert_float32_close(got, want, name)
 
 
 def assert_grads_match(x, w, b, rng):
-    _, _, entry = tile_forward(x, w, b)
+    _, entry = tile_forward(x, w, b)
     dcur = rng.normal(size=(x.shape[0], x.shape[1] // 2, x.shape[2] // 2, w.shape[3])).astype(x.dtype)
     dw, db, dbelow = model._block_backward(w, entry, at_sites(dcur, sites_of(entry)), None)
     assert dbelow is None
@@ -150,7 +171,7 @@ class TestReached:
             for i in range(8):
                 for j in range(8):
                     want[n, i, j] = padded[n, 2 * i : 2 * i + 2 + 2 * half, 2 * j : 2 * j + 2 + 2 * half].any()
-        assert np.array_equal(model._reached(lit, k), want)
+        assert np.array_equal(reached_of(lit, k), want)
 
     def test_any_nonzero_channel_lights_a_pixel(self):
         cfg = ModelConfig(T=2, height=8, width=8, channels=3, conv_blocks=(ConvBlock(4),),
@@ -199,8 +220,9 @@ class TestTileForward:
         rng = np.random.default_rng(1)
         w, b = block_params(rng, dtype)
         x = np.zeros((7, 64, 64, 1), dtype=dtype)
-        pooled, ground, (x_shape, inner, cols, sites, _, idx) = tile_forward(x, w, b)
-        assert x_shape == x.shape and all(len(s) == 0 for s in sites)
+        out, (shape, inner, cols, sites, _, idx) = tile_forward(x, w, b)
+        ground, rows, pooled = out[0], out[1], dense(out, len(x))
+        assert shape == x.shape[:3] and len(rows) == 0 and all(len(s) == 0 for s in sites)
         # the ground frame's 32 x 32 pool blocks are the only tiles
         assert inner.shape == (1024, 2, 2, 1) and cols.shape == (4096, 9) and idx.shape == (1024, 1, 1, 16)
         assert np.array_equal(ground, np.broadcast_to(np.maximum(b, 0), ground.shape))
@@ -270,14 +292,33 @@ class TestSiteRows:
         rng = np.random.default_rng(k * frames)
         w0, b0 = block_params(rng, dtype)
         x0 = block_0_input(rng, frames, dtype, density)
-        reached = model._reached(lit_of(x0), 3)
-        x1, ground, entry0 = model._block_forward(x0, np.zeros_like(x0[:1]), w0, b0, reached, True)
-        sites = sites_of(entry0)
-        sites_expected = {"blank": 0, "corner": 1, "lit": x1[..., 0].size}
+        sites, _ = self.check(rng, dtype, k, x0, w0, b0)
+        sites_expected = {"blank": 0, "corner": 1, "lit": frames * 32 * 32}
         assert len(sites[0]) == sites_expected.get(density, len(sites[0]))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_a_position_that_is_a_site_in_every_frame_has_no_sum_off_them(self, dtype):
+        rng = np.random.default_rng(4)
+        w0, b0 = block_params(rng, dtype)
+        x0 = sparse_frames(rng, 56, dtype)
+        x0[:, 20, 20] = 1.0  # block 0 reaches the same pool blocks around it in every frame
+        sites, off_sum = self.check(rng, dtype, 3, x0, w0, b0)
+        count = np.zeros((32, 32), dtype=int)
+        np.add.at(count, sites[1:], 1)
+        every = count == 56
+        assert every.any() and (count[~every] > 0).any()
+        assert not off_sum[every].any()
+
+    @staticmethod
+    def check(rng, dtype, k, x0, w0, b0):
+        """Block 1's backward over block 0's output against the whole-frame block's; returns block 0's sites and the sums off them."""
+        frames = len(x0)
+        out0, entry0 = tile_forward(x0, w0, b0)
+        sites = sites_of(entry0)
+        x1 = dense(out0, frames)
         w1 = (rng.normal(size=(k, k, 16, 32)) * 0.1).astype(dtype)
         b1 = (rng.normal(size=32) * 0.1).astype(dtype)
-        _, _, entry1 = model._block_forward(x1, ground, w1, b1, model._reached(reached, k), True)
+        _, entry1 = model._block_forward(out0, frames, w1, b1, True)
         dcur = rng.normal(size=(frames, 16, 16, 32)).astype(dtype)
         dw, db, (rows, off_sum) = model._block_backward(w1, entry1, at_sites(dcur, sites_of(entry1)), sites)
         dx, want_dw, want_db = reference_block_grads(x1, w1, b1, dcur)
@@ -291,6 +332,7 @@ class TestSiteRows:
         assert_float32_close(off_sum.astype(dtype), exact_sum_per_cell(off), "per-cell sums off the sites")
         total = off_sum.sum(axis=(0, 1)) + rows.sum(axis=0, dtype=off_sum.dtype)
         assert_float32_close(total.astype(dtype), exact_sum(dx), "total")
+        return sites, off_sum
 
 
 class TestTileGradients:
@@ -334,9 +376,11 @@ def _whole_frame_blocks(monkeypatch):
     output gradient as rows, in (n, i, j) order, and hands the block below
     its whole input gradient the same way.
     """
-    def forward(x, ground, w, b, reached, need_cache):
+    def forward(x, frames, w, b, need_cache):
+        x = dense(x, frames)
         pooled = reference_block(x, w, b, need_cache)[0]
-        return pooled, None, (x, b, None, np.nonzero(np.ones(pooled.shape[:3], dtype=bool)))
+        sites = np.nonzero(np.ones(pooled.shape[:3], dtype=bool))
+        return (pooled[:1], pooled[sites], sites), (x, b, None, sites)
 
     def backward(w, entry, dcur, below):
         x, b, _, _ = entry
@@ -390,6 +434,27 @@ class TestForwardBatch:
             else:
                 assert got[name].tobytes() == want[name].tobytes(), name
 
+    @pytest.mark.parametrize("need_cache", [True, False])
+    def test_an_empty_batch_has_no_probabilities(self, need_cache):
+        cfg = _tiny_config()
+        x = np.zeros((0, cfg.T, cfg.height, cfg.width, 1), dtype=np.float32)
+        p, _ = forward_batch(init_params(cfg), cfg, x, need_cache=need_cache)
+        assert p.shape == (0,) and p.dtype == np.float32
+
+    def test_a_blank_scoring_batch_makes_no_dense_block_0_output(self):
+        # the blocks hand on a ground frame and site rows, so a blank 8-window
+        # call peaks below one whole-frame block 0 output, (56, 32, 32, 16) float32
+        cfg = ModelConfig()
+        params = init_params(cfg)
+        x = np.zeros((8, cfg.T, cfg.height, cfg.width, 1), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            forward_batch(params, cfg, x, need_cache=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * cfg.T * 32 * 32 * 16 * 4
+
     @pytest.mark.parametrize("lit", [0.005, 0.05, 0.5, 1.0])
     def test_one_call_of_each_conv_and_pool_op_per_block(self, monkeypatch, lit):
         cfg = _tiny_config()
@@ -441,7 +506,7 @@ class TestSparseGradCheck:
         if blocks > 1:
             params["conv1_b"][:] = [-0.05, 0.1, 0.15, -0.2]
         x = clip[None, :, :, :, None]
-        reached = model._reached(x[0, ..., 0] != 0, 3)
+        reached = reached_of(x[0, ..., 0] != 0, 3)
         assert 0 < np.count_nonzero(reached) < reached.size
         return cfg, params, x, np.array([1.0])
 
